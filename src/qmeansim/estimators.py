@@ -63,16 +63,18 @@ __all__ = [
 
 # Desk-scale time factors used by calibrated profiles. The worst-case
 # couplings (layer factor 600/sqrt(quantile_order_factor), refinement factor
-# 4(1+c)/sqrt(1-c)) produce register sizes far beyond what a workstation can
-# materialize, so calibrated profiles substitute fixed factors validated by
-# the statistical acceptance suite. Theoretical profiles keep the couplings.
+# 4(1+c)/sqrt(1-c)) come to about 18000 and 100 on the calibrated constants,
+# multiplying the simulated cost of those stages by thousands and by about
+# 13 for accuracy the target tolerances do not need, so calibrated profiles
+# substitute fixed factors validated by the statistical acceptance suite.
+# Theoretical profiles keep the couplings.
 _DESK_LAYER_TIME_FACTOR = 2.0
 _DESK_REFINE_TIME_FACTOR = 8.0
 
 # Refinement time parameters are clamped here: the rough sequential estimate
 # occasionally lands orders of magnitude below the true mean, and the
-# resulting register sizes would exceed the materialization cap while adding
-# no accuracy the target tolerance needs.
+# resulting refinement would multiply the simulated cost while adding no
+# accuracy the target tolerance needs.
 _MAX_REFINE_TIME = 65536.0
 
 
@@ -565,7 +567,8 @@ def calibrate_constants(
       and seq_sqrt_coeff (worst E[1/T_aa]/sqrt(p));
     * probe_budget_coeff via its coupling;
     * fixed desk-scale layer and refinement time factors (the worst-case
-      couplings are not materializable; see module notes).
+      couplings multiply simulated costs for no needed accuracy; see module
+      notes).
 
     Deterministic for a fixed ``rng``.
     """

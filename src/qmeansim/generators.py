@@ -44,29 +44,26 @@ def pareto_discretized(alpha: float, xmin: float, atoms: int) -> FiniteDist:
 def named_dist(spec: str) -> FiniteDist:
     parts = spec.split(":")
     kind, args = parts[0], parts[1:]
-    try:
-        if kind == "point" and len(args) == 1:
-            return make_dist([float(args[0])], [1.0])
-        if kind == "bernoulli" and len(args) == 1:
-            q = float(args[0])
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"bernoulli parameter must be in [0, 1], got {q}")
-            return make_dist([0.0, 1.0], [1.0 - q, q])
-        if kind == "uniform" and len(args) == 2:
-            lo_hi, k = args[0].split(".."), int(args[1])
-            if len(lo_hi) != 2 or k < 1:
-                raise ValueError(f"bad uniform spec {spec!r}")
-            lo, hi = float(lo_hi[0]), float(lo_hi[1])
-            values = np.linspace(lo, hi, k) if k > 1 else [lo]
-            return make_dist(values, np.full(k, 1.0 / k))
-        if kind == "pareto" and len(args) == 3:
-            return pareto_discretized(float(args[0]), float(args[1]), int(args[2]))
-        if kind == "hard-subgaussian" and len(args) == 2:
-            return hard_instance_subgaussian(float(args[0]), float(args[1]))[0]
-        if kind == "hard-statebased" and len(args) == 2:
-            return hard_instance_statebased(float(args[0]), float(args[1]))[0]
-    except ValueError:
-        raise
+    if kind == "point" and len(args) == 1:
+        return make_dist([float(args[0])], [1.0])
+    if kind == "bernoulli" and len(args) == 1:
+        q = float(args[0])
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"bernoulli parameter must be in [0, 1], got {q}")
+        return make_dist([0.0, 1.0], [1.0 - q, q])
+    if kind == "uniform" and len(args) == 2:
+        lo_hi, k = args[0].split(".."), int(args[1])
+        if len(lo_hi) != 2 or k < 1:
+            raise ValueError(f"bad uniform spec {spec!r}")
+        lo, hi = float(lo_hi[0]), float(lo_hi[1])
+        values = np.linspace(lo, hi, k) if k > 1 else [lo]
+        return make_dist(values, np.full(k, 1.0 / k))
+    if kind == "pareto" and len(args) == 3:
+        return pareto_discretized(float(args[0]), float(args[1]), int(args[2]))
+    if kind == "hard-subgaussian" and len(args) == 2:
+        return hard_instance_subgaussian(float(args[0]), float(args[1]))[0]
+    if kind == "hard-statebased" and len(args) == 2:
+        return hard_instance_statebased(float(args[0]), float(args[1]))[0]
     raise ValueError(f"unknown distribution spec {spec!r}")
 
 

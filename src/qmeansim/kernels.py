@@ -9,7 +9,11 @@ quantum primitives reduce to closed-form probability laws:
   geometrically growing grid and stops at the first success;
 * M-point amplitude estimation measures an index y whose exact law is a
   half/half mixture of Fejer kernels centred on the two eigenphases
-  +-asin(sqrt(p))/pi.
+  +-asin(sqrt(p))/pi. Draws never build the M-point law: an offset from the
+  kernel's peak is drawn exactly by rejection from an envelope decaying as
+  1/k^2, and a fair coin picks the eigenphase, so a draw costs O(1) time and
+  memory whatever M is. :func:`ae_outcome_dist` materialises the law as the
+  reference the sampler is tested against.
 
 Every routine charges an :class:`ExperimentCounter` under two parallel
 accountings: low-level oracle experiments (state preparations, comparison or
@@ -48,9 +52,6 @@ __all__ = [
 
 # Growth rate of the sequential amplification schedule.
 GROWTH = 1.1
-
-# Largest M for which an M-point outcome law is materialized.
-_MAX_AE_POINTS = 1 << 23
 
 
 @dataclass
@@ -147,20 +148,13 @@ class QVar:
     def pair_cost(self) -> int:
         return self.cost_u + self.cost_oracle
 
-    def _rebind(self, dist: FiniteDist, counter: ExperimentCounter) -> "QVar":
-        clone = object.__new__(QVar)
-        clone.dist = dist
-        clone.counter = counter
-        clone.cost_u = self.cost_u
-        clone.cost_oracle = self.cost_oracle
-        clone.cost_measure = self.cost_measure
-        return clone
-
+    # Direct constructor calls: dataclasses.replace costs 2 us more per call,
+    # and the quantile chains rebind counters thousands of times per trial.
     def with_dist(self, dist: FiniteDist) -> "QVar":
-        return self._rebind(dist, self.counter)
+        return QVar(dist, self.counter, self.cost_u, self.cost_oracle, self.cost_measure)
 
     def with_counter(self, counter: ExperimentCounter) -> "QVar":
-        return self._rebind(self.dist, counter)
+        return QVar(self.dist, counter, self.cost_u, self.cost_oracle, self.cost_measure)
 
 
 @dataclass(frozen=True)
@@ -359,8 +353,6 @@ def ae_outcome_dist(p: float, m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError(f"need at least one phase point, got M={m}")
-    if m > _MAX_AE_POINTS:
-        raise ValueError(f"M={m} phase points exceeds the materialization cap")
     omega = grover_angle(p) / math.pi
     y = np.arange(m, dtype=float)
     if p == 0.0 or p == 1.0:
@@ -368,34 +360,49 @@ def ae_outcome_dist(p: float, m: int) -> np.ndarray:
     return 0.5 * _fejer(y / m - omega, m) + 0.5 * _fejer(y / m + omega, m)
 
 
-def _kernel_cum_raw(p: float, m: int) -> np.ndarray:
-    # Cumulative law of one Fejer kernel centred on +omega. The full outcome
-    # law is the half/half mixture of this kernel and its reflection
-    # y -> (M - y) mod M, which the sampler applies with a fair coin.
-    if m > _MAX_AE_POINTS:
-        raise ValueError(f"M={m} phase points exceeds the materialization cap")
-    omega = grover_angle(p) / math.pi
-    y = np.arange(m, dtype=float)
-    return np.cumsum(_fejer(y / m - omega, m))
-
-
-_kernel_cum_small = lru_cache(maxsize=16)(_kernel_cum_raw)
-_BIG_KERNEL_LIMIT = 1 << 20
-_big_kernel_slot: tuple[tuple[float, int], np.ndarray] | None = None
-
-
-def _single_kernel_cum(p: float, m: int) -> np.ndarray:
-    # Registers beyond _BIG_KERNEL_LIMIT points use a single-slot cache so
-    # repeated draws within one estimation call stay cheap without pinning
-    # hundreds of megabytes.
-    global _big_kernel_slot
-    if m <= _BIG_KERNEL_LIMIT:
-        return _kernel_cum_small(p, m)
-    if _big_kernel_slot is not None and _big_kernel_slot[0] == (p, m):
-        return _big_kernel_slot[1]
-    value = _kernel_cum_raw(p, m)
-    _big_kernel_slot = ((p, m), value)
-    return value
+def _phase_draws(p: float, m: int, gen: np.random.Generator, size: int) -> list[int]:
+    # `size` exact draws of the measured index y in [0, M), in O(1) time and
+    # memory per draw whatever M is. With c = M*omega and f = c - floor(c),
+    # the kernel centred on +omega puts mass
+    #   K(j) = sin^2(pi f) / (M^2 sin^2(pi (j - f) / M)) <= min(1, 1/(4 (j - f)^2))
+    # on y = floor(c) + j, for the M offsets with -M/2 < j - f <= M/2
+    # (|sin(pi x)| >= 2|x| for |x| <= 1/2). Offsets are proposed as 0 or 1
+    # with probability 1/3 each, else as 1 + k or -k with probability
+    # 1/(6 k (k + 1)) each, k = floor(1/U) >= 1, and accepted with
+    # probability K(j) / (3 * proposal) <= 1: a third of the proposals are
+    # accepted. On the grid (f = 0) only j = 0 passes. A fair coin then
+    # reflects y -> (M - y) mod M onto the kernel centred on -omega, except
+    # at p = 1, whose two eigenphases coincide.
+    if p == 0.0:
+        return [0] * size
+    if p == 1.0 and m % 2 == 0:
+        return [m // 2] * size
+    c = m * grover_angle(p) / math.pi
+    base = math.floor(c)
+    f = c - base
+    s2 = math.sin(math.pi * min(f, 1.0 - f)) ** 2
+    ys: list[int] = []
+    while len(ys) < size:
+        # four proposals per missing draw and eight spare: refills are rare
+        uniforms = iter(gen.random(12 * (size - len(ys)) + 24).tolist())
+        for choice, u, accept in zip(uniforms, uniforms, uniforms):
+            if choice < 2.0 / 3.0:
+                j = int(choice >= 1.0 / 3.0)
+                weight = 1.0
+            else:
+                k = math.floor(1.0 / (1.0 - u))
+                j = 1 + k if choice < 5.0 / 6.0 else -k
+                weight = 2.0 * k * (k + 1)
+            x = j - f
+            if (-0.5 * m < x <= 0.5 * m
+                    and (1.0 - accept) * (m * math.sin(math.pi * x / m)) ** 2 <= s2 * weight):
+                ys.append((base + j) % m)
+                if len(ys) == size:
+                    break
+    if p == 1.0:
+        return ys
+    coins = gen.random(size).tolist()
+    return [(m - y) % m if coin < 0.5 else y for y, coin in zip(ys, coins)]
 
 
 def sin2_frac(y: int, m: int) -> float:
@@ -425,21 +432,15 @@ def aest_sample(
     3M amplification steps up front; the estimation run itself is not
     interruptible mid-flight, so a budget shortfall clamps the tally and
     flags the counter but the outcome is still produced.
+
+    The index is drawn exactly from the law of :func:`ae_outcome_dist` by
+    rejection from a 1/k^2 envelope around the kernel's peak, then a fair
+    coin picks the eigenphase; time and memory do not depend on M.
     """
     if m < 1:
         raise ValueError(f"need at least one phase point, got M={m}")
     counter.charge(m * 2 * per_app_oracle_cost + cost_measure, 3 * m)
-    if p == 0.0:
-        y = 0
-    elif p == 1.0 and m % 2 == 0:
-        y = m // 2
-    else:
-        cum = _single_kernel_cum(p, m)
-        gen = rng.gen
-        u = float(gen.random()) * float(cum[-1])
-        y = min(int(np.searchsorted(cum, u, side="right")), m - 1)
-        if not (p == 1.0) and gen.random() < 0.5:
-            y = (m - y) % m
+    y = _phase_draws(p, m, rng.gen, 1)[0]
     return AEOutcome(y=y, p_estimate=sin2_frac(y, m))
 
 
@@ -474,11 +475,11 @@ def aest_median(
         raise ValueError(f"time parameter {n} below log(1/delta) = {log_term:.3f}")
     copies = math.ceil(6 * log_term)
     m = math.ceil(2 * math.pi * n / log_term)
-    estimates = [
-        aest_sample(p, m, rng, counter, per_app_oracle_cost, cost_measure).p_estimate
-        for _ in range(copies)
-    ]
-    return lower_median(estimates)
+    # charged copy by copy, as successive aest_sample calls would be
+    for _ in range(copies):
+        counter.charge(m * 2 * per_app_oracle_cost + cost_measure, 3 * m)
+    ys = _phase_draws(p, m, rng.gen, copies)
+    return lower_median([sin2_frac(y, m) for y in ys])
 
 
 def seq_aest(

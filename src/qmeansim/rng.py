@@ -41,9 +41,3 @@ class RandomSource:
     def derive(self, *ids: int) -> "RandomSource":
         """Fork an independent sub-stream identified by ``ids``."""
         return RandomSource(self.seed, self.stream + tuple(int(i) for i in ids))
-
-    def random(self, n: int | None = None):
-        return self.gen.random(n)
-
-    def integers(self, low, high, size=None):
-        return self.gen.integers(low, high, size=size)

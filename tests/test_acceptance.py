@@ -3,8 +3,8 @@
 Each test pins its tolerance from the statement it implements and prints
 ``ACCEPTANCE <id> <PASS|FAIL> <details>``. Two clauses (3b and 6b) assert a
 x3 uniformity that the amplification arithmetic provably cannot deliver on
-the stated grids; they are implemented verbatim and marked as expected
-failures (see notes/decisions.md in the repository root's sibling notes).
+the stated grids; they are implemented verbatim and marked as strict expected
+failures (README.md explains why each cannot hold).
 """
 
 import io
@@ -199,12 +199,12 @@ def test_c5a_subgauss_coverage():
         ("sym", make_dist([-1.0, 1.0], [0.5, 0.5])),
         ("bern", make_dist([0.0, 1.0], [0.5, 0.5])),
     ]
-    for name, dist in cases:
+    for case_id, (name, dist) in enumerate(cases):
         mom = moments(dist)
         sigma = math.sqrt(mom.variance)
         for n in (64, 256):
             fails = 0
-            base = RandomSource(505).derive(hash(name) % 1000, n)
+            base = RandomSource(505).derive(case_id, n)
             for trial in range(trials):
                 qv = QVar(dist, ExperimentCounter())
                 rep = subgauss_est(qv, n, 0.1, PROFILE, base.derive(trial))
@@ -358,8 +358,8 @@ def test_c7_instance_numerics():
 # -- criterion 8: degenerate exactness and reproducibility --------------------------
 
 def _point_trial(args):
-    kind, trial = args
-    rng = RandomSource(808).derive(hash(kind) % 100_000, trial)
+    kind_id, kind, trial = args
+    rng = RandomSource(808).derive(kind_id, trial)
     if kind == "seq-relative":
         qv = QVar(make_dist([1.0], [1.0]), ExperimentCounter())
         return seq_relative_est(qv, 0.1, 0.1, PROFILE, rng).estimate, 1.0
@@ -391,10 +391,10 @@ def test_c8_degenerate_exactness_and_reproducibility():
         "median-of-means", "empirical", "classical-truncated",
     ]
     failures = {}
-    jobs = [(k, t) for k in kinds for t in range(trials)]
+    jobs = [(i, k, t) for i, k in enumerate(kinds) for t in range(trials)]
     with multiprocessing.Pool(2) as pool:
         outcomes = pool.map(_point_trial, jobs, chunksize=32)
-    for (kind, _), (est, want) in zip(jobs, outcomes):
+    for (_, kind, _), (est, want) in zip(jobs, outcomes):
         if est != want:
             failures[kind] = failures.get(kind, 0) + 1
 

@@ -108,6 +108,15 @@ def test_sweep_skips_invalid_grid_points(capsys):
     assert "skipping" in capsys.readouterr().err
 
 
+def test_sweep_keeps_large_register_grid_points(capsys):
+    # n = 524288 needs an estimation register of about 1.2e7 points
+    cfg = config(distribution="pareto:2.5:1:512", grid={"n": [1024, 524288], "delta": [0.1]},
+                 trials=1)
+    rows = list(run_sweep(cfg))
+    assert [row.n for row in rows] == [1024, 524288]
+    assert "skipping" not in capsys.readouterr().err
+
+
 def test_sweep_classical_baselines_cost():
     for est in ("empirical", "median-of-means", "classical-truncated"):
         cfg = config(

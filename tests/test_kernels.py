@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qmeansim import (
     seq_aamp,
     seq_aest,
 )
-from qmeansim.kernels import sin2_frac
+from qmeansim.kernels import _phase_draws, sin2_frac
 from qmeansim.qpe_ref import qpe_statevector_dist, total_variation
 
 
@@ -162,17 +163,59 @@ def test_outcome_dist_matches_statevector(m):
         assert tv < 1e-11
 
 
-def test_sampler_matches_law():
-    p, m, n = 0.3, 16, 100_000
+def _chi_square_ok(counts, law) -> bool:
+    # Pearson's test at a false-alarm rate of about 1e-6 (Wilson-Hilferty
+    # quantile); bins expecting fewer than 5 draws are pooled into one.
+    expected = law * counts.sum()
+    big = expected >= 5
+    obs = np.append(counts[big], counts[~big].sum())
+    exp = np.append(expected[big], expected[~big].sum())
+    keep = exp > 0
+    obs, exp = obs[keep], exp[keep]
+    dof = len(exp) - 1
+    if dof == 0:
+        return obs[0] == counts.sum()
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    z = 4.75
+    return stat <= dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 37, 4096])
+@pytest.mark.parametrize("p", [1e-4, 0.3, 0.5, math.sin(math.pi / 8) ** 2, 0.9999, 1.0])
+def test_sampler_matches_law(p, m):
+    # aest_sample draws one outcome and aest_median a batch, both through
+    # _phase_draws; the law is checked on the draws of both paths together.
+    singles, n = 1000, 200_000
     rng = RandomSource(5)
     counter = ExperimentCounter()
-    counts = np.zeros(m)
-    for _ in range(n):
-        counts[aest_sample(p, m, rng, counter, 2).y] += 1
-    tv = total_variation(counts / n, ae_outcome_dist(p, m))
-    assert tv < 0.01
-    assert counter.oracle_experiments == n * (m * 4 + 1)
-    assert counter.aa_applications == n * 3 * m
+    ys = [aest_sample(p, m, rng, counter, 2).y for _ in range(singles)]
+    assert counter.oracle_experiments == singles * (m * 4 + 1)
+    assert counter.aa_applications == singles * 3 * m
+    ys += _phase_draws(p, m, rng.gen, n - singles)
+    counts = np.bincount(ys, minlength=m).astype(float)
+    assert len(counts) == m
+    law = ae_outcome_dist(p, m)
+    assert total_variation(counts / n, law) < 0.01
+    assert _chi_square_ok(counts, law)
+
+
+def test_sampler_huge_register_constant_memory():
+    # a 2^40-point law could never be materialised; a draw needs O(1) memory
+    p, m, draws = 0.3, 1 << 40, 200
+    rng = RandomSource(6)
+    counter = ExperimentCounter()
+    tracemalloc.start()
+    try:
+        outs = [aest_sample(p, m, rng, counter, 2) for _ in range(draws)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert counter.aa_applications == draws * 3 * m
+    assert all(0 <= out.y < m for out in outs)
+    # each readout meets the estimation bound with probability >= 8/pi^2
+    bound = 2 * math.pi * math.sqrt(p * (1 - p)) / m + math.pi**2 / m**2
+    assert sum(abs(out.p_estimate - p) <= bound for out in outs) >= draws // 2
 
 
 def test_sin2_frac_exact_grid_points():
@@ -207,6 +250,25 @@ def test_aest_median_exact_half():
     counter = ExperimentCounter()
     est = aest_median(0.5, 117.2, 0.1, rng, counter, 2)
     assert est == 0.5
+
+
+def test_aest_median_budget_stops_after_k_copies():
+    # n = 100, delta = 0.1: 14 copies of an M = 273 register, each charged
+    # 4M + 1 oracle experiments and 3M amplification steps
+    m, k = 273, 5
+    per_copy = 4 * m + 1
+    budget = k * per_copy + per_copy // 2
+    counter = ExperimentCounter(budget=budget)
+    est = aest_median(0.3, 100.0, 0.1, RandomSource(4), counter, 2)
+    assert 0.0 <= est <= 1.0
+    assert counter.oracle_experiments == budget
+    assert counter.aa_applications == k * 3 * m
+    assert counter.interrupted
+    # charge for charge what 14 single measurements leave on a counter
+    reference = ExperimentCounter(budget=budget)
+    for _ in range(14):
+        aest_sample(0.3, m, RandomSource(4), reference, 2)
+    assert counter == reference
 
 
 def test_aest_median_rejects_small_n():
