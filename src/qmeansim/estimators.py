@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, asdict
 from importlib import resources
 
 import numpy as np
 
 from .dist import (
-    conditional_above,
     pair_square_diff,
-    sample,
     sample_n,
     shift_split,
     truncated_mean,
@@ -251,6 +250,20 @@ class _StageTracker:
         )
 
 
+def _draw_above(cum: list[float], tails: list[float], k: int, counter: ExperimentCounter,
+                walk_cost: int, measure: int, rng: RandomSource) -> int | None:
+    # One conditional draw above the first k support atoms, as an atom index.
+    # The tail mass tails[k] = P[X >= values[k]] (0 past the top atom) is
+    # amplified, then the atom is read off the cumulative law by one uniform.
+    # None when the budget ran out first; an empty tail burns the budget.
+    tail = min(tails[k], 1.0)  # the exact tail sum may exceed 1 by round-off
+    ok, _, _ = seq_aamp(tail, rng, counter, walk_cost, measure)
+    if not ok or not counter.charge(measure):
+        return None
+    below = cum[k - 1] if k else 0.0
+    return bisect_right(cum, below + rng.gen.random() * tail, k, len(cum) - 1)
+
+
 def cond_sample_above(
     qvar: QVar, x: float, rng: RandomSource
 ) -> tuple[float | None, int]:
@@ -260,18 +273,16 @@ def cond_sample_above(
     experiments per application) and reads the value out with one final
     measurement. Returns ``(value, oracle_cost)``; the value is ``None`` when
     the counter's budget ran out first. An empty conditional (zero tail)
-    consumes the entire remaining budget.
+    consumes the entire remaining budget. The draw follows the law of
+    :func:`~qmeansim.dist.conditional_above`.
     """
-    start = qvar.counter.oracle_experiments
-    cond, tail = conditional_above(qvar.dist, x)
-    # the exact tail sum may exceed 1 by accumulated round-off
-    ok, _, _ = seq_aamp(min(tail, 1.0), rng, qvar.counter, qvar.pair_cost(),
-                        qvar.cost_measure)
-    if not ok or cond is None:
-        return None, qvar.counter.oracle_experiments - start
-    if not qvar.counter.charge(qvar.cost_measure):
-        return None, qvar.counter.oracle_experiments - start
-    return sample(cond, rng), qvar.counter.oracle_experiments - start
+    d, counter = qvar.dist, qvar.counter
+    start = counter.oracle_experiments
+    k = int(np.searchsorted(d.values, x, side="right"))
+    idx = _draw_above(d._cum.tolist(), d._tail.tolist() + [0.0], k, counter,
+                      qvar.pair_cost(), qvar.cost_measure, rng)
+    value = None if idx is None else float(d.values[idx])
+    return value, counter.oracle_experiments - start
 
 
 def quantile_est(
@@ -294,19 +305,22 @@ def quantile_est(
     per_rep_budget = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
     tracker = _StageTracker(qvar.counter)
     estimates: list[float] = []
+    d = qvar.dist
+    cum, tails = d._cum.tolist(), d._tail.tolist() + [0.0]
+    walk_cost, measure = qvar.pair_cost(), qvar.cost_measure
     for i in range(reps):
         child = qvar.counter.child(per_rep_budget)
-        chain_var = qvar.with_counter(child)
-        y = -math.inf
+        # the chain walks support indices: k atoms lie at or below its value
+        k = 0
         while True:
-            drawn, _ = cond_sample_above(chain_var, y, rng)
+            drawn = _draw_above(cum, tails, k, child, walk_cost, measure, rng)
             if drawn is None:
                 break
-            y = drawn
+            k = drawn + 1
             if child.interrupted:
                 break
         qvar.counter.absorb(child)
-        estimates.append(y)
+        estimates.append(float(d.values[k - 1]) if k else -math.inf)
         tracker.close(f"repetition_{i:02d}")
         if qvar.counter.interrupted:
             break
@@ -460,6 +474,17 @@ def relative_est(
     return subgauss_est(qvar, n, delta, profile, rng)
 
 
+def _unit_mean(qvar: QVar) -> float:
+    # Mean of a [0, 1]-valued input; a zero mean never stops without a budget.
+    d = qvar.dist
+    if float(d.values[0]) < 0.0 or float(d.values[-1]) > 1.0:
+        raise ValueError("support must lie in [0, 1]")
+    mu = truncated_mean(d, 0.0, 1.0)
+    if mu == 0.0 and qvar.counter.budget is None:
+        raise ValueError("zero mean never terminates; a budget is required")
+    return mu
+
+
 def seq_bern_est(qvar: QVar, rng: RandomSource) -> EstimateReport:
     """Sequential rough mean estimate for a [0, 1]-valued distribution.
 
@@ -468,12 +493,7 @@ def seq_bern_est(qvar: QVar, rng: RandomSource) -> EstimateReport:
     O(1/sqrt(mean)). A zero mean requires a budget; the run then exhausts it
     and reports estimate 0 with the interrupted flag.
     """
-    d = qvar.dist
-    if float(d.values[0]) < 0.0 or float(d.values[-1]) > 1.0:
-        raise ValueError("support must lie in [0, 1]")
-    mu = truncated_mean(d, 0.0, 1.0)
-    if mu == 0.0 and qvar.counter.budget is None:
-        raise ValueError("zero mean never terminates; a budget is required")
+    mu = _unit_mean(qvar)
     tracker = _StageTracker(qvar.counter)
     estimate, _ = seq_aest(mu, rng, qvar.counter, qvar.pair_cost(), qvar.cost_measure)
     tracker.close("sequential_estimation")
@@ -502,14 +522,8 @@ def seq_relative_est(
         raise ValueError(f"relative error must be in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
-    d = qvar.dist
-    if float(d.values[0]) < 0.0 or float(d.values[-1]) > 1.0:
-        raise ValueError("support must lie in [0, 1]")
-    mu = truncated_mean(d, 0.0, 1.0)
-    if mu == 0.0 and qvar.counter.budget is None:
-        raise ValueError("zero mean never terminates; a global budget is required")
-
-    pair_dist = pair_square_diff(d)
+    _unit_mean(qvar)
+    pair_dist = pair_square_diff(qvar.dist)
     reps = math.ceil(32 * profile.log(1.0 / delta))
     tracker = _StageTracker(qvar.counter)
     outputs: list[float] = []

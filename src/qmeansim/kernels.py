@@ -28,6 +28,7 @@ counter's ``interrupted`` flag.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,8 +149,6 @@ class QVar:
     def pair_cost(self) -> int:
         return self.cost_u + self.cost_oracle
 
-    # Direct constructor calls: dataclasses.replace costs 2 us more per call,
-    # and the quantile chains rebind counters thousands of times per trial.
     def with_dist(self, dist: FiniteDist) -> "QVar":
         return QVar(dist, self.counter, self.cost_u, self.cost_oracle, self.cost_measure)
 
@@ -180,13 +179,13 @@ def aamp_success_prob(p: float, n: int) -> float:
 
 
 @lru_cache(maxsize=256)
-def _grid_bounds(start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid_bounds(start: int, count: int) -> tuple[list[int], list[int]]:
     # Integer grid for round ell: {ceil(G^(ell-1)), ..., ceil(G^ell) - 1},
     # collapsed to its lower end whenever the range would be empty.
     ells = np.arange(start, start + count, dtype=float)
     lo = np.ceil(GROWTH ** (ells - 1)).astype(np.int64)
     hi = np.ceil(GROWTH**ells).astype(np.int64) - 1
-    return lo, np.maximum(lo, hi)
+    return lo.tolist(), np.maximum(lo, hi).tolist()
 
 
 def _partial_round_aa(rem_oracle: int, per_app: int, n: int) -> int:
@@ -203,22 +202,23 @@ def _partial_round_aa(rem_oracle: int, per_app: int, n: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _burn_schedule(per_app: int, measure: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _burn_schedule(per_app: int, measure: int) -> tuple[list[int], list[int], list[int]]:
     # Static per-round cost schedule for zero-amplitude runs (every round
-    # fails, so draws are skipped and each round uses its grid's lower end).
-    # Covers cumulative oracle costs up to 1e18.
+    # fails, so draws are skipped and each round uses its grid's lower end):
+    # cumulative oracle and amplification costs and the round counts, up to
+    # a cumulative oracle cost of 1e18.
+    cum_oracle: list[int] = []
+    cum_aa: list[int] = []
     ns: list[int] = []
-    total = 0
-    ell = 0
+    total = aa = 0
     while total < 1e18:
-        ell += 1
-        n = math.ceil(GROWTH ** (ell - 1))
+        n = math.ceil(GROWTH ** len(ns))
         ns.append(n)
         total += (2 * n + 1) * per_app + measure
-    narr = np.array(ns, dtype=np.int64)
-    cum_oracle = np.cumsum((2 * narr + 1) * per_app + measure)
-    cum_aa = np.cumsum(3 * narr + 1)
-    return cum_oracle, cum_aa, narr
+        aa += 3 * n + 1
+        cum_oracle.append(total)
+        cum_aa.append(aa)
+    return cum_oracle, cum_aa, ns
 
 
 def _burn_remaining(counter: ExperimentCounter, per_app: int, measure: int) -> tuple[int, int]:
@@ -231,20 +231,13 @@ def _burn_remaining(counter: ExperimentCounter, per_app: int, measure: int) -> t
     cum_oracle, cum_aa, ns = _burn_schedule(per_app, measure)
     if rem > cum_oracle[-1]:  # pragma: no cover - beyond any desk-scale budget
         raise ValueError(f"budget {rem} beyond the burn schedule")
-    full = int(np.searchsorted(cum_oracle, rem, side="right"))
-    rounds = full
-    aa_total = int(cum_aa[full - 1]) if full > 0 else 0
-    if full > 0:
-        counter.charge(int(cum_oracle[full - 1]), aa_total)
-    rem2 = counter.remaining() or 0
+    full = bisect_right(cum_oracle, rem)
+    aa = cum_aa[full - 1] if full else 0
+    rem2 = rem - (cum_oracle[full - 1] if full else 0)
     if rem2 > 0:
-        aa = _partial_round_aa(rem2, per_app, int(ns[full]))
-        counter.exhaust(aa)
-        rounds += 1
-        aa_total += aa
-    else:
-        counter.exhaust(0)
-    return rounds, aa_total
+        aa += _partial_round_aa(rem2, per_app, ns[full])
+    counter.exhaust(aa)
+    return full + (rem2 > 0), aa
 
 
 def seq_aamp(
@@ -266,12 +259,14 @@ def seq_aamp(
     budget the call terminates with probability one; with a budget it may
     instead exhaust it and report failure. p = 0 without a budget is refused.
     """
-    theta = grover_angle(p)
     if p == 0.0:
         if counter.budget is None:
             raise ValueError("zero amplitude never succeeds; a budget is required")
+        if per_app_oracle_cost < 1:
+            raise ValueError("zero amplitude with a free walk never burns its budget")
         rounds, aa = _burn_remaining(counter, per_app_oracle_cost, cost_measure)
         return False, rounds, aa
+    theta = grover_angle(p)
     if counter.interrupted:
         return False, 0, 0
     if p == 1.0:
@@ -286,50 +281,27 @@ def seq_aamp(
         return False, (1 if rem > 0 else 0), aa_part
 
     gen = rng.gen
-    rounds = 0
-    aa_total = 0
-    block = 16
+    rem = counter.remaining()
+    rounds = oracle_total = aa_total = 0
     while True:
-        lo, hi = _grid_bounds(rounds + 1, block)
-        ns = gen.integers(lo, hi + 1)
-        succ = np.sin((2 * ns + 1) * theta) ** 2
-        hits = gen.random(block) < succ
-        o_costs = (2 * ns + 1) * per_app_oracle_cost + cost_measure
-        aa_costs = 3 * ns + 1
-
-        first_hit = int(np.argmax(hits)) if hits.any() else block
-        rem = counter.remaining()
-        if rem is None:
-            affordable = block
-        else:
-            affordable = int(np.searchsorted(np.cumsum(o_costs), rem, side="right"))
-
-        if first_hit < affordable:
-            upto = first_hit + 1
-            charged_aa = int(aa_costs[:upto].sum())
-            counter.charge(int(o_costs[:upto].sum()), charged_aa)
-            return True, rounds + upto, aa_total + charged_aa
-
-        if affordable >= block:
-            charged_aa = int(aa_costs.sum())
-            counter.charge(int(o_costs.sum()), charged_aa)
-            rounds += block
-            aa_total += charged_aa
-            continue
-
-        # The budget dies inside round `affordable` (0-indexed in this block).
-        if affordable > 0:
-            charged_aa = int(aa_costs[:affordable].sum())
-            counter.charge(int(o_costs[:affordable].sum()), charged_aa)
-            rounds += affordable
-            aa_total += charged_aa
-        rem2 = counter.remaining() or 0
-        aa_part = _partial_round_aa(rem2, per_app_oracle_cost, int(ns[affordable]))
-        counter.exhaust(aa_part)
-        if rem2 > 0:
+        # two uniforms per round: the grid draw, then the success test
+        los, his = _grid_bounds(rounds + 1, 16)
+        us = gen.random(32).tolist()
+        for lo, hi, u_n, u_hit in zip(los, his, us[::2], us[1::2]):
+            n = lo + int(u_n * (hi - lo + 1)) if lo < hi else lo
+            oracle = (2 * n + 1) * per_app_oracle_cost + cost_measure
+            if rem is not None and oracle_total + oracle > rem:
+                # the budget dies inside this round
+                rem2 = rem - oracle_total
+                aa_part = _partial_round_aa(rem2, per_app_oracle_cost, n)
+                counter.exhaust(aa_total + aa_part)
+                return False, rounds + (rem2 > 0), aa_total + aa_part
+            oracle_total += oracle
+            aa_total += 3 * n + 1
             rounds += 1
-            aa_total += aa_part
-        return False, rounds, aa_total
+            if u_hit < math.sin((2 * n + 1) * theta) ** 2:
+                counter.charge(oracle_total, aa_total)
+                return True, rounds, aa_total
 
 
 def _fejer(x: np.ndarray, m: int) -> np.ndarray:
@@ -475,9 +447,18 @@ def aest_median(
         raise ValueError(f"time parameter {n} below log(1/delta) = {log_term:.3f}")
     copies = math.ceil(6 * log_term)
     m = math.ceil(2 * math.pi * n / log_term)
-    # charged copy by copy, as successive aest_sample calls would be
-    for _ in range(copies):
-        counter.charge(m * 2 * per_app_oracle_cost + cost_measure, 3 * m)
+    # charged as `copies` successive aest_sample calls would be: the copies
+    # that fit, then one that clamps the tally. At a zero cost the first copy
+    # lands on a spent budget and trips it.
+    cost = m * 2 * per_app_oracle_cost + cost_measure
+    rem = counter.remaining()
+    if rem is None or (cost == 0 and rem > 0):
+        fit = copies
+    else:
+        fit = min(copies, rem // cost) if cost else 1
+    counter.charge(fit * cost, fit * 3 * m)
+    if fit < copies:
+        counter.charge(cost, 3 * m)
     ys = _phase_draws(p, m, rng.gen, copies)
     return lower_median([sin2_frac(y, m) for y in ys])
 

@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeansim import (
     ConstantProfile,
     ExperimentCounter,
+    FiniteDist,
     QVar,
     RandomSource,
     bern_est,
     calibrate_constants,
     cond_sample_above,
+    conditional_above,
     default_profile,
     make_dist,
+    named_dist,
     quantile_est,
     relative_est,
     seq_bern_est,
@@ -98,17 +103,28 @@ def test_cond_sample_empty_tail_consumes_budget(profile):
     assert qv.counter.interrupted
 
 
-def test_cond_sample_conditional_frequencies(profile):
-    d = uniform(1, 2, 3, 4)
+_PARETO = named_dist("pareto:2.5:1:512")
+
+
+@pytest.mark.parametrize("d,x", [
+    (uniform(1, 2, 3, 4), 2.0),
+    (_PARETO, -math.inf),
+    (_PARETO, float(_PARETO.values[255])),
+    (_PARETO, float(_PARETO.values[510])),
+    (FiniteDist(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.25, 0.0, 0.5, 0.25])), 1.0),
+], ids=["uniform4-above-2", "pareto-all", "pareto-middle", "pareto-last", "zero-atom"])
+def test_cond_sample_conditional_frequencies(d, x, chi_square_ok):
+    cond, _ = conditional_above(d, x)
     rng = RandomSource(321)
     qv = qvar(d)
-    hits = {3.0: 0, 4.0: 0}
     n = 100_000
+    index = {float(v): i for i, v in enumerate(cond.values)}
+    counts = np.zeros(len(cond))
     for _ in range(n):
-        y, _ = cond_sample_above(qv, 2.0, rng)
-        hits[y] += 1
-    assert abs(hits[3.0] / n - 0.5) < 0.01
-    assert abs(hits[4.0] / n - 0.5) < 0.01
+        y, _ = cond_sample_above(qv, x, rng)
+        counts[index[y]] += 1
+    assert np.all(np.abs(counts / n - cond.probs) < 0.01)
+    assert chi_square_ok(counts, cond.probs)
 
 
 # -- quantile estimation ----------------------------------------------------------
@@ -150,6 +166,48 @@ def test_quantile_coverage_middle_order(profile):
         if 51.0 <= rep.estimate <= 100.0:
             hits += 1
     assert hits / trials >= 0.85
+
+
+def test_quantile_free_walk_refused(profile):
+    # a chain that reaches the top atom burns its budget with a free walk
+    qv = QVar(uniform(1, 2, 3), ExperimentCounter(), cost_u=0, cost_oracle=0)
+    with pytest.raises(ValueError, match="free walk"):
+        quantile_est(qv, 0.3, 0.1, profile, RandomSource(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    probs=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+    p=st.floats(0.01, 0.9),
+    delta=st.floats(0.05, 0.5),
+    budget=st.one_of(st.none(), st.integers(0, 200_000)),
+    pre=st.integers(0, 5000),
+    cost_u=st.integers(0, 3),
+    cost_oracle=st.integers(1, 3),
+    cost_measure=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quantile_budget_properties(profile, probs, p, delta, budget, pre, cost_u,
+                                    cost_oracle, cost_measure, seed):
+    d = make_dist(np.arange(len(probs), dtype=float), np.array(probs) / sum(probs))
+    counter = ExperimentCounter(budget=budget)
+    if pre:  # budget 0 without a charge leaves a counter not yet tripped
+        counter.charge(pre)
+    before = counter.oracle_experiments
+    qv = QVar(d, counter, cost_u, cost_oracle, cost_measure)
+    rep = quantile_est(qv, p, delta, profile, RandomSource(seed))
+    moved = counter.oracle_experiments - before
+    assert sum(rep.stage_costs.values()) == moved == rep.counter_snapshot.oracle_experiments
+    per_rep = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
+    assert all(cost <= per_rep for cost in rep.stage_costs.values())
+    assert rep.estimate == -math.inf or rep.estimate in d.values
+    assert rep.counter_snapshot.interrupted == counter.interrupted
+    assert bool(rep.interrupted_stages) == counter.interrupted
+    if budget is None:
+        assert not counter.interrupted
+    else:
+        assert counter.oracle_experiments <= budget
+        assert counter.interrupted == (counter.oracle_experiments == budget)
 
 
 def test_quantile_rejects_bad_args(profile):
@@ -336,6 +394,12 @@ def test_seq_bern_zero_input_requires_budget(profile):
 def test_seq_bern_rejects_support_outside_unit(profile):
     with pytest.raises(ValueError):
         seq_bern_est(qvar(uniform(0, 2)), RandomSource(0))
+
+
+def test_seq_relative_rejects_support_outside_unit(profile):
+    for d in (uniform(0, 2), uniform(-1, 1)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            seq_relative_est(qvar(d), 0.1, 0.1, profile, RandomSource(0))
 
 
 def test_seq_bern_cost_envelope(profile):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeansim import (
     ExperimentCounter,
@@ -15,7 +17,7 @@ from qmeansim import (
     seq_aamp,
     seq_aest,
 )
-from qmeansim.kernels import _phase_draws, sin2_frac
+from qmeansim.kernels import GROWTH, _burn_schedule, _phase_draws, sin2_frac
 from qmeansim.qpe_ref import qpe_statevector_dist, total_variation
 
 
@@ -84,6 +86,137 @@ def test_seq_aamp_budget_never_exceeded():
         counter = ExperimentCounter(budget=budget)
         seq_aamp(1e-3, RandomSource(budget), counter, 2)
         assert counter.oracle_experiments <= budget
+
+
+
+def test_seq_aamp_zero_amplitude_free_walk_refused():
+    # a walk that costs nothing never burns a budget down
+    with pytest.raises(ValueError, match="free walk"):
+        seq_aamp(0.0, RandomSource(0), ExperimentCounter(budget=100), 0)
+
+
+@pytest.mark.parametrize("per_app,measure", [(1, 0), (2, 1), (3, 5), (4, 1)])
+def test_burn_schedule_matches_cumsums(per_app, measure):
+    cum_oracle, cum_aa, ns = _burn_schedule(per_app, measure)
+    narr = np.array([math.ceil(GROWTH ** ell) for ell in range(len(ns))], dtype=np.int64)
+    assert ns == narr.tolist()
+    assert cum_oracle == np.cumsum((2 * narr + 1) * per_app + measure).tolist()
+    assert cum_aa == np.cumsum(3 * narr + 1).tolist()
+    assert cum_oracle[-2] < 1e18 <= cum_oracle[-1]
+
+
+def _grid(ell):
+    # integer grid of round ell, as the sequential schedule defines it
+    lo = math.ceil(GROWTH ** (ell - 1))
+    return range(lo, max(lo, math.ceil(GROWTH**ell) - 1) + 1)
+
+
+def _mean_success(p, ell):
+    theta = grover_angle(p)
+    return float(np.mean([math.sin((2 * n + 1) * theta) ** 2 for n in _grid(ell)]))
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.07, 0.5])
+def test_seq_aamp_round_law(p, chi_square_ok):
+    # P(R = r) = prod_{l<r} (1 - s_l) * s_r, s_l the mean success probability
+    # over round l's grid; the last bin holds the remaining mass
+    law, alive = [], 1.0
+    while alive > 1e-13:
+        s = _mean_success(p, len(law) + 1)
+        law.append(alive * s)
+        alive *= 1.0 - s
+    law.append(alive)
+    draws = 20_000
+    rng = RandomSource(77)
+    counts = np.zeros(len(law))
+    for _ in range(draws):
+        ok, rounds, _ = seq_aamp(p, rng, ExperimentCounter(), 2)
+        assert ok
+        counts[min(rounds, len(law)) - 1] += 1
+    assert chi_square_ok(counts, np.array(law))
+
+
+def test_seq_aamp_round_law_under_budget(chi_square_ok):
+    # The first rounds have one-point grids, so their costs are fixed: a
+    # budget three units into round 13 lets rounds 1..12 succeed with their
+    # closed-form probabilities and otherwise fails inside round 13.
+    p, per_app, stop = 3e-3, 2, 13
+    ns = [_grid(ell)[0] for ell in range(1, stop + 1)]
+    assert all(len(_grid(ell)) == 1 for ell in range(1, stop + 1))
+    cum_oracle = np.cumsum([(2 * n + 1) * per_app + 1 for n in ns]).tolist()
+    cum_aa = np.cumsum([3 * n + 1 for n in ns]).tolist()
+    budget = cum_oracle[stop - 2] + 3
+    law, alive = [], 1.0
+    for n in ns[:-1]:
+        s = math.sin((2 * n + 1) * grover_angle(p)) ** 2
+        law.append(alive * s)
+        alive *= 1.0 - s
+    law.append(alive)
+    rng = RandomSource(78)
+    counts = np.zeros(stop)
+    for _ in range(20_000):
+        counter = ExperimentCounter(budget=budget)
+        ok, rounds, aa = seq_aamp(p, rng, counter, per_app)
+        if ok:
+            assert counter.oracle_experiments == cum_oracle[rounds - 1]
+            assert aa == counter.aa_applications == cum_aa[rounds - 1]
+        else:
+            # one oracle application fits in the last round: one aa step
+            assert (rounds, aa) == (stop, cum_aa[stop - 2] + 1)
+            assert counter.oracle_experiments == budget and counter.interrupted
+        counts[rounds - 1 if ok else stop - 1] += 1
+    assert chi_square_ok(counts, np.array(law))
+
+
+def test_seq_aamp_first_wide_grid_is_uniform(chi_square_ok):
+    # Rounds before the first grid of two or more points have fixed costs. A
+    # budget that runs out inside that round after its 2n+1 oracle
+    # applications but before the measurement credits 3n+1 steps, which
+    # reveals the n drawn there; p is too small for any round to succeed.
+    p, per_app, measure = 1e-12, 1, 1000
+    ell = next(ell for ell in range(1, 100) if len(_grid(ell)) > 1)
+    spent = sum((2 * _grid(l)[0] + 1) * per_app + measure for l in range(1, ell))
+    spent_aa = sum(3 * _grid(l)[0] + 1 for l in range(1, ell))
+    grid = _grid(ell)
+    budget = spent + (2 * grid[-1] + 1) * per_app
+    rng = RandomSource(79)
+    counts = np.zeros(len(grid))
+    for _ in range(4000):
+        ok, rounds, aa = seq_aamp(p, rng, ExperimentCounter(budget=budget), per_app, measure)
+        assert not ok and rounds == ell
+        counts[(aa - spent_aa - 1) // 3 - grid[0]] += 1
+    assert chi_square_ok(counts, np.full(len(grid), 1.0 / len(grid)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-4, 1.0)),
+    budget=st.one_of(st.none(), st.integers(0, 5000)),
+    pre=st.integers(0, 6000),
+    per_app=st.integers(0, 4),
+    measure=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_seq_aamp_budget_properties(p, budget, pre, per_app, measure, seed):
+    counter = ExperimentCounter(budget=budget)
+    if pre:  # budget 0 without a charge leaves a counter not yet tripped
+        counter.charge(pre)
+    before = counter.snapshot()
+    if p == 0.0 and (budget is None or per_app < 1):
+        with pytest.raises(ValueError):
+            seq_aamp(p, RandomSource(seed), counter, per_app, measure)
+        return
+    ok, rounds, aa = seq_aamp(p, RandomSource(seed), counter, per_app, measure)
+    assert aa == counter.aa_applications - before.aa_applications
+    assert counter.oracle_experiments >= before.oracle_experiments
+    if budget is None:
+        assert ok and not counter.interrupted
+    else:
+        assert counter.oracle_experiments <= budget
+        assert counter.interrupted == (counter.oracle_experiments == budget)
+        assert ok or counter.interrupted
+    if before.interrupted:
+        assert counter == before
 
 
 # -- counters -----------------------------------------------------------------
@@ -163,26 +296,9 @@ def test_outcome_dist_matches_statevector(m):
         assert tv < 1e-11
 
 
-def _chi_square_ok(counts, law) -> bool:
-    # Pearson's test at a false-alarm rate of about 1e-6 (Wilson-Hilferty
-    # quantile); bins expecting fewer than 5 draws are pooled into one.
-    expected = law * counts.sum()
-    big = expected >= 5
-    obs = np.append(counts[big], counts[~big].sum())
-    exp = np.append(expected[big], expected[~big].sum())
-    keep = exp > 0
-    obs, exp = obs[keep], exp[keep]
-    dof = len(exp) - 1
-    if dof == 0:
-        return obs[0] == counts.sum()
-    stat = float(((obs - exp) ** 2 / exp).sum())
-    z = 4.75
-    return stat <= dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 16, 37, 4096])
 @pytest.mark.parametrize("p", [1e-4, 0.3, 0.5, math.sin(math.pi / 8) ** 2, 0.9999, 1.0])
-def test_sampler_matches_law(p, m):
+def test_sampler_matches_law(p, m, chi_square_ok):
     # aest_sample draws one outcome and aest_median a batch, both through
     # _phase_draws; the law is checked on the draws of both paths together.
     singles, n = 1000, 200_000
@@ -196,7 +312,7 @@ def test_sampler_matches_law(p, m):
     assert len(counts) == m
     law = ae_outcome_dist(p, m)
     assert total_variation(counts / n, law) < 0.01
-    assert _chi_square_ok(counts, law)
+    assert chi_square_ok(counts, law)
 
 
 def test_sampler_huge_register_constant_memory():
@@ -269,6 +385,24 @@ def test_aest_median_budget_stops_after_k_copies():
     for _ in range(14):
         aest_sample(0.3, m, RandomSource(4), reference, 2)
     assert counter == reference
+    # random budgets, pre-charges and cost weights, against the per-copy loop
+    gen = np.random.default_rng(9)
+    for case in range(5000):
+        n = float(gen.uniform(3.0, 60.0))
+        per_app, measure = int(gen.integers(0, 4)), int(gen.integers(0, 3))
+        copies = math.ceil(6 * math.log(10))
+        m = math.ceil(2 * math.pi * n / math.log(10))
+        cost = m * 2 * per_app + measure
+        budget = {0: None, 1: 0}.get(case % 10, int(gen.integers(0, (copies + 2) * cost + 2)))
+        pre = int(gen.integers(0, 2 * cost + 2))
+        counter = ExperimentCounter(budget=budget)
+        if pre:  # budget 0 without a charge leaves a counter not yet tripped
+            counter.charge(pre)
+        reference = counter.snapshot()
+        aest_median(0.3, n, 0.1, RandomSource(case), counter, per_app, measure)
+        for _ in range(copies):
+            reference.charge(cost, 3 * m)
+        assert counter == reference, (n, per_app, measure, budget, pre)
 
 
 def test_aest_median_rejects_small_n():
