@@ -10,12 +10,15 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .bounds import bound_report
 from .estimators import calibrate_constants
 from .harness import (
     ConfigError,
     SweepConfig,
     fit_loglog_slope,
+    group_rows,
     load_profile_spec,
     read_csv,
     run_sweep,
@@ -53,13 +56,8 @@ def _cmd_summarize(args) -> int:
 def _cmd_slope(args) -> int:
     with open(args.infile) as fh:
         rows = read_csv(fh)
-    groups: dict[tuple, list] = {}
-    for row in rows:
-        groups.setdefault((row.n, row.epsilon, row.delta, row.p), []).append(row)
     points = []
-    import numpy as np
-
-    for members in groups.values():
+    for members in group_rows(rows).values():
         x = np.mean([getattr(m, args.x) for m in members])
         errs = [getattr(m, args.y) for m in members]
         y = float(np.percentile(errs, args.percentile))

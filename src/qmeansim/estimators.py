@@ -328,16 +328,6 @@ def quantile_est(
     return tracker.report(estimate)
 
 
-def _zero_report(counter: ExperimentCounter) -> EstimateReport:
-    return EstimateReport(
-        estimate=0.0,
-        counter_snapshot=ExperimentCounter(budget=counter.budget,
-                                           interrupted=counter.interrupted),
-        stage_costs={},
-        interrupted_stages=[],
-    )
-
-
 def bern_est(
     qvar: QVar,
     n: float,
@@ -360,7 +350,7 @@ def bern_est(
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
     if a == 0.0 and b == 0.0:
-        return _zero_report(qvar.counter)
+        return _StageTracker(qvar.counter).report(0.0)
     if not (0.0 <= a < b):
         raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
     log_term = math.log(1.0 / delta, log_base)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .baselines import classical_truncated_mean, empirical_mean, median_of_means
 from .dist import FiniteDist, moments, quantile, sample_n, truncated_mean
 from .estimators import (
     ConstantProfile,
+    EstimateReport,
     bern_est,
     default_profile,
     quantile_est,
@@ -38,9 +40,11 @@ __all__ = [
     "ConfigError",
     "SweepConfig",
     "SweepRow",
+    "ESTIMATORS",
     "run_sweep",
     "write_csv",
     "read_csv",
+    "group_rows",
     "summarize",
     "fit_loglog_slope",
     "load_profile_spec",
@@ -48,34 +52,8 @@ __all__ = [
     "VERIFY_AE_AMPLITUDES",
 ]
 
-ESTIMATOR_NAMES = (
-    "subgauss",
-    "relative",
-    "seq-relative",
-    "bern",
-    "quantile",
-    "seq-bern",
-    "median-of-means",
-    "empirical",
-    "classical-truncated",
-)
-
-# Grid keys in canonical iteration order; scalar keys apply to every cell.
+# Grid keys in canonical iteration order.
 _GRID_KEYS = ("n", "epsilon", "delta", "p")
-_SCALAR_KEYS = ("ch", "a", "b")
-
-# Parameters each estimator consumes (grid keys only).
-_REQUIRED = {
-    "subgauss": ("n", "delta"),
-    "relative": ("epsilon", "delta"),
-    "seq-relative": ("epsilon", "delta"),
-    "bern": ("n", "delta"),
-    "quantile": ("p", "delta"),
-    "seq-bern": (),
-    "median-of-means": ("n", "delta"),
-    "empirical": ("n",),
-    "classical-truncated": ("n",),
-}
 
 
 class ConfigError(ValueError):
@@ -96,8 +74,10 @@ class SweepConfig:
     b: float | None = None
 
     def __post_init__(self) -> None:
-        if self.estimator not in ESTIMATOR_NAMES:
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
+        spec = ESTIMATORS.get(self.estimator)
+        if spec is None:
+            raise ConfigError(f"unknown estimator {self.estimator!r}; "
+                              f"choose one of {', '.join(ESTIMATORS)}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not self.grid or any(not v for v in self.grid.values()):
@@ -105,13 +85,12 @@ class SweepConfig:
         for key in self.grid:
             if key not in _GRID_KEYS:
                 raise ConfigError(f"unknown grid key {key!r}")
-        for key in _REQUIRED[self.estimator]:
-            if key not in self.grid:
-                raise ConfigError(f"estimator {self.estimator!r} needs grid key {key!r}")
-        if self.estimator == "relative" and self.ch is None:
-            raise ConfigError("estimator 'relative' needs scalar key 'ch'")
-        if self.estimator == "bern" and (self.a is None or self.b is None):
-            raise ConfigError("estimator 'bern' needs scalar keys 'a' and 'b'")
+        for kind, missing in (("grid", [k for k in spec.grid if k not in self.grid]),
+                              ("scalar", [k for k in spec.scalars if getattr(self, k) is None])):
+            if missing:
+                keys = " and ".join(map(repr, missing))
+                plural = "s" if len(missing) > 1 else ""
+                raise ConfigError(f"estimator {self.estimator!r} needs {kind} key{plural} {keys}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -168,51 +147,109 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_cell(
-    config: SweepConfig,
-    dist: FiniteDist,
-    profile: ConstantProfile,
-    params: dict[str, float],
-    trial: int,
-    stream: RandomSource,
-) -> tuple[float, ExperimentCounter]:
-    counter = ExperimentCounter(budget=config.budget)
-    qvar = QVar(dist, counter)
-    kind = config.estimator
-    if kind == "subgauss":
-        rep = subgauss_est(qvar, params["n"], params["delta"], profile, stream)
-    elif kind == "relative":
-        rep = relative_est(qvar, config.ch, params["epsilon"], params["delta"], profile, stream)
-    elif kind == "seq-relative":
-        rep = seq_relative_est(qvar, params["epsilon"], params["delta"], profile, stream)
-    elif kind == "bern":
-        rep = bern_est(qvar, params["n"], config.a, config.b, params["delta"], stream,
-                       log_base=profile.log_base)
-    elif kind == "quantile":
-        rep = quantile_est(qvar, params["p"], params["delta"], profile, stream)
-    elif kind == "seq-bern":
-        rep = seq_bern_est(qvar, stream)
-    else:
-        # classical baselines: one random experiment is simulated by a state
-        # preparation plus a measurement, two oracle experiments per sample
-        n = int(params["n"])
-        samples = sample_n(dist, stream, n)
-        counter.charge(n * (qvar.cost_u + qvar.cost_measure))
-        if kind == "median-of-means":
-            est = median_of_means(samples, params["delta"])
-        elif kind == "empirical":
-            est = empirical_mean(samples)
-        else:
-            est = classical_truncated_mean(samples, moments(dist).second_moment, n)
-        return est, counter.snapshot()
+def _classical(qvar: QVar, n: float, rng: RandomSource, reduce) -> EstimateReport:
+    # one random experiment is simulated by a state preparation plus a
+    # measurement, two oracle experiments per sample
+    n = int(n)
+    samples = sample_n(qvar.dist, rng, n)
+    qvar.counter.charge(n * (qvar.cost_u + qvar.cost_measure))
+    return EstimateReport(reduce(samples), qvar.counter.snapshot())
+
+
+# A deviation bound maps (row, dist, profile) to ("abs", v), met when
+# abs_error <= v, to ("interval", (lo, hi)), met when lo <= estimate <= hi,
+# or to None when no bound applies.
+
+def _relative_bound(row: SweepRow, dist: FiniteDist, profile: ConstantProfile):
+    return "abs", row.epsilon * abs(row.true_mean)
+
+
+def _bern_bound(row: SweepRow, dist: FiniteDist, profile: ConstantProfile):
+    # windowed-mean bound with the full-support window (0, max]; sweeps
+    # with custom windows should aggregate with --bound none
+    b = float(dist.values[-1])
+    if b <= 0:
+        return None
+    mu_ab = truncated_mean(dist, 0.0, b)
+    log_term = math.log(1 / row.delta)
+    return "abs", math.sqrt(b * mu_ab) * log_term / row.n + b * log_term**2 / row.n**2
+
+
+class Estimator:
+    """How a sweep runs one estimator, and the bound its rows are held to."""
+
+    __slots__ = ("grid", "run", "scalars", "bound")
+
+    def __init__(self, grid: tuple[str, ...], run: Callable[..., EstimateReport],
+                 scalars: tuple[str, ...] = (), bound: Callable | None = None):
+        self.grid = grid  # grid keys the runner reads
+        self.run = run  # (qvar, values, profile, stream)
+        self.scalars = scalars  # config keys the runner reads beside them
+        self.bound = bound  # (row, dist, profile) -> deviation bound
+
+
+# The one place a sweep estimator is declared. A runner gets the cell's grid
+# and scalar values by key. Runners look estimators up by this module's
+# global names at call time, so a wrapper patched over one of those names
+# (a tracer's, say) sees every call.
+ESTIMATORS: dict[str, Estimator] = {
+    "subgauss": Estimator(
+        ("n", "delta"),
+        lambda qv, v, prof, rng: subgauss_est(qv, v["n"], v["delta"], prof, rng),
+        bound=lambda row, dist, prof: (
+            "abs", moments(dist).variance**0.5 * math.log(1 / row.delta) / row.n)),
+    "relative": Estimator(
+        ("epsilon", "delta"),
+        lambda qv, v, prof, rng: relative_est(qv, v["ch"], v["epsilon"], v["delta"], prof, rng),
+        scalars=("ch",), bound=_relative_bound),
+    "seq-relative": Estimator(
+        ("epsilon", "delta"),
+        lambda qv, v, prof, rng: seq_relative_est(qv, v["epsilon"], v["delta"], prof, rng),
+        bound=_relative_bound),
+    "bern": Estimator(
+        ("n", "delta"),
+        lambda qv, v, prof, rng: bern_est(qv, v["n"], v["a"], v["b"], v["delta"], rng,
+                                          log_base=prof.log_base),
+        scalars=("a", "b"), bound=_bern_bound),
+    "quantile": Estimator(
+        ("p", "delta"),
+        lambda qv, v, prof, rng: quantile_est(qv, v["p"], v["delta"], prof, rng),
+        bound=lambda row, dist, prof: ("interval", (
+            quantile(dist, row.p), quantile(dist, prof.quantile_order_factor * row.p)))),
+    "seq-bern": Estimator(
+        (),
+        lambda qv, v, prof, rng: seq_bern_est(qv, rng),
+        bound=lambda row, dist, prof: ("abs", prof.seq_rel_err * abs(row.true_mean))),
+    "median-of-means": Estimator(
+        ("n", "delta"),
+        lambda qv, v, prof, rng: _classical(
+            qv, v["n"], rng, lambda s: median_of_means(s, v["delta"])),
+        bound=lambda row, dist, prof: (
+            "abs", 2.0 * math.sqrt(moments(dist).variance * math.log(1 / row.delta) / row.n))),
+    "empirical": Estimator(
+        ("n",),
+        lambda qv, v, prof, rng: _classical(qv, v["n"], rng, empirical_mean)),
+    "classical-truncated": Estimator(
+        ("n",),
+        lambda qv, v, prof, rng: _classical(qv, v["n"], rng, lambda s: classical_truncated_mean(
+            s, moments(qv.dist).second_moment, len(s)))),
+}
+
+
+def _run_cell(config: SweepConfig, dist: FiniteDist, profile: ConstantProfile,
+              params: dict[str, float], stream: RandomSource) -> tuple[float, ExperimentCounter]:
+    spec = ESTIMATORS[config.estimator]
+    values = {**params, **{key: getattr(config, key) for key in spec.scalars}}
+    rep = spec.run(QVar(dist, ExperimentCounter(budget=config.budget)), values, profile, stream)
     return rep.estimate, rep.counter_snapshot
 
 
 def run_sweep(config: SweepConfig) -> Iterator[SweepRow]:
     """Yield one row per (grid point, trial), in canonical order.
 
-    Grid points whose parameters violate an estimator precondition are
-    reported once on stderr and skipped; the sweep continues.
+    A grid point whose first trial violates an estimator precondition
+    (raises ``ValueError``) is reported once on stderr and skipped; the sweep
+    continues. A ``ValueError`` on a later trial propagates.
     """
     dist = resolve_distribution(config.distribution)
     profile = config.load_profile()
@@ -225,10 +262,10 @@ def run_sweep(config: SweepConfig) -> Iterator[SweepRow]:
         for trial in range(config.trials):
             stream = base.derive(gi, trial)
             try:
-                estimate, snap = _run_cell(config, dist, profile, params, trial, stream)
+                estimate, snap = _run_cell(config, dist, profile, params, stream)
             except ValueError as exc:
-                import sys
-
+                if trial:
+                    raise
                 print(f"skipping grid point {params}: {exc}", file=sys.stderr)
                 break
             abs_error = abs(estimate - true_mean)
@@ -259,66 +296,31 @@ def write_csv(rows, out) -> None:
         writer.writerow([_fmt(getattr(row, name)) for name in CSV_FIELDS])
 
 
-def _parse_opt_float(text: str) -> float | None:
-    return float(text) if text else None
+# Parsers for the CSV text of each SweepRow field, by its declared type.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": lambda text: float(text) if text else None,
+    "bool": lambda text: text == "true",
+}
+_ROW_PARSERS = [(f.name, _PARSERS[f.type]) for f in fields(SweepRow)]
 
 
 def read_csv(inp) -> list[SweepRow]:
-    reader = csv.DictReader(inp)
-    rows = []
-    for rec in reader:
-        rows.append(
-            SweepRow(
-                estimator=rec["estimator"],
-                distribution=rec["distribution"],
-                n=_parse_opt_float(rec["n"]),
-                epsilon=_parse_opt_float(rec["epsilon"]),
-                delta=_parse_opt_float(rec["delta"]),
-                p=_parse_opt_float(rec["p"]),
-                trial=int(rec["trial"]),
-                estimate=float(rec["estimate"]),
-                true_mean=float(rec["true_mean"]),
-                abs_error=float(rec["abs_error"]),
-                rel_error=_parse_opt_float(rec["rel_error"]),
-                oracle_experiments=int(rec["oracle_experiments"]),
-                aa_applications=int(rec["aa_applications"]),
-                interrupted=rec["interrupted"] == "true",
-                seed=int(rec["seed"]),
-            )
-        )
-    return rows
+    return [SweepRow(**{name: parse(rec[name]) for name, parse in _ROW_PARSERS})
+            for rec in csv.DictReader(inp)]
 
 
-def _error_bound(row: SweepRow, dist: FiniteDist, profile: ConstantProfile):
-    """Per-estimator deviation bound used for failure-rate aggregation.
+_GROUP_FIELDS = ("estimator", "distribution", *_GRID_KEYS)
 
-    Returns (kind, value): kind "abs" compares abs_error to value, kind
-    "interval" checks the estimate lies in the value interval. None when no
-    bound applies.
-    """
-    mom = moments(dist)
-    if row.estimator in ("subgauss", "relative", "seq-relative", "median-of-means"):
-        if row.estimator == "subgauss":
-            return "abs", mom.variance**0.5 * math.log(1 / row.delta) / row.n
-        if row.estimator == "median-of-means":
-            return "abs", 2.0 * math.sqrt(mom.variance * math.log(1 / row.delta) / row.n)
-        return "abs", row.epsilon * abs(row.true_mean)
-    if row.estimator == "seq-bern":
-        return "abs", profile.seq_rel_err * abs(row.true_mean)
-    if row.estimator == "quantile":
-        lo = quantile(dist, row.p)
-        hi = quantile(dist, profile.quantile_order_factor * row.p)
-        return "interval", (lo, hi)
-    if row.estimator == "bern":
-        # windowed-mean bound with the full-support window (0, max]; sweeps
-        # with custom windows should aggregate with --bound none
-        b = float(dist.values[-1])
-        if b <= 0:
-            return None
-        mu_ab = truncated_mean(dist, 0.0, b)
-        log_term = math.log(1 / row.delta)
-        return "abs", math.sqrt(b * mu_ab) * log_term / row.n + b * log_term**2 / row.n**2
-    return None
+
+def group_rows(rows) -> dict[tuple, list[SweepRow]]:
+    """Rows per (estimator, distribution, grid point), in first-seen order."""
+    groups: dict[tuple, list[SweepRow]] = {}
+    for row in rows:
+        groups.setdefault(tuple(getattr(row, f) for f in _GROUP_FIELDS), []).append(row)
+    return groups
 
 
 def summarize(rows: list[SweepRow], bound: str = "auto",
@@ -328,20 +330,11 @@ def summarize(rows: list[SweepRow], bound: str = "auto",
         raise ValueError("no rows to summarize")
     if profile is None:
         profile = default_profile("calibrated")
-    groups: dict[tuple, list[SweepRow]] = {}
-    for row in rows:
-        groups.setdefault((row.estimator, row.distribution, row.n, row.epsilon,
-                           row.delta, row.p), []).append(row)
     out = []
-    for key, members in groups.items():
+    for key, members in group_rows(rows).items():
         errs = np.array([m.abs_error for m in members])
         rec = {
-            "estimator": key[0],
-            "distribution": key[1],
-            "n": key[2],
-            "epsilon": key[3],
-            "delta": key[4],
-            "p": key[5],
+            **dict(zip(_GROUP_FIELDS, key)),
             "trials": len(members),
             "mean_abs_error": float(errs.mean()),
             "p90_abs_error": float(np.percentile(errs, 90)),
@@ -350,9 +343,9 @@ def summarize(rows: list[SweepRow], bound: str = "auto",
             "failure_rate": None,
             "bound": None,
         }
-        if bound == "auto":
-            dist = resolve_distribution(key[1])
-            spec = _error_bound(members[0], dist, profile)
+        error_bound = ESTIMATORS[key[0]].bound if key[0] in ESTIMATORS else None
+        if bound == "auto" and error_bound is not None:
+            spec = error_bound(members[0], resolve_distribution(key[1]), profile)
             if spec is not None:
                 kind, value = spec
                 if kind == "abs":

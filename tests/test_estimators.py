@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qmeansim import (
     ConstantProfile,
+    EstimateReport,
     ExperimentCounter,
     FiniteDist,
     QVar,
@@ -175,10 +176,9 @@ def test_quantile_free_walk_refused(profile):
         quantile_est(qv, 0.3, 0.1, profile, RandomSource(0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+# Random budgets, pre-charges and cost weights for the budget properties.
+BUDGETED = dict(
     probs=st.lists(st.integers(1, 20), min_size=1, max_size=6),
-    p=st.floats(0.01, 0.9),
     delta=st.floats(0.05, 0.5),
     budget=st.one_of(st.none(), st.integers(0, 200_000)),
     pre=st.integers(0, 5000),
@@ -187,20 +187,21 @@ def test_quantile_free_walk_refused(profile):
     cost_measure=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_quantile_budget_properties(profile, probs, p, delta, budget, pre, cost_u,
-                                    cost_oracle, cost_measure, seed):
-    d = make_dist(np.arange(len(probs), dtype=float), np.array(probs) / sum(probs))
+
+
+def budgeted_qvar(values, probs, budget, pre, cost_u, cost_oracle, cost_measure):
+    d = make_dist(values, np.array(probs) / sum(probs))
     counter = ExperimentCounter(budget=budget)
     if pre:  # budget 0 without a charge leaves a counter not yet tripped
         counter.charge(pre)
-    before = counter.oracle_experiments
-    qv = QVar(d, counter, cost_u, cost_oracle, cost_measure)
-    rep = quantile_est(qv, p, delta, profile, RandomSource(seed))
+    return QVar(d, counter, cost_u, cost_oracle, cost_measure)
+
+
+def check_budget_properties(rep, counter, before, budget):
+    # the tally stays within the budget, the stage costs sum to the counter
+    # movement, and interrupted is set iff the budget was reached
     moved = counter.oracle_experiments - before
     assert sum(rep.stage_costs.values()) == moved == rep.counter_snapshot.oracle_experiments
-    per_rep = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
-    assert all(cost <= per_rep for cost in rep.stage_costs.values())
-    assert rep.estimate == -math.inf or rep.estimate in d.values
     assert rep.counter_snapshot.interrupted == counter.interrupted
     assert bool(rep.interrupted_stages) == counter.interrupted
     if budget is None:
@@ -208,6 +209,62 @@ def test_quantile_budget_properties(profile, probs, p, delta, budget, pre, cost_
     else:
         assert counter.oracle_experiments <= budget
         assert counter.interrupted == (counter.oracle_experiments == budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.01, 0.9), **BUDGETED)
+def test_quantile_budget_properties(profile, probs, p, delta, budget, pre, cost_u,
+                                    cost_oracle, cost_measure, seed):
+    qv = budgeted_qvar(np.arange(len(probs), dtype=float), probs, budget, pre, cost_u,
+                       cost_oracle, cost_measure)
+    before = qv.counter.oracle_experiments
+    rep = quantile_est(qv, p, delta, profile, RandomSource(seed))
+    check_budget_properties(rep, qv.counter, before, budget)
+    per_rep = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
+    assert all(cost <= per_rep for cost in rep.stage_costs.values())
+    assert rep.estimate == -math.inf or rep.estimate in qv.dist.values
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor=st.floats(1.0, 30.0), **BUDGETED)
+def test_bern_budget_properties(profile, probs, factor, delta, budget, pre, cost_u,
+                                cost_oracle, cost_measure, seed):
+    qv = budgeted_qvar(np.arange(1, len(probs) + 1, dtype=float), probs, budget, pre,
+                       cost_u, cost_oracle, cost_measure)
+    before = qv.counter.oracle_experiments
+    n = factor * profile.log(1.0 / delta)
+    rep = bern_est(qv, n, 0.0, len(probs), delta, RandomSource(seed),
+                   log_base=profile.log_base)
+    check_budget_properties(rep, qv.counter, before, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor=st.floats(1.0, 30.0), shift=st.integers(0, 5), **BUDGETED)
+def test_subgauss_budget_properties(profile, probs, factor, shift, delta, budget, pre,
+                                    cost_u, cost_oracle, cost_measure, seed):
+    qv = budgeted_qvar(np.arange(len(probs), dtype=float) - shift, probs, budget, pre,
+                       cost_u, cost_oracle, cost_measure)
+    before = qv.counter.oracle_experiments
+    n = factor * profile.log(1.0 / delta)
+    rep = subgauss_est(qv, n, delta, profile, RandomSource(seed))
+    check_budget_properties(rep, qv.counter, before, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**BUDGETED)
+def test_seq_bern_budget_properties(probs, delta, budget, pre, cost_u, cost_oracle,
+                                    cost_measure, seed):
+    # support {0, 1/k, ..., 1}: a point mass at 0 has zero mean
+    k = max(len(probs) - 1, 1)
+    qv = budgeted_qvar(np.arange(len(probs)) / k, probs, budget, pre, cost_u, cost_oracle,
+                       cost_measure)
+    before = qv.counter.oracle_experiments
+    if budget is None and len(probs) == 1:
+        with pytest.raises(ValueError, match="budget is required"):
+            seq_bern_est(qv, RandomSource(seed))
+        return
+    rep = seq_bern_est(qv, RandomSource(seed))
+    check_budget_properties(rep, qv.counter, before, budget)
 
 
 def test_quantile_rejects_bad_args(profile):
@@ -229,6 +286,14 @@ def test_bern_est_empty_window_is_free(profile):
     rep = bern_est(qvar(uniform(0, 1)), 50, 0.0, 0.0, 0.1, RandomSource(0))
     assert rep.estimate == 0.0
     assert rep.counter_snapshot.oracle_experiments == 0
+    # on a pre-charged, budgeted counter: zero tallies, the counter's budget
+    # and interrupted flag, and no stages
+    for pre, interrupted in ((40, False), (100, True)):
+        counter = ExperimentCounter(budget=100)
+        counter.charge(pre)
+        rep = bern_est(QVar(uniform(0, 1), counter), 50, 0.0, 0.0, 0.1, RandomSource(0))
+        assert rep == EstimateReport(0.0, ExperimentCounter(0, 0, 100, interrupted), {}, [])
+        assert counter == ExperimentCounter(pre, 0, 100, interrupted)
 
 
 def test_bern_est_on_grid_exact(profile):

@@ -1,17 +1,20 @@
 import io
+from dataclasses import fields
 
 import pytest
 
+import qmeansim.harness as harness
 from qmeansim import (
     ConfigError,
     SweepConfig,
+    SweepRow,
     fit_loglog_slope,
     run_sweep,
     summarize,
     verify_ae,
     write_csv,
 )
-from qmeansim.harness import CSV_FIELDS, read_csv
+from qmeansim.harness import CSV_FIELDS, ESTIMATORS, read_csv
 
 
 def config(**overrides):
@@ -44,8 +47,9 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_rejects_unknown_estimator():
-    with pytest.raises(ConfigError, match="unknown estimator"):
+    with pytest.raises(ConfigError, match="unknown estimator") as info:
         config(estimator="does-not-exist")
+    assert all(name in str(info.value) for name in ESTIMATORS)
 
 
 def test_config_requires_estimator_params():
@@ -55,6 +59,32 @@ def test_config_requires_estimator_params():
         config(estimator="relative", grid={"epsilon": [0.1], "delta": [0.1]})
     with pytest.raises(ConfigError, match="'a' and 'b'"):
         config(estimator="bern", grid={"n": [50], "delta": [0.1]})
+
+
+# One value per grid and scalar key, valid for every estimator on bernoulli:0.4.
+FULL_GRID = {"n": [32.0], "epsilon": [0.3], "delta": [0.2], "p": [0.1]}
+SCALARS = {"ch": 2.0, "a": 0.0, "b": 1.0}
+
+
+def estimator_config(name, drop=None):
+    # a grid must not be empty: an estimator without grid keys gets delta
+    spec = ESTIMATORS[name]
+    raw = {
+        "estimator": name,
+        "distribution": "bernoulli:0.4",
+        "grid": {key: FULL_GRID[key] for key in spec.grid if key != drop} or {"delta": [0.2]},
+        "trials": 1,
+        "seed": 3,
+        **{key: SCALARS[key] for key in spec.scalars if key != drop},
+    }
+    return SweepConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, spec in ESTIMATORS.items()
+                                       for key in spec.grid + spec.scalars])
+def test_config_requires_each_declared_key(name, key):
+    with pytest.raises(ConfigError, match=f"needs .*'{key}'"):
+        estimator_config(name, drop=key)
 
 
 def test_config_rejects_empty_grid():
@@ -108,6 +138,34 @@ def test_sweep_skips_invalid_grid_points(capsys):
     assert "skipping" in capsys.readouterr().err
 
 
+def test_sweep_propagates_errors_after_first_trial(monkeypatch):
+    # the sweep calls estimators through the harness's global names, so a
+    # wrapper patched over one sees every call
+    original, calls = harness.subgauss_est, []
+
+    def fails_second_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("data-dependent failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "subgauss_est", fails_second_call)
+    rows = run_sweep(config(trials=3))
+    assert next(rows).trial == 0
+    with pytest.raises(ValueError, match="data-dependent failure"):
+        next(rows)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_sweep_runs_every_estimator(name):
+    rows = list(run_sweep(estimator_config(name)))
+    assert [(row.estimator, row.trial) for row in rows] == [(name, 0)]
+    assert rows[0].oracle_experiments > 0
+    (rec,) = summarize(rows)
+    assert (rec["failure_rate"] is not None) == (ESTIMATORS[name].bound is not None)
+
+
 def test_sweep_keeps_large_register_grid_points(capsys):
     # n = 524288 needs an estimation register of about 1.2e7 points
     cfg = config(distribution="pareto:2.5:1:512", grid={"n": [1024, 524288], "delta": [0.1]},
@@ -152,6 +210,20 @@ def test_csv_roundtrip():
     assert rows[0].estimate == 5.0
     assert rows[0].n == 32.0
     assert rows[0].epsilon is None
+    # every field of every row, with interrupted rows and an empty rel_error
+    budgeted = config(estimator="seq-bern", distribution="point:0", grid={"delta": [0.1]},
+                      budget=100, trials=2)
+    for cfg in (config(distribution="pareto:2.5:1:16", trials=2), budgeted):
+        written = list(run_sweep(cfg))
+        buf = io.StringIO()
+        write_csv(written, buf)
+        read = read_csv(io.StringIO(buf.getvalue()))
+        assert read == written
+        for row in read:
+            for f in fields(SweepRow):
+                value = getattr(row, f.name)
+                assert value is None or type(value).__name__ in f.type
+    assert all(row.interrupted and row.rel_error is None for row in read)
 
 
 def test_csv_17_digit_floats():
