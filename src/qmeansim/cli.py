@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: sweep, summarize, slope, calibrate, verify-ae, bounds.
-Exit codes: 0 success, 1 configuration error, 2 validation failure.
+Exit codes: 0 success, 1 configuration error, 2 validation failure,
+3 estimator error during a sweep, which leaves no file at ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -16,6 +18,7 @@ from .bounds import bound_report
 from .estimators import calibrate_constants
 from .harness import (
     ConfigError,
+    EstimatorError,
     SweepConfig,
     fit_loglog_slope,
     group_rows,
@@ -34,8 +37,14 @@ _DEFAULT_CAL_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 0.5)
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         config = SweepConfig.from_dict(json.load(fh))
-    with open(args.out, "w", newline="") as out:
-        write_csv(run_sweep(config), out)
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as out:
+            write_csv(run_sweep(config), out)
+        os.replace(tmp, args.out)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return 0
 
 
@@ -158,7 +167,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, EstimatorError) else 1
 
 
 def entry() -> None:  # console-script shim

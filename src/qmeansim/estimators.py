@@ -8,7 +8,9 @@ Five estimation routines are provided:
   E[X 1{a < X <= b}] read off a rotation-oracle amplitude;
 * :func:`subgauss_est` -- the sub-Gaussian mean estimator: a classical
   median shift, one quantile estimate per sign, and a ladder of dyadic
-  windowed-mean estimates;
+  windowed-mean estimates, all read off one prefix sum and estimated by
+  one amplitude-estimation call, of which :func:`bern_est` is the
+  one-window case;
 * :func:`relative_est` -- the sub-Gaussian estimator parametrized for a
   target relative error given a bound on the coefficient of variation;
 * :func:`seq_relative_est` -- the parameter-free sequential relative
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from importlib import resources
 
 import numpy as np
@@ -104,8 +106,8 @@ class ConstantProfile:
       seq_cost_sq_coeff: E[T^2] = E[1/p_tilde] <= coeff / p for the
         sequential estimator.
       seq_sqrt_coeff: E[sqrt(p_tilde)] = E[1/T] <= coeff * sqrt(p).
-      log_base: base used for every log(1/delta) occurrence (dyadic ladder
-        depth is always base 2).
+
+    Every log(1/delta) is natural; the dyadic ladder depth is base 2.
     """
 
     sampler_low_coeff: float
@@ -118,62 +120,59 @@ class ConstantProfile:
     seq_rel_err: float
     seq_cost_sq_coeff: float
     seq_sqrt_coeff: float
-    log_base: float = math.e
     mode: str = "calibrated"
 
     def __post_init__(self) -> None:
-        for name in (
-            "sampler_low_coeff",
-            "sampler_mean_coeff",
-            "quantile_order_factor",
-            "quantile_budget_coeff",
-            "layer_time_factor",
-            "probe_budget_coeff",
-            "refine_time_coeff",
-            "seq_rel_err",
-            "seq_cost_sq_coeff",
-            "seq_sqrt_coeff",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if f.name == "mode":
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+                raise ValueError(f"{f.name} must be a positive number, got {value!r}")
         if not self.quantile_order_factor < 1:
             raise ValueError("quantile_order_factor must be < 1")
         if not self.sampler_low_coeff < self.sampler_mean_coeff:
             raise ValueError("sampler_low_coeff must be below sampler_mean_coeff")
-        if self.log_base not in (math.e, 2.0, 2):
-            raise ValueError("log_base must be e or 2")
         if self.mode not in ("theoretical", "calibrated"):
             raise ValueError(f"unknown profile mode {self.mode!r}")
         if self.mode == "theoretical":
             self._check_couplings()
 
     def _check_couplings(self) -> None:
-        c0, c1 = self.sampler_low_coeff, self.sampler_mean_coeff
-        pairs = {
-            "quantile_order_factor": c0**2 / (c1**2 * math.sqrt(191)),
-            "quantile_budget_coeff": 190 * c1,
-            "layer_time_factor": 600 / math.sqrt(self.quantile_order_factor),
-            "probe_budget_coeff": 16 * self.seq_cost_sq_coeff * math.sqrt(1 + self.seq_rel_err),
-            "refine_time_coeff": 4 * (1 + self.seq_rel_err) / math.sqrt(1 - self.seq_rel_err),
-        }
+        pairs = _couplings(self.sampler_low_coeff, self.sampler_mean_coeff,
+                           self.seq_rel_err, self.seq_cost_sq_coeff)
         for name, want in pairs.items():
             got = getattr(self, name)
             if not math.isclose(got, want, rel_tol=1e-9):
                 raise ValueError(f"theoretical profile breaks coupling for {name}: "
                                  f"{got} != {want}")
 
-    def log(self, x: float) -> float:
-        return math.log(x, self.log_base)
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ConstantProfile":
-        return cls(**json.loads(text))
+        try:
+            return cls(**json.loads(text))
+        except TypeError as exc:  # a missing or unknown key, or not an object
+            raise ValueError(f"malformed profile: {exc}") from exc
 
 
-def theoretical_profile(log_base: float = math.e) -> ConstantProfile:
+def _couplings(c0: float, c1: float, seq_rel_err: float,
+               seq_cost_sq_coeff: float) -> dict[str, float]:
+    # The five constants the analysis ties to the sampler coefficients c0 <
+    # c1 and the sequential-estimation envelopes.
+    c = c0**2 / (c1**2 * math.sqrt(191))
+    return {
+        "quantile_order_factor": c,
+        "quantile_budget_coeff": 190 * c1,
+        "layer_time_factor": 600 / math.sqrt(c),
+        "probe_budget_coeff": 16 * seq_cost_sq_coeff * math.sqrt(1 + seq_rel_err),
+        "refine_time_coeff": 4 * (1 + seq_rel_err) / math.sqrt(1 - seq_rel_err),
+    }
+
+
+def theoretical_profile() -> ConstantProfile:
     """Worst-case profile with the coupling identities intact.
 
     The base coefficients are conservative placeholders (the true universal
@@ -181,21 +180,15 @@ def theoretical_profile(log_base: float = math.e) -> ConstantProfile:
     large to run, so this profile serves structural and accounting checks.
     """
     c0, c1 = 0.1, 20.0
-    c = c0**2 / (c1**2 * math.sqrt(191))
     seq_err, seq_sq, seq_sqrt = 0.95, 5e4, 10.0
     return ConstantProfile(
         sampler_low_coeff=c0,
         sampler_mean_coeff=c1,
-        quantile_order_factor=c,
-        quantile_budget_coeff=190 * c1,
-        layer_time_factor=600 / math.sqrt(c),
-        probe_budget_coeff=16 * seq_sq * math.sqrt(1 + seq_err),
-        refine_time_coeff=4 * (1 + seq_err) / math.sqrt(1 - seq_err),
         seq_rel_err=seq_err,
         seq_cost_sq_coeff=seq_sq,
         seq_sqrt_coeff=seq_sqrt,
-        log_base=log_base,
         mode="theoretical",
+        **_couplings(c0, c1, seq_err, seq_sq),
     )
 
 
@@ -301,7 +294,7 @@ def quantile_est(
         raise ValueError(f"quantile order must be in (0, 1), got {p}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
-    reps = math.ceil(6 * profile.log(1.0 / delta))
+    reps = math.ceil(6 * math.log(1.0 / delta))
     per_rep_budget = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
     tracker = _StageTracker(qvar.counter)
     estimates: list[float] = []
@@ -328,6 +321,20 @@ def quantile_est(
     return tracker.report(estimate)
 
 
+def _window_estimates(qvar: QVar, edges: np.ndarray, n: float, delta: float,
+                      rng: RandomSource) -> np.ndarray:
+    # Estimates of E[X 1{edges[i] < X <= edges[i+1]}] for increasing edges >= 0
+    # by one amplitude-estimation call: each window mean, read off one prefix
+    # sum of values*probs, is exposed as the amplitude mean/b and scaled back.
+    d = qvar.dist
+    prefix = np.concatenate(([0.0], np.cumsum(d.values * d.probs)))
+    means = np.diff(prefix[np.searchsorted(d.values, edges, side="right")])
+    amplitudes = np.clip(means / edges[1:], 0.0, 1.0)
+    medians = aest_median(amplitudes, n, delta, rng, qvar.counter, qvar.pair_cost(),
+                          qvar.cost_measure)
+    return edges[1:] * medians
+
+
 def bern_est(
     qvar: QVar,
     n: float,
@@ -335,7 +342,6 @@ def bern_est(
     b: float,
     delta: float,
     rng: RandomSource,
-    log_base: float = math.e,
 ) -> EstimateReport:
     """Estimate the windowed mean E[X 1{a < X <= b}] by amplitude estimation.
 
@@ -345,7 +351,8 @@ def bern_est(
     M = ceil(2*pi*n/log(1/delta)) point register. With probability 1 - delta
     the error is at most sqrt(b*mu_{a,b})*log(1/delta)/n + b*log(1/delta)^2/n^2.
     Requires 0 <= a < b (the degenerate empty window a = b = 0 returns 0 at
-    no cost) and n >= log(1/delta).
+    no cost) and n >= log(1/delta). This is the one-window case of the
+    ladder :func:`subgauss_est` estimates in one call.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
@@ -353,27 +360,10 @@ def bern_est(
         return _StageTracker(qvar.counter).report(0.0)
     if not (0.0 <= a < b):
         raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
-    log_term = math.log(1.0 / delta, log_base)
-    if n < log_term:
-        raise ValueError(f"time parameter {n} below log(1/delta) = {log_term:.3f}")
-    amplitude = truncated_mean(qvar.dist, a, b) / b
-    amplitude = min(max(amplitude, 0.0), 1.0)
     tracker = _StageTracker(qvar.counter)
-    median = aest_median(amplitude, n, delta, rng, qvar.counter, qvar.pair_cost(),
-                         qvar.cost_measure, log_base=log_base)
+    (estimate,) = _window_estimates(qvar, np.array([a, b], dtype=float), n, delta, rng)
     tracker.close("amplitude_estimation")
-    return tracker.report(b * median)
-
-
-def _next_pow2(n: float) -> tuple[int, float]:
-    # Round the time parameter up to a power of two; returns (exponent, value).
-    if n <= 1.0:
-        return 0, 1.0
-    k = math.log2(n)
-    k_int = round(k)
-    if abs(k - k_int) > 1e-12:
-        k_int = math.ceil(k)
-    return int(k_int), float(2.0 ** int(k_int))
+    return tracker.report(estimate)
 
 
 def subgauss_est(
@@ -383,61 +373,56 @@ def subgauss_est(
 
     Stages: (1) shift by the median of ceil(30*log(2/delta)) classical
     samples, two oracle experiments each; (2) split about the shift into two
-    non-negative parts; (3) per part, estimate the tail quantile of order
+    non-negative parts; (3) per part, estimate the tail quantile Q of order
     (log(1/delta)/(6n))^2, then sum windowed-mean estimates over the dyadic
     ladder a_l = 2^l * Q / n for l = 0..log2(n), each with failure share
     delta/(9*log2(n)) and time parameter
     layer_time_factor * n * sqrt(log2 n) * log(9k/delta)/log(1/delta).
-    The time parameter is rounded up to the next power of two.
+    All windows of a part are estimated by one amplitude-estimation call; a
+    part with Q = 0 costs nothing. The time parameter is rounded up to the
+    next power of two.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
-    log_term = profile.log(1.0 / delta)
+    log_term = math.log(1.0 / delta)
     if n < log_term:
         raise ValueError(f"time parameter {n} below log(1/delta) = {log_term:.3f}")
-    k, n2 = _next_pow2(n)
+    # the time parameter rounded up to a power of two n2 = 2^k, up to round-off
+    k = max(math.ceil(math.log2(n) - 1e-12), 0)
+    n2 = 2.0**k
     ladder_depth = max(k, 1)  # a k = 0 request collapses to a single layer
     layer_delta = delta / (9 * ladder_depth)
     layer_time = (
         profile.layer_time_factor
         * n2
         * math.sqrt(ladder_depth)
-        * profile.log(9 * ladder_depth / delta)
+        * math.log(9 * ladder_depth / delta)
         / log_term
     )
     quantile_order = (log_term / (6 * n2)) ** 2
+    steps = np.concatenate(([0.0], 2.0 ** np.arange(k + 1) / n2))
 
     tracker = _StageTracker(qvar.counter)
 
-    shots = math.ceil(30 * profile.log(2.0 / delta))
+    shots = math.ceil(30 * math.log(2.0 / delta))
     qvar.counter.charge(shots * (qvar.cost_u + qvar.cost_measure))
     eta = lower_median(sample_n(qvar.dist, rng, shots).tolist())
     tracker.close("classical_median")
 
-    parts = shift_split(qvar.dist, eta)
-    part_means: list[float] = []
-    for sign, part in zip(("pos", "neg"), parts):
+    part_means = [0.0, 0.0]
+    for i, (sign, part) in enumerate(zip(("pos", "neg"), shift_split(qvar.dist, eta))):
         part_var = qvar.with_dist(part)
         qrep = quantile_est(part_var, quantile_order, delta / 8, profile, rng)
         # budget-starved repetitions report -inf; the support is non-negative
         q_top = max(qrep.estimate, 0.0)
         tracker.close(f"quantile_{sign}")
 
-        total = 0.0
-        a_prev = 0.0
-        for level in range(0, k + 1):
-            a_cur = (2.0**level) * q_top / n2
-            layer = bern_est(part_var, layer_time, a_prev, a_cur, layer_delta,
-                             rng, log_base=profile.log_base)
-            total += layer.estimate
-            a_prev = a_cur
-        part_means.append(total)
+        if q_top > 0.0:
+            windows = _window_estimates(part_var, q_top * steps, layer_time, layer_delta, rng)
+            part_means[i] = float(windows.sum())
         tracker.close(f"layers_{sign}")
         if qvar.counter.interrupted:
             break
-
-    while len(part_means) < 2:
-        part_means.append(0.0)
     return tracker.report(eta + part_means[0] - part_means[1])
 
 
@@ -460,7 +445,7 @@ def relative_est(
         raise ValueError(f"relative error must be in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
-    n = (ch / eps) * profile.log(1.0 / delta)
+    n = (ch / eps) * math.log(1.0 / delta)
     return subgauss_est(qvar, n, delta, profile, rng)
 
 
@@ -514,7 +499,7 @@ def seq_relative_est(
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
     _unit_mean(qvar)
     pair_dist = pair_square_diff(qvar.dist)
-    reps = math.ceil(32 * profile.log(1.0 / delta))
+    reps = math.ceil(32 * math.log(1.0 / delta))
     tracker = _StageTracker(qvar.counter)
     outputs: list[float] = []
     for i in range(reps):
@@ -553,15 +538,12 @@ def calibrate_constants(
     grid,
     trials: int,
     rng: RandomSource,
-    per_app_oracle_cost: int = 2,
-    log_base: float = math.e,
 ) -> ConstantProfile:
     """Measure the sequential-amplification constants by Monte Carlo.
 
     For every tail probability p in ``grid`` the conditional sampler's cost
-    footprint is simulated ``trials`` times (walk cost
-    ``per_app_oracle_cost`` per application plus the closing readout). The
-    profile records:
+    footprint is simulated ``trials`` times (walk cost 2 per application
+    plus the closing readout). The profile records:
 
     * sampler_mean_coeff: max over the grid of sqrt(p) * mean(T_oracle);
     * sampler_low_coeff: min over the grid of sqrt(p) * 10th-percentile(T);
@@ -590,7 +572,7 @@ def calibrate_constants(
         t_aa = np.empty(trials)
         for t in range(trials):
             counter = ExperimentCounter()
-            _, _, aa = seq_aamp(p, stream, counter, per_app_oracle_cost)
+            _, _, aa = seq_aamp(p, stream, counter, 2)
             t_oracle[t] = counter.oracle_experiments + 1  # closing readout
             t_aa[t] = aa
         sq = math.sqrt(p)
@@ -605,21 +587,16 @@ def calibrate_constants(
     c0 = min(low_coeffs)
     if not c0 < c1:
         c0 = 0.9 * c1
-    c = c0**2 / (c1**2 * math.sqrt(191))
     seq_err = min(max(seq_errs), 0.999)
     seq_sq = max(seq_sqs)
-    seq_sqrt = max(seq_sqrts)
     return ConstantProfile(
         sampler_low_coeff=c0,
         sampler_mean_coeff=c1,
-        quantile_order_factor=c,
-        quantile_budget_coeff=190 * c1,
-        layer_time_factor=_DESK_LAYER_TIME_FACTOR,
-        probe_budget_coeff=16 * seq_sq * math.sqrt(1 + seq_err),
-        refine_time_coeff=_DESK_REFINE_TIME_FACTOR,
         seq_rel_err=seq_err,
         seq_cost_sq_coeff=seq_sq,
-        seq_sqrt_coeff=seq_sqrt,
-        log_base=log_base,
+        seq_sqrt_coeff=max(seq_sqrts),
         mode="calibrated",
+        **{**_couplings(c0, c1, seq_err, seq_sq),
+           "layer_time_factor": _DESK_LAYER_TIME_FACTOR,
+           "refine_time_coeff": _DESK_REFINE_TIME_FACTOR},
     )

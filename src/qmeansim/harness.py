@@ -38,6 +38,7 @@ from .rng import RandomSource
 
 __all__ = [
     "ConfigError",
+    "EstimatorError",
     "SweepConfig",
     "SweepRow",
     "ESTIMATORS",
@@ -58,6 +59,10 @@ _GRID_KEYS = ("n", "epsilon", "delta", "p")
 
 class ConfigError(ValueError):
     """Invalid sweep configuration."""
+
+
+class EstimatorError(ValueError):
+    """An estimator failed after the first trial of a grid point succeeded."""
 
 
 @dataclass
@@ -208,8 +213,7 @@ ESTIMATORS: dict[str, Estimator] = {
         bound=_relative_bound),
     "bern": Estimator(
         ("n", "delta"),
-        lambda qv, v, prof, rng: bern_est(qv, v["n"], v["a"], v["b"], v["delta"], rng,
-                                          log_base=prof.log_base),
+        lambda qv, v, prof, rng: bern_est(qv, v["n"], v["a"], v["b"], v["delta"], rng),
         scalars=("a", "b"), bound=_bern_bound),
     "quantile": Estimator(
         ("p", "delta"),
@@ -249,7 +253,8 @@ def run_sweep(config: SweepConfig) -> Iterator[SweepRow]:
 
     A grid point whose first trial violates an estimator precondition
     (raises ``ValueError``) is reported once on stderr and skipped; the sweep
-    continues. A ``ValueError`` on a later trial propagates.
+    continues. A ``ValueError`` on a later trial stops the sweep as an
+    :class:`EstimatorError`.
     """
     dist = resolve_distribution(config.distribution)
     profile = config.load_profile()
@@ -265,7 +270,7 @@ def run_sweep(config: SweepConfig) -> Iterator[SweepRow]:
                 estimate, snap = _run_cell(config, dist, profile, params, stream)
             except ValueError as exc:
                 if trial:
-                    raise
+                    raise EstimatorError(f"grid point {params}, trial {trial}: {exc}") from exc
                 print(f"skipping grid point {params}: {exc}", file=sys.stderr)
                 break
             abs_error = abs(estimate - true_mean)

@@ -12,7 +12,9 @@ quantum primitives reduce to closed-form probability laws:
   +-asin(sqrt(p))/pi. Draws never build the M-point law: an offset from the
   kernel's peak is drawn exactly by rejection from an envelope decaying as
   1/k^2, and a fair coin picks the eigenphase, so a draw costs O(1) time and
-  memory whatever M is. :func:`ae_outcome_dist` materialises the law as the
+  memory whatever M is. :func:`aest_median` draws all copies of a sequence
+  of amplitudes sharing one register, such as a windowed-mean ladder, in
+  one vectorised pass. :func:`ae_outcome_dist` materialises the law as the
   reference the sampler is tested against.
 
 Every routine charges an :class:`ExperimentCounter` under two parallel
@@ -332,10 +334,11 @@ def ae_outcome_dist(p: float, m: int) -> np.ndarray:
     return 0.5 * _fejer(y / m - omega, m) + 0.5 * _fejer(y / m + omega, m)
 
 
-def _phase_draws(p: float, m: int, gen: np.random.Generator, size: int) -> list[int]:
-    # `size` exact draws of the measured index y in [0, M), in O(1) time and
-    # memory per draw whatever M is. With c = M*omega and f = c - floor(c),
-    # the kernel centred on +omega puts mass
+def _phase_draws(ps, m: int, gen: np.random.Generator, size: int) -> np.ndarray:
+    # `size` exact draws of the measured index y in [0, M) for each amplitude
+    # in `ps`, as a (len(ps), size) array, in O(1) time and memory per draw
+    # whatever M is. With c = M*omega and f = c - floor(c), the kernel
+    # centred on +omega puts mass
     #   K(j) = sin^2(pi f) / (M^2 sin^2(pi (j - f) / M)) <= min(1, 1/(4 (j - f)^2))
     # on y = floor(c) + j, for the M offsets with -M/2 < j - f <= M/2
     # (|sin(pi x)| >= 2|x| for |x| <= 1/2). Offsets are proposed as 0 or 1
@@ -344,50 +347,49 @@ def _phase_draws(p: float, m: int, gen: np.random.Generator, size: int) -> list[
     # probability K(j) / (3 * proposal) <= 1: a third of the proposals are
     # accepted. On the grid (f = 0) only j = 0 passes. A fair coin then
     # reflects y -> (M - y) mod M onto the kernel centred on -omega, except
-    # at p = 1, whose two eigenphases coincide.
-    if p == 0.0:
-        return [0] * size
-    if p == 1.0 and m % 2 == 0:
-        return [m // 2] * size
-    c = m * grover_angle(p) / math.pi
-    base = math.floor(c)
+    # at p = 1, whose two eigenphases coincide. Lanes with a single outcome
+    # (p = 0, or p = 1 and even M) take no proposals.
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):
+        raise ValueError(f"amplitudes must be in [0, 1], got {ps}")
+    ys = np.zeros((ps.size, size), dtype=np.int64)
+    ys[ps == 1.0] = m // 2
+    live = np.flatnonzero((ps > 0.0) & ((ps < 1.0) | (m % 2 == 1)))
+    c = m * np.arcsin(np.sqrt(ps[live])) / np.pi
+    base = np.floor(c)
     f = c - base
-    s2 = math.sin(math.pi * min(f, 1.0 - f)) ** 2
-    ys: list[int] = []
-    while len(ys) < size:
+    s2 = np.sin(np.pi * np.minimum(f, 1.0 - f)) ** 2
+    draws = np.empty((live.size, size), dtype=np.int64)
+    filled = np.zeros(live.size, dtype=np.int64)
+    while (need := size - filled).any():
         # four proposals per missing draw and eight spare: refills are rare
-        uniforms = iter(gen.random(12 * (size - len(ys)) + 24).tolist())
-        for choice, u, accept in zip(uniforms, uniforms, uniforms):
-            if choice < 2.0 / 3.0:
-                j = int(choice >= 1.0 / 3.0)
-                weight = 1.0
-            else:
-                k = math.floor(1.0 / (1.0 - u))
-                j = 1 + k if choice < 5.0 / 6.0 else -k
-                weight = 2.0 * k * (k + 1)
-            x = j - f
-            if (-0.5 * m < x <= 0.5 * m
-                    and (1.0 - accept) * (m * math.sin(math.pi * x / m)) ** 2 <= s2 * weight):
-                ys.append((base + j) % m)
-                if len(ys) == size:
-                    break
-    if p == 1.0:
-        return ys
-    coins = gen.random(size).tolist()
-    return [(m - y) % m if coin < 0.5 else y for y, coin in zip(ys, coins)]
+        lane = np.repeat(np.arange(live.size), 4 * need + 8 * (need > 0))
+        choice, u, accept = gen.random((3, lane.size))
+        k = np.floor(1.0 / (1.0 - u))
+        far = choice >= 2.0 / 3.0
+        j = np.where(far, np.where(choice < 5.0 / 6.0, 1.0 + k, -k), choice >= 1.0 / 3.0)
+        weight = np.where(far, 2.0 * k * (k + 1.0), 1.0)
+        x = j - f[lane]
+        hit = ((-0.5 * m < x) & (x <= 0.5 * m)
+               & ((1.0 - accept) * (m * np.sin(np.pi * x / m)) ** 2 <= s2[lane] * weight))
+        lane, j = lane[hit], j[hit]
+        # each lane keeps its first `need` accepted offsets, in proposal order
+        slot = filled[lane] + np.arange(lane.size) - np.searchsorted(lane, lane)
+        keep = slot < size
+        lane = lane[keep]
+        draws[lane, slot[keep]] = np.mod(base[lane] + j[keep], m).astype(np.int64)
+        filled += np.bincount(lane, minlength=live.size)
+    reflect = (gen.random(draws.shape) < 0.5) & (ps[live] < 1.0)[:, None]
+    ys[live] = np.where(reflect, (m - draws) % m, draws)
+    return ys
 
 
-def sin2_frac(y: int, m: int) -> float:
-    """sin^2(pi * y/M) with exact values at the quarter-turn grid points."""
-    y = y % m
-    y = min(y, m - y)  # sin^2 is symmetric about M/2
-    if y == 0:
-        return 0.0
-    if 2 * y == m:
-        return 1.0
-    if 4 * y == m:
-        return 0.5
-    return math.sin(math.pi * y / m) ** 2
+def sin2_frac(y, m: int) -> np.ndarray:
+    """sin^2(pi * y/M) per index, with exact values at the quarter-turn grid points."""
+    y = np.asarray(y) % m
+    y = np.minimum(y, m - y)  # sin^2 is symmetric about M/2
+    return np.select([y == 0, 2 * y == m, 4 * y == m], [0.0, 1.0, 0.5],
+                     np.sin(np.pi * y / m) ** 2)
 
 
 def aest_sample(
@@ -401,19 +403,16 @@ def aest_sample(
     """One amplitude-estimation measurement with an M-point phase register.
 
     Charges M*(2*per_app_oracle_cost) + cost_measure oracle experiments and
-    3M amplification steps up front; the estimation run itself is not
-    interruptible mid-flight, so a budget shortfall clamps the tally and
-    flags the counter but the outcome is still produced.
-
-    The index is drawn exactly from the law of :func:`ae_outcome_dist` by
-    rejection from a 1/k^2 envelope around the kernel's peak, then a fair
-    coin picks the eigenphase; time and memory do not depend on M.
+    3M amplification steps; the estimation run itself is not interruptible
+    mid-flight, so a budget shortfall clamps the tally and flags the counter
+    but the outcome is still produced. The index is drawn exactly from the
+    law of :func:`ae_outcome_dist` by the draw :func:`aest_median` uses.
     """
     if m < 1:
         raise ValueError(f"need at least one phase point, got M={m}")
+    y = int(_phase_draws([p], m, rng.gen, 1)[0, 0])
     counter.charge(m * 2 * per_app_oracle_cost + cost_measure, 3 * m)
-    y = _phase_draws(p, m, rng.gen, 1)[0]
-    return AEOutcome(y=y, p_estimate=sin2_frac(y, m))
+    return AEOutcome(y=y, p_estimate=float(sin2_frac(y, m)))
 
 
 def lower_median(values) -> float:
@@ -425,42 +424,46 @@ def lower_median(values) -> float:
 
 
 def aest_median(
-    p: float,
+    ps,
     n: float,
     delta: float,
     rng: RandomSource,
     counter: ExperimentCounter,
     per_app_oracle_cost: int,
     cost_measure: int = 1,
-    log_base: float = math.e,
-) -> float:
-    """Median of ceil(6*log(1/delta)) amplitude estimations.
+) -> np.ndarray:
+    """Medians of ceil(6*log(1/delta)) amplitude estimations per amplitude.
 
-    Each copy uses an M = ceil(2*pi*n / log(1/delta)) point register; the
-    median boosts the per-copy confidence to at least 1 - delta. Requires
-    n >= log(1/delta).
+    The amplitudes in ``ps`` share the time parameter n and the failure
+    probability delta, so every copy uses one M = ceil(2*pi*n / log(1/delta))
+    point register; each median meets the estimation bound with probability
+    at least 1 - delta. Requires n >= log(1/delta). All copies of all
+    amplitudes are drawn in one pass and charged as one call per amplitude
+    would be, so a budget stops a windowed-mean ladder at the same copy.
+    Returns the lower medians, one per amplitude.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
-    log_term = math.log(1.0 / delta, log_base)
+    log_term = math.log(1.0 / delta)
     if n < log_term:
         raise ValueError(f"time parameter {n} below log(1/delta) = {log_term:.3f}")
     copies = math.ceil(6 * log_term)
     m = math.ceil(2 * math.pi * n / log_term)
-    # charged as `copies` successive aest_sample calls would be: the copies
+    ys = _phase_draws(ps, m, rng.gen, copies)
+    # charged as ys.size successive aest_sample calls would be: the copies
     # that fit, then one that clamps the tally. At a zero cost the first copy
     # lands on a spent budget and trips it.
     cost = m * 2 * per_app_oracle_cost + cost_measure
     rem = counter.remaining()
     if rem is None or (cost == 0 and rem > 0):
-        fit = copies
+        fit = ys.size
     else:
-        fit = min(copies, rem // cost) if cost else 1
-    counter.charge(fit * cost, fit * 3 * m)
-    if fit < copies:
+        fit = min(ys.size, rem // cost if cost else 1)
+    if fit:
+        counter.charge(fit * cost, fit * 3 * m)
+    if fit < ys.size:
         counter.charge(cost, 3 * m)
-    ys = _phase_draws(p, m, rng.gen, copies)
-    return lower_median([sin2_frac(y, m) for y in ys])
+    return np.sort(sin2_frac(ys, m), axis=1)[:, (copies - 1) // 2]
 
 
 def seq_aest(

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qmeansim
+from qmeansim import harness
 from qmeansim.cli import main
 
 
@@ -62,6 +68,62 @@ def test_sweep_missing_file_is_config_error(tmp_path, capsys):
     code, out = run_cli("sweep", "--config", str(tmp_path / "none.json"),
                         "--out", str(tmp_path / "x.csv"), capsys=capsys)
     assert code == 1
+
+
+_CALIBRATED = json.loads(qmeansim.default_profile().to_json())
+
+
+@pytest.mark.parametrize("profile,named", [
+    ({"layer_time_factor": 2.0}, "sampler_low_coeff"),
+    ({**_CALIBRATED, "log_base": 2.718281828459045}, "log_base"),
+    ({**_CALIBRATED, "seq_rel_err": "high"}, "seq_rel_err"),
+], ids=["one-key", "stale-key", "non-numeric"])
+def test_sweep_reports_bad_profile(tmp_path, capsys, profile, named):
+    # a malformed profile file is a configuration error naming the field
+    prof_path = tmp_path / "prof.json"
+    prof_path.write_text(json.dumps(profile))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"estimator": "subgauss", "distribution": "point:5",
+                                    "grid": {"n": [32], "delta": [0.1]}, "trials": 1,
+                                    "seed": 1, "profile": str(prof_path)}))
+    out_path = tmp_path / "x.csv"
+    code, out = run_cli("sweep", "--config", str(cfg_path), "--out", str(out_path),
+                        capsys=capsys)
+    assert code == 1
+    assert out.err.startswith("error:") and named in out.err
+    assert not out_path.exists()
+
+
+def test_sweep_estimator_error_exits_3_and_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    original, calls = harness.subgauss_est, []
+
+    def fails_second_call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("data-dependent failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "subgauss_est", fails_second_call)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"estimator": "subgauss", "distribution": "point:5",
+                                    "grid": {"n": [32], "delta": [0.1]}, "trials": 3,
+                                    "seed": 1}))
+    out_path = tmp_path / "rows.csv"
+    code, out = run_cli("sweep", "--config", str(cfg_path), "--out", str(out_path),
+                        capsys=capsys)
+    assert code == 3
+    assert "data-dependent failure" in out.err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qmeansim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "qmeansim", "verify-ae", "--max-m", "8"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "max total-variation" in proc.stdout
 
 
 def test_calibrate_writes_profile(tmp_path, capsys):

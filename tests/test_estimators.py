@@ -232,9 +232,8 @@ def test_bern_budget_properties(profile, probs, factor, delta, budget, pre, cost
     qv = budgeted_qvar(np.arange(1, len(probs) + 1, dtype=float), probs, budget, pre,
                        cost_u, cost_oracle, cost_measure)
     before = qv.counter.oracle_experiments
-    n = factor * profile.log(1.0 / delta)
-    rep = bern_est(qv, n, 0.0, len(probs), delta, RandomSource(seed),
-                   log_base=profile.log_base)
+    n = factor * math.log(1.0 / delta)
+    rep = bern_est(qv, n, 0.0, len(probs), delta, RandomSource(seed))
     check_budget_properties(rep, qv.counter, before, budget)
 
 
@@ -245,7 +244,7 @@ def test_subgauss_budget_properties(profile, probs, factor, shift, delta, budget
     qv = budgeted_qvar(np.arange(len(probs), dtype=float) - shift, probs, budget, pre,
                        cost_u, cost_oracle, cost_measure)
     before = qv.counter.oracle_experiments
-    n = factor * profile.log(1.0 / delta)
+    n = factor * math.log(1.0 / delta)
     rep = subgauss_est(qv, n, delta, profile, RandomSource(seed))
     check_budget_properties(rep, qv.counter, before, budget)
 
@@ -264,6 +263,36 @@ def test_seq_bern_budget_properties(probs, delta, budget, pre, cost_u, cost_orac
             seq_bern_est(qv, RandomSource(seed))
         return
     rep = seq_bern_est(qv, RandomSource(seed))
+    check_budget_properties(rep, qv.counter, before, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor=st.floats(1.0, 30.0), eps=st.floats(0.05, 0.9), shift=st.integers(0, 5),
+       **BUDGETED)
+def test_relative_budget_properties(profile, probs, factor, eps, shift, delta, budget, pre,
+                                    cost_u, cost_oracle, cost_measure, seed):
+    # ch = factor * eps keeps the time parameter at factor * log(1/delta)
+    qv = budgeted_qvar(np.arange(len(probs), dtype=float) - shift, probs, budget, pre,
+                       cost_u, cost_oracle, cost_measure)
+    before = qv.counter.oracle_experiments
+    rep = relative_est(qv, factor * eps, eps, delta, profile, RandomSource(seed))
+    check_budget_properties(rep, qv.counter, before, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.floats(0.05, 0.9), **BUDGETED)
+def test_seq_relative_budget_properties(profile, probs, eps, delta, budget, pre, cost_u,
+                                        cost_oracle, cost_measure, seed):
+    # support {0, 1/k, ..., 1}: a point mass at 0 has zero mean
+    k = max(len(probs) - 1, 1)
+    qv = budgeted_qvar(np.arange(len(probs)) / k, probs, budget, pre, cost_u, cost_oracle,
+                       cost_measure)
+    before = qv.counter.oracle_experiments
+    if budget is None and len(probs) == 1:
+        with pytest.raises(ValueError, match="budget is required"):
+            seq_relative_est(qv, eps, delta, profile, RandomSource(seed))
+        return
+    rep = seq_relative_est(qv, eps, delta, profile, RandomSource(seed))
     check_budget_properties(rep, qv.counter, before, budget)
 
 

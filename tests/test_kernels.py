@@ -300,19 +300,26 @@ def test_outcome_dist_matches_statevector(m):
 @pytest.mark.parametrize("p", [1e-4, 0.3, 0.5, math.sin(math.pi / 8) ** 2, 0.9999, 1.0])
 def test_sampler_matches_law(p, m, chi_square_ok):
     # aest_sample draws one outcome and aest_median a batch, both through
-    # _phase_draws; the law is checked on the draws of both paths together.
+    # _phase_draws. The law of p is checked on the draws of both paths
+    # together; the batch mixes p with amplitudes 0 and 1, one on the
+    # measurement grid and a generic one, and every lane is checked.
     singles, n = 1000, 200_000
     rng = RandomSource(5)
     counter = ExperimentCounter()
     ys = [aest_sample(p, m, rng, counter, 2).y for _ in range(singles)]
     assert counter.oracle_experiments == singles * (m * 4 + 1)
     assert counter.aa_applications == singles * 3 * m
-    ys += _phase_draws(p, m, rng.gen, n - singles)
-    counts = np.bincount(ys, minlength=m).astype(float)
-    assert len(counts) == m
-    law = ae_outcome_dist(p, m)
-    assert total_variation(counts / n, law) < 0.01
-    assert chi_square_ok(counts, law)
+    lanes = [p, 0.0, 1.0, math.sin(math.pi * (m // 3) / m) ** 2, 0.3]
+    # ten calls keep the proposal arrays small
+    batch = np.concatenate([_phase_draws(lanes, m, rng.gen, (n - singles) // 10)
+                            for _ in range(10)], axis=1)
+    assert batch.shape == (len(lanes), n - singles)
+    for lane, draws in zip(lanes, [ys + batch[0].tolist(), *batch[1:]]):
+        counts = np.bincount(draws, minlength=m).astype(float)
+        assert len(counts) == m
+        law = ae_outcome_dist(lane, m)
+        assert total_variation(counts / len(draws), law) < 0.01
+        assert chi_square_ok(counts, law)
 
 
 def test_sampler_huge_register_constant_memory():
@@ -364,8 +371,8 @@ def test_aest_median_exact_half():
     # amplitude 0.5 with a register size divisible by 4 reads out exactly
     rng = RandomSource(3)
     counter = ExperimentCounter()
-    est = aest_median(0.5, 117.2, 0.1, rng, counter, 2)
-    assert est == 0.5
+    est = aest_median([0.5], 117.2, 0.1, rng, counter, 2)
+    assert est.tolist() == [0.5]
 
 
 def test_aest_median_budget_stops_after_k_copies():
@@ -375,7 +382,7 @@ def test_aest_median_budget_stops_after_k_copies():
     per_copy = 4 * m + 1
     budget = k * per_copy + per_copy // 2
     counter = ExperimentCounter(budget=budget)
-    est = aest_median(0.3, 100.0, 0.1, RandomSource(4), counter, 2)
+    (est,) = aest_median([0.3], 100.0, 0.1, RandomSource(4), counter, 2)
     assert 0.0 <= est <= 1.0
     assert counter.oracle_experiments == budget
     assert counter.aa_applications == k * 3 * m
@@ -385,29 +392,43 @@ def test_aest_median_budget_stops_after_k_copies():
     for _ in range(14):
         aest_sample(0.3, m, RandomSource(4), reference, 2)
     assert counter == reference
-    # random budgets, pre-charges and cost weights, against the per-copy loop
+    # a three-amplitude call stopped inside its second amplitude's copies
+    # leaves what 3 * 14 single measurements leave
+    budget = (14 + k) * per_copy + per_copy // 2
+    counter = ExperimentCounter(budget=budget)
+    ests = aest_median([0.0, 0.3, 1.0], 100.0, 0.1, RandomSource(4), counter, 2)
+    assert ests[0] == 0.0 and all(0.0 <= est <= 1.0 for est in ests)
+    assert counter.aa_applications == (14 + k) * 3 * m
+    reference = ExperimentCounter(budget=budget)
+    for _ in range(3 * 14):
+        aest_sample(0.3, m, RandomSource(4), reference, 2)
+    assert counter == reference
+    # random budgets, pre-charges, cost weights and 1 to 4 amplitudes, against
+    # the per-copy loop
     gen = np.random.default_rng(9)
     for case in range(5000):
+        lanes = [0.0, 0.3, 1.0, 0.7][:1 + case % 4]
         n = float(gen.uniform(3.0, 60.0))
         per_app, measure = int(gen.integers(0, 4)), int(gen.integers(0, 3))
         copies = math.ceil(6 * math.log(10))
         m = math.ceil(2 * math.pi * n / math.log(10))
         cost = m * 2 * per_app + measure
-        budget = {0: None, 1: 0}.get(case % 10, int(gen.integers(0, (copies + 2) * cost + 2)))
+        total = len(lanes) * copies
+        budget = {0: None, 1: 0}.get(case % 10, int(gen.integers(0, (total + 2) * cost + 2)))
         pre = int(gen.integers(0, 2 * cost + 2))
         counter = ExperimentCounter(budget=budget)
         if pre:  # budget 0 without a charge leaves a counter not yet tripped
             counter.charge(pre)
         reference = counter.snapshot()
-        aest_median(0.3, n, 0.1, RandomSource(case), counter, per_app, measure)
-        for _ in range(copies):
+        aest_median(lanes, n, 0.1, RandomSource(case), counter, per_app, measure)
+        for _ in range(total):
             reference.charge(cost, 3 * m)
-        assert counter == reference, (n, per_app, measure, budget, pre)
+        assert counter == reference, (lanes, n, per_app, measure, budget, pre)
 
 
 def test_aest_median_rejects_small_n():
     with pytest.raises(ValueError):
-        aest_median(0.5, 1.0, 0.1, RandomSource(0), ExperimentCounter(), 2)
+        aest_median([0.5], 1.0, 0.1, RandomSource(0), ExperimentCounter(), 2)
 
 
 # -- sequential estimation -----------------------------------------------------
