@@ -152,11 +152,26 @@ def shift_split(d: FiniteDist, eta: float) -> tuple[FiniteDist, FiniteDist]:
 
     Returns the distributions of max(X - eta, 0) and max(eta - X, 0). The
     identity mean(X) = eta + mean(up) - mean(down) holds exactly, and the
-    second moments of the parts add up to E[(X - eta)^2].
+    second moments of the parts add up to E[(X - eta)^2]. Each part is a
+    slice of the support plus an atom at 0 for the mass beyond eta.
     """
-    up = make_dist(np.maximum(d.values - eta, 0.0), d.probs)
-    down = make_dist(np.maximum(eta - d.values, 0.0), d.probs)
-    return up, down
+    v, p = d.values, d.probs
+    above = int(np.searchsorted(v, eta, side="right"))
+    below = int(np.searchsorted(v, eta, side="left"))
+    return (_part(v[above:] - eta, p[above:], p[:above].sum()),
+            _part(eta - v[:below][::-1], p[:below][::-1], p[below:].sum()))
+
+
+def _part(values: np.ndarray, probs: np.ndarray, zero_mass: float) -> FiniteDist:
+    # Increasing positive atoms plus zero_mass at 0, as make_dist builds them,
+    # which also merges two far atoms that a shift rounded onto one value.
+    values = np.concatenate(([0.0], values))
+    probs = np.concatenate(([zero_mass], probs))
+    keep = probs > 0.0
+    values, probs = values[keep], probs[keep]
+    if values.size > 1 and not (values[1:] > values[:-1]).all():
+        return make_dist(values, probs)
+    return FiniteDist._trusted(values, probs / probs.sum())
 
 
 def pair_square_diff(d: FiniteDist) -> FiniteDist:

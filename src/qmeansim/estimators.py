@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields, asdict
 from importlib import resources
 
@@ -41,6 +40,7 @@ from .kernels import (
     ExperimentCounter,
     QVar,
     aest_median,
+    amplify_chain,
     lower_median,
     seq_aamp,
     seq_aest,
@@ -243,18 +243,10 @@ class _StageTracker:
         )
 
 
-def _draw_above(cum: list[float], tails: list[float], k: int, counter: ExperimentCounter,
-                walk_cost: int, measure: int, rng: RandomSource) -> int | None:
-    # One conditional draw above the first k support atoms, as an atom index.
-    # The tail mass tails[k] = P[X >= values[k]] (0 past the top atom) is
-    # amplified, then the atom is read off the cumulative law by one uniform.
-    # None when the budget ran out first; an empty tail burns the budget.
-    tail = min(tails[k], 1.0)  # the exact tail sum may exceed 1 by round-off
-    ok, _, _ = seq_aamp(tail, rng, counter, walk_cost, measure)
-    if not ok or not counter.charge(measure):
-        return None
-    below = cum[k - 1] if k else 0.0
-    return bisect_right(cum, below + rng.gen.random() * tail, k, len(cum) - 1)
+def _tail_list(d) -> list[float]:
+    # P[X >= values[k]] for k = 0..len(d), 0 past the top atom; an exact tail
+    # sum may exceed 1 by round-off
+    return np.minimum(d._tail, 1.0).tolist() + [0.0]
 
 
 def cond_sample_above(
@@ -262,20 +254,21 @@ def cond_sample_above(
 ) -> tuple[float | None, int]:
     """Draw from the distribution of X conditioned on X > x.
 
-    Amplifies the tail event through the comparison-oracle walk (two oracle
-    experiments per application) and reads the value out with one final
-    measurement. Returns ``(value, oracle_cost)``; the value is ``None`` when
-    the counter's budget ran out first. An empty conditional (zero tail)
-    consumes the entire remaining budget. The draw follows the law of
-    :func:`~qmeansim.dist.conditional_above`.
+    One step of a quantile chain: amplifies the tail event through the
+    comparison-oracle walk (two oracle experiments per application) in
+    :func:`~qmeansim.kernels.amplify_chain` and reads the value out with one
+    final measurement. Returns ``(value, oracle_cost)``; the value is
+    ``None`` when the counter's budget ran out first. An empty conditional
+    (zero tail) consumes the entire remaining budget. The draw follows the
+    law of :func:`~qmeansim.dist.conditional_above`.
     """
     d, counter = qvar.dist, qvar.counter
-    start = counter.oracle_experiments
     k = int(np.searchsorted(d.values, x, side="right"))
-    idx = _draw_above(d._cum.tolist(), d._tail.tolist() + [0.0], k, counter,
-                      qvar.pair_cost(), qvar.cost_measure, rng)
-    value = None if idx is None else float(d.values[idx])
-    return value, counter.oracle_experiments - start
+    end, oracle, aa, _ = amplify_chain(d._cum.tolist(), _tail_list(d), k,
+                                       counter.remaining(), qvar.pair_cost(),
+                                       qvar.cost_measure, rng.gen, [], 1)
+    counter.charge(oracle, aa)
+    return (None if end == k else float(d.values[end - 1])), oracle
 
 
 def quantile_est(
@@ -288,7 +281,9 @@ def quantile_est(
     above it, and keeps the last completed value when the per-repetition
     budget of ceil(quantile_budget_coeff / sqrt(p)) oracle experiments runs
     out. The median of the repetitions lands in [Q(p), Q(c*p)] with
-    probability at least 1 - delta, c the profile's order factor.
+    probability at least 1 - delta, c the profile's order factor. A
+    repetition is one :func:`~qmeansim.kernels.amplify_chain` call; it ends
+    only when its budget is spent, so its cost is known before it runs.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile order must be in (0, 1), got {p}")
@@ -296,26 +291,21 @@ def quantile_est(
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
     reps = math.ceil(6 * math.log(1.0 / delta))
     per_rep_budget = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
-    tracker = _StageTracker(qvar.counter)
+    counter = qvar.counter
+    tracker = _StageTracker(counter)
     estimates: list[float] = []
-    d = qvar.dist
-    cum, tails = d._cum.tolist(), d._tail.tolist() + [0.0]
-    walk_cost, measure = qvar.pair_cost(), qvar.cost_measure
+    d, gen, us = qvar.dist, rng.gen, []
+    cum, tails = d._cum.tolist(), _tail_list(d)
+    values = [-math.inf] + d.values.tolist()  # a chain ending above k atoms reads values[k]
+    walk, measure = qvar.pair_cost(), qvar.cost_measure
     for i in range(reps):
-        child = qvar.counter.child(per_rep_budget)
-        # the chain walks support indices: k atoms lie at or below its value
-        k = 0
-        while True:
-            drawn = _draw_above(cum, tails, k, child, walk_cost, measure, rng)
-            if drawn is None:
-                break
-            k = drawn + 1
-            if child.interrupted:
-                break
-        qvar.counter.absorb(child)
-        estimates.append(float(d.values[k - 1]) if k else -math.inf)
+        rem = counter.remaining()
+        cap = per_rep_budget if rem is None else min(per_rep_budget, rem)
+        k, _, aa, _ = amplify_chain(cum, tails, 0, cap, walk, measure, gen, us, math.inf)
+        counter.charge(cap, aa)
+        estimates.append(values[k])
         tracker.close(f"repetition_{i:02d}")
-        if qvar.counter.interrupted:
+        if counter.interrupted:
             break
     estimate = lower_median(estimates) if estimates else 0.0
     return tracker.report(estimate)

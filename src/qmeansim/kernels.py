@@ -7,6 +7,7 @@ quantum primitives reduce to closed-form probability laws:
   sin^2((2n+1) * asin(sqrt(p)));
 * the sequential (restartable) variant draws its round count from a
   geometrically growing grid and stops at the first success;
+  :func:`amplify_chain` runs it along a whole chain of conditional draws;
 * M-point amplitude estimation measures an index y whose exact law is a
   half/half mixture of Fejer kernels centred on the two eigenphases
   +-asin(sqrt(p))/pi. Draws never build the M-point law: an offset from the
@@ -17,14 +18,14 @@ quantum primitives reduce to closed-form probability laws:
   one vectorised pass. :func:`ae_outcome_dist` materialises the law as the
   reference the sampler is tested against.
 
-Every routine charges an :class:`ExperimentCounter` under two parallel
-accountings: low-level oracle experiments (state preparations, comparison or
-rotation oracles, their inverses, and measurements) and amplification
-applications (state preparation, its inverse, and the ancilla reflection).
-Ancilla-only reflections cost nothing at the oracle level but one unit at the
-amplification level. An optional budget caps the oracle tally; the cap is
-checked at single-charge granularity, is never exceeded, and trips the
-counter's ``interrupted`` flag.
+Every routine but :func:`amplify_chain` charges an :class:`ExperimentCounter`
+under two parallel accountings: low-level oracle experiments (state
+preparations, comparison or rotation oracles, their inverses, and
+measurements) and amplification applications (state preparation, its
+inverse, and the ancilla reflection). Ancilla-only reflections cost nothing
+at the oracle level but one unit at the amplification level. An optional
+budget caps the oracle tally; the cap is checked at single-charge
+granularity, is never exceeded, and trips the counter's ``interrupted`` flag.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "AEOutcome",
     "grover_angle",
     "aamp_success_prob",
+    "amplify_chain",
     "seq_aamp",
     "ae_outcome_dist",
     "aest_sample",
@@ -95,13 +97,6 @@ class ExperimentCounter:
         if self.budget is not None and self.oracle_experiments >= self.budget:
             self.interrupted = True
         return True
-
-    def exhaust(self, aa: int = 0) -> None:
-        """Burn whatever oracle budget remains, crediting ``aa`` partial steps."""
-        if self.budget is not None:
-            self.oracle_experiments = self.budget
-        self.aa_applications += int(aa)
-        self.interrupted = True
 
     def child(self, budget: int | None = None) -> "ExperimentCounter":
         """A fresh counter capped by ``budget`` and by this counter's remainder."""
@@ -180,27 +175,15 @@ def aamp_success_prob(p: float, n: int) -> float:
     return math.sin((2 * n + 1) * grover_angle(p)) ** 2
 
 
-@lru_cache(maxsize=256)
-def _grid_bounds(start: int, count: int) -> tuple[list[int], list[int]]:
-    # Integer grid for round ell: {ceil(G^(ell-1)), ..., ceil(G^ell) - 1},
-    # collapsed to its lower end whenever the range would be empty.
-    ells = np.arange(start, start + count, dtype=float)
+@lru_cache(maxsize=1)
+def _round_table() -> tuple[list[int], list[int]]:
+    # Lower ends and sizes of the integer grids {ceil(G^(ell-1)), ...,
+    # ceil(G^ell) - 1} of rounds ell = 1..436, each collapsed to its lower end
+    # when empty. Round 436's grid starts past 1e18, beyond any budget.
+    ells = np.arange(1, 437, dtype=float)
     lo = np.ceil(GROWTH ** (ells - 1)).astype(np.int64)
     hi = np.ceil(GROWTH**ells).astype(np.int64) - 1
-    return lo.tolist(), np.maximum(lo, hi).tolist()
-
-
-def _partial_round_aa(rem_oracle: int, per_app: int, n: int) -> int:
-    # Amplification steps fully paid for before an in-round budget stop.
-    # Application order: U, then n repetitions of (reflection, U^-1, U);
-    # reflections are free at the oracle level.
-    if per_app <= 0:
-        return 0
-    f = min(rem_oracle // per_app, 2 * n + 1)
-    if f <= 0:
-        return 0
-    q, r = divmod(f - 1, 2)
-    return int(f + q + r)
+    return lo.tolist(), (np.maximum(lo, hi) - lo + 1).tolist()
 
 
 @lru_cache(maxsize=8)
@@ -223,13 +206,10 @@ def _burn_schedule(per_app: int, measure: int) -> tuple[list[int], list[int], li
     return cum_oracle, cum_aa, ns
 
 
-def _burn_remaining(counter: ExperimentCounter, per_app: int, measure: int) -> tuple[int, int]:
-    # Consume the whole remaining budget with failing rounds; only the
-    # burn-down is observable, so the round costs come from the static
-    # schedule instead of fresh draws.
-    rem = counter.remaining()
-    if rem is None:  # pragma: no cover - guarded by callers
-        raise ValueError("cannot burn an unbounded budget")
+def _burn(rem: int, per_app: int, measure: int) -> tuple[int, int]:
+    # Rounds and amplification steps that burn a budget remainder `rem` on a
+    # zero amplitude. Only the burn-down is observable, so the round costs
+    # come from the static schedule instead of fresh draws.
     cum_oracle, cum_aa, ns = _burn_schedule(per_app, measure)
     if rem > cum_oracle[-1]:  # pragma: no cover - beyond any desk-scale budget
         raise ValueError(f"budget {rem} beyond the burn schedule")
@@ -237,9 +217,73 @@ def _burn_remaining(counter: ExperimentCounter, per_app: int, measure: int) -> t
     aa = cum_aa[full - 1] if full else 0
     rem2 = rem - (cum_oracle[full - 1] if full else 0)
     if rem2 > 0:
-        aa += _partial_round_aa(rem2, per_app, ns[full])
-    counter.exhaust(aa)
-    return full + (rem2 > 0), aa
+        f = min(rem2 // per_app, 2 * ns[full] + 1)  # credited as in amplify_chain
+        return full + 1, aa + f + f // 2
+    return full, aa
+
+
+def amplify_chain(cum: list[float] | None, tails: list[float], k: int, cap: int | None,
+                  walk: int, measure: int, gen: np.random.Generator, us: list[float],
+                  draws: float) -> tuple[int, int, int, int]:
+    """Sequential amplitude amplification along a chain of conditional draws.
+
+    A draw amplifies the tail mass ``tails[k]`` (at most 1) in rounds: round
+    ell draws n uniformly from its grid, costs (2n+1)*walk + measure oracle
+    experiments and 3n+1 amplification steps, and succeeds with probability
+    sin^2((2n+1)*asin(sqrt(tail))). A readout measurement then picks the next
+    atom off the cumulative law ``cum`` and moves k above it; with ``cum``
+    None a success just adds one to k. The chain stops after ``draws`` draws
+    or once the oracle ``cap`` is spent: inside a round, with partial-round
+    credit; at a success that leaves no budget for its readout; or at an
+    empty tail, which burns the rest. Uniforms are popped off ``us``, refilled
+    from ``gen`` in blocks of 64, so calls can share the spares. Returns
+    ``(k, oracle, aa, rounds)`` and charges nothing.
+    """
+    los, sizes = _round_table()
+    limit = math.inf if cap is None else cap
+    sin, pop = math.sin, us.pop
+    spent = aa = rounds = 0
+    while draws:
+        tail = tails[k]
+        if not tail > 0.0:
+            if cap is None:
+                raise ValueError("zero amplitude never succeeds; a budget is required")
+            if walk < 1:
+                raise ValueError("zero amplitude with a free walk never burns its budget")
+            burnt, burnt_aa = _burn(cap - spent, walk, measure)
+            return k, cap, aa + burnt_aa, rounds + burnt
+        theta = math.asin(math.sqrt(tail))
+        r = 0
+        while True:
+            if len(us) < 3:  # room for this round and a readout
+                us.extend(gen.random(64).tolist())
+            n = los[r] + int(pop() * sizes[r])
+            m = 2 * n + 1
+            oracle = m * walk + measure
+            r += 1
+            if spent + oracle > limit:
+                # credit the steps paid before the stop: U, then n times
+                # (reflection, U^-1, U), reflections free at the oracle level
+                f = min((cap - spent) // walk, m) if walk else 0
+                return k, cap, aa + f + f // 2, rounds + r - (cap == spent)
+            spent += oracle
+            aa += 3 * n + 1
+            s = sin(m * theta)
+            if pop() < s * s:
+                break
+        rounds += r
+        draws -= 1
+        if cum is None:
+            k += 1
+        elif spent + measure > limit or spent == limit:
+            return k, cap, aa, rounds
+        else:
+            spent += measure
+            below = cum[k - 1] if k else 0.0
+            k = bisect_right(cum, below + pop() * tail, k, len(cum) - 1) + 1
+            if spent == limit:
+                break
+    return k, spent, aa, rounds
 
 
 def seq_aamp(
@@ -254,56 +298,22 @@ def seq_aamp(
     Round ell draws an iteration count n uniformly from a geometrically
     growing integer grid, charges 3n+1 amplification steps and
     (2n+1)*per_app_oracle_cost + cost_measure oracle experiments, and stops
-    at the first successful ancilla measurement.
+    at the first successful ancilla measurement: one draw of
+    :func:`amplify_chain` without readout.
 
     Returns ``(succeeded, rounds, aa_charged)`` where ``aa_charged`` is the
     amplification work this call added to the counter. With p > 0 and no
     budget the call terminates with probability one; with a budget it may
     instead exhaust it and report failure. p = 0 without a budget is refused.
     """
-    if p == 0.0:
-        if counter.budget is None:
-            raise ValueError("zero amplitude never succeeds; a budget is required")
-        if per_app_oracle_cost < 1:
-            raise ValueError("zero amplitude with a free walk never burns its budget")
-        rounds, aa = _burn_remaining(counter, per_app_oracle_cost, cost_measure)
-        return False, rounds, aa
-    theta = grover_angle(p)
-    if counter.interrupted:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"amplitude must be in [0, 1], got {p}")
+    if counter.interrupted and p > 0.0:
         return False, 0, 0
-    if p == 1.0:
-        # round 1 draws n = 1 from its singleton grid and succeeds surely
-        rem = counter.remaining()
-        need = 3 * per_app_oracle_cost + cost_measure
-        if rem is None or rem >= need:
-            counter.charge(need, 4)
-            return True, 1, 4
-        aa_part = _partial_round_aa(rem, per_app_oracle_cost, 1)
-        counter.exhaust(aa_part)
-        return False, (1 if rem > 0 else 0), aa_part
-
-    gen = rng.gen
-    rem = counter.remaining()
-    rounds = oracle_total = aa_total = 0
-    while True:
-        # two uniforms per round: the grid draw, then the success test
-        los, his = _grid_bounds(rounds + 1, 16)
-        us = gen.random(32).tolist()
-        for lo, hi, u_n, u_hit in zip(los, his, us[::2], us[1::2]):
-            n = lo + int(u_n * (hi - lo + 1)) if lo < hi else lo
-            oracle = (2 * n + 1) * per_app_oracle_cost + cost_measure
-            if rem is not None and oracle_total + oracle > rem:
-                # the budget dies inside this round
-                rem2 = rem - oracle_total
-                aa_part = _partial_round_aa(rem2, per_app_oracle_cost, n)
-                counter.exhaust(aa_total + aa_part)
-                return False, rounds + (rem2 > 0), aa_total + aa_part
-            oracle_total += oracle
-            aa_total += 3 * n + 1
-            rounds += 1
-            if u_hit < math.sin((2 * n + 1) * theta) ** 2:
-                counter.charge(oracle_total, aa_total)
-                return True, rounds, aa_total
+    k, oracle, aa, rounds = amplify_chain(None, [p], 0, counter.remaining(),
+                                          per_app_oracle_cost, cost_measure, rng.gen, [], 1)
+    counter.charge(oracle, aa)
+    return k == 1, rounds, aa
 
 
 def _fejer(x: np.ndarray, m: int) -> np.ndarray:
@@ -362,8 +372,10 @@ def _phase_draws(ps, m: int, gen: np.random.Generator, size: int) -> np.ndarray:
     draws = np.empty((live.size, size), dtype=np.int64)
     filled = np.zeros(live.size, dtype=np.int64)
     while (need := size - filled).any():
-        # four proposals per missing draw and eight spare: refills are rare
-        lane = np.repeat(np.arange(live.size), 4 * need + 8 * (need > 0))
+        # four proposals per missing draw and eight spare, so refills are
+        # rare, but about 2^16 at most a pass, so memory stays bounded
+        share = max((1 << 16) // np.count_nonzero(need), 1)
+        lane = np.repeat(np.arange(live.size), np.minimum(4 * need + 8 * (need > 0), share))
         choice, u, accept = gen.random((3, lane.size))
         k = np.floor(1.0 / (1.0 - u))
         far = choice >= 2.0 / 3.0
@@ -380,7 +392,9 @@ def _phase_draws(ps, m: int, gen: np.random.Generator, size: int) -> np.ndarray:
         draws[lane, slot[keep]] = np.mod(base[lane] + j[keep], m).astype(np.int64)
         filled += np.bincount(lane, minlength=live.size)
     reflect = (gen.random(draws.shape) < 0.5) & (ps[live] < 1.0)[:, None]
-    ys[live] = np.where(reflect, (m - draws) % m, draws)
+    np.subtract(m, draws, out=draws, where=reflect)
+    draws %= m
+    ys[live] = draws
     return ys
 
 

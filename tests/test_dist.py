@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeansim import (
+    FiniteDist,
     RandomSource,
     conditional_above,
     hard_instance_statebased,
@@ -125,6 +126,28 @@ def test_truncated_mean_examples():
 def test_truncated_mean_rejects_reversed_window():
     with pytest.raises(ValueError):
         truncated_mean(uniform(0, 1), 1, 1)
+
+
+_SPLIT = FiniteDist(np.array([-3.0, -1.0, 0.5, 2.0, 7.0]),
+                    np.array([0.125, 0.375, 0.0, 0.3, 0.2]))
+
+
+@pytest.mark.parametrize("d,eta", [
+    (_SPLIT, -5.0), (_SPLIT, -3.0), (_SPLIT, 0.0), (_SPLIT, 0.5), (_SPLIT, 2.0),
+    (_SPLIT, 7.0), (_SPLIT, 9.0), (make_dist([4.0], [1.0]), 4.0),
+    (make_dist([4.0], [1.0]), 1.0),
+], ids=["below", "at-first", "between", "at-zero-atom", "at-middle", "at-last", "above",
+        "point-at", "point-below"])
+def test_shift_split_matches_make_dist(d, eta):
+    # each part equals make_dist of the mapped atoms: the same values, and
+    # probabilities up to the order of their sums
+    parts = shift_split(d, eta)
+    refs = (make_dist(np.maximum(d.values - eta, 0.0), d.probs),
+            make_dist(np.maximum(eta - d.values, 0.0), d.probs))
+    for part, ref in zip(parts, refs):
+        assert part.values.tolist() == ref.values.tolist()
+        assert np.abs(part.probs - ref.probs).max() <= 1e-15
+        assert abs(part.probs.sum() - 1.0) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)

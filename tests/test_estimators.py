@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qmeansim import (
     subgauss_est,
     theoretical_profile,
 )
+from qmeansim.kernels import GROWTH
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +171,89 @@ def test_quantile_coverage_middle_order(profile):
     assert hits / trials >= 0.85
 
 
+def _grid(ell):
+    # integer grid of sequential-amplification round ell
+    lo = math.ceil(GROWTH ** (ell - 1))
+    return range(lo, max(lo, math.ceil(GROWTH**ell) - 1) + 1)
+
+
+def _call_law(tail, rem, walk, measure):
+    # Exact law of one sequential amplification of amplitude `tail` with `rem`
+    # oracle experiments left: {cost: P(success at that cost)}, plus
+    # {None: P(the budget dies first)}.
+    theta = math.asin(math.sqrt(tail))
+    out, alive, ell = {None: 0.0}, {0: 1.0}, 1
+    while alive:
+        grid, nxt = _grid(ell), {}
+        for spent, mass in alive.items():
+            for n in grid:
+                w, cost = mass / len(grid), spent + (2 * n + 1) * walk + measure
+                if cost > rem:
+                    out[None] += w
+                    continue
+                hit = math.sin((2 * n + 1) * theta) ** 2
+                out[cost] = out.get(cost, 0.0) + w * hit
+                if hit < 1.0:
+                    nxt[cost] = nxt.get(cost, 0.0) + w * (1.0 - hit)
+        alive, ell = nxt, ell + 1
+    return out
+
+
+def _chain_end_law(d, cap, walk, measure):
+    # Exact law of the atom count k a chain capped at `cap` ends above (its
+    # estimate is atom k - 1, -inf for k = 0), by dynamic programming over
+    # (k, oracle spent). A success pays one readout, which needs a live
+    # budget, and moves above atom j >= k with probability probs[j] / tail;
+    # an empty tail burns the rest of the cap.
+    probs, tails = d.probs.tolist(), d._tail.tolist() + [0.0]
+    law = np.zeros(len(probs) + 1)
+    states = [{} for _ in range(cap)]  # states[spent][k] = mass; spent only grows
+    states[0][0] = 1.0
+    for spent, at in enumerate(states):
+        for k, mass in at.items():
+            tail = min(tails[k], 1.0)
+            if tail == 0.0:
+                law[k] += mass
+                continue
+            for cost, w in _call_law(tail, cap - spent, walk, measure).items():
+                if cost is None or spent + cost == cap or spent + cost + measure > cap:
+                    law[k] += mass * w
+                    continue
+                after = spent + cost + measure
+                for j in range(k, len(probs)):
+                    step = mass * w * probs[j] / tail
+                    if after == cap:
+                        law[j + 1] += step
+                    elif step > 0.0:
+                        states[after][j + 1] = states[after].get(j + 1, 0.0) + step
+    return law
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 0)], ids=["pair2-measure1", "pair3-measure0"])
+@pytest.mark.parametrize("probs,cap", [
+    ([0.5, 0.5], 9),
+    ([0.8, 0.15, 0.04, 0.01], 30),
+    ([0.6, 0.3, 0.0, 0.08, 0.015, 0.005], 100),
+    ([0.95, 0.04, 0.0, 0.009, 0.001], 500),
+], ids=["2atoms-cap9", "4atoms-cap30", "6atoms-cap100", "5atoms-cap500"])
+def test_quantile_chain_end_law(profile, probs, cap, weights, chi_square_ok):
+    # delta = 0.9 runs one repetition, and order p = 1/4 makes the profile's
+    # coefficient cap / 2 a cap of exactly `cap`
+    d = FiniteDist(np.arange(len(probs), dtype=float), np.array(probs))
+    cost_u, cost_oracle, cost_measure = weights
+    law = _chain_end_law(d, cap, cost_u + cost_oracle, cost_measure)
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    prof = replace(profile, quantile_budget_coeff=cap / 2)
+    rng = RandomSource(cap)
+    counts = np.zeros(len(probs) + 1)
+    for _ in range(20_000):
+        qv = QVar(d, ExperimentCounter(), cost_u, cost_oracle, cost_measure)
+        rep = quantile_est(qv, 0.25, 0.9, prof, rng)
+        assert rep.stage_costs == {"repetition_00": cap}
+        counts[0 if rep.estimate == -math.inf else int(rep.estimate) + 1] += 1
+    assert chi_square_ok(counts, law)
+
+
 def test_quantile_free_walk_refused(profile):
     # a chain that reaches the top atom burns its budget with a free walk
     qv = QVar(uniform(1, 2, 3), ExperimentCounter(), cost_u=0, cost_oracle=0)
@@ -220,8 +305,15 @@ def test_quantile_budget_properties(profile, probs, p, delta, budget, pre, cost_
     before = qv.counter.oracle_experiments
     rep = quantile_est(qv, p, delta, profile, RandomSource(seed))
     check_budget_properties(rep, qv.counter, before, budget)
+    # a repetition ends only when its budget is spent: it costs exactly the
+    # per-repetition budget, or the counter's remainder if that is smaller
     per_rep = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
-    assert all(cost <= per_rep for cost in rep.stage_costs.values())
+    remaining = None if budget is None else budget - before
+    for i, (name, cost) in enumerate(rep.stage_costs.items()):
+        assert name == f"repetition_{i:02d}"
+        assert cost == (per_rep if remaining is None else min(per_rep, remaining))
+        if remaining is not None:
+            remaining -= cost
     assert rep.estimate == -math.inf or rep.estimate in qv.dist.values
 
 

@@ -341,6 +341,22 @@ def test_sampler_huge_register_constant_memory():
     assert sum(abs(out.p_estimate - p) <= bound for out in outs) >= draws // 2
 
 
+def test_phase_draws_memory_bounded_per_pass():
+    # proposals are made in passes of bounded size, so one big call holds
+    # little more than its result (5 lanes x 199,000 int64 draws, 7.6 MB)
+    m = 4096
+    lanes = [0.3, 0.0, 1.0, math.sin(math.pi * (m // 3) / m) ** 2, 0.3]
+    gen = RandomSource(12).gen
+    tracemalloc.start()
+    try:
+        ys = _phase_draws(lanes, m, gen, 199_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ys.shape == (5, 199_000)
+    assert peak < 32 << 20
+
+
 def test_sin2_frac_exact_grid_points():
     assert sin2_frac(0, 8) == 0.0
     assert sin2_frac(4, 8) == 1.0
