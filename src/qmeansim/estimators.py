@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -228,6 +229,13 @@ class _StageTracker:
             self.interrupted.append(name)
         self._mark = self.counter.oracle_experiments
 
+    def close_each(self, names: tuple[str, ...], costs: list[int]) -> None:
+        """Close new stages, one per cost, that the counter ran through in turn."""
+        self.costs.update(zip(names, costs))
+        if self.counter.interrupted:
+            self.interrupted.append(names[len(costs) - 1])
+        self._mark = self.counter.oracle_experiments
+
     def report(self, estimate: float) -> EstimateReport:
         snap = ExperimentCounter(
             oracle_experiments=self.counter.oracle_experiments - self.base_oracle,
@@ -241,6 +249,11 @@ class _StageTracker:
             stage_costs=dict(self.costs),
             interrupted_stages=list(self.interrupted),
         )
+
+
+@lru_cache(maxsize=16)
+def _repetition_names(reps: int) -> tuple[str, ...]:
+    return tuple(f"repetition_{i:02d}" for i in range(reps))
 
 
 def _tail_list(d) -> list[float]:
@@ -264,9 +277,9 @@ def cond_sample_above(
     """
     d, counter = qvar.dist, qvar.counter
     k = int(np.searchsorted(d.values, x, side="right"))
-    end, oracle, aa, _ = amplify_chain(d._cum.tolist(), _tail_list(d), k,
-                                       counter.remaining(), qvar.pair_cost(),
-                                       qvar.cost_measure, rng.gen, [], 1)
+    (end,), oracle, aa, _ = amplify_chain(d._cum.tolist(), _tail_list(d), k,
+                                          [counter.remaining()], qvar.pair_cost(),
+                                          qvar.cost_measure, rng.gen, [], 1)
     counter.charge(oracle, aa)
     return (None if end == k else float(d.values[end - 1])), oracle
 
@@ -282,8 +295,10 @@ def quantile_est(
     budget of ceil(quantile_budget_coeff / sqrt(p)) oracle experiments runs
     out. The median of the repetitions lands in [Q(p), Q(c*p)] with
     probability at least 1 - delta, c the profile's order factor. A
-    repetition is one :func:`~qmeansim.kernels.amplify_chain` call; it ends
-    only when its budget is spent, so its cost is known before it runs.
+    repetition ends only when its budget is spent, so the caps are known
+    before any runs: the per-repetition budget until the counter's remainder
+    runs out. All run in one :func:`~qmeansim.kernels.amplify_chain` call,
+    charged once; each cap is the cost of its stage ``repetition_ii``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile order must be in (0, 1), got {p}")
@@ -293,22 +308,19 @@ def quantile_est(
     per_rep_budget = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
     counter = qvar.counter
     tracker = _StageTracker(counter)
-    estimates: list[float] = []
-    d, gen, us = qvar.dist, rng.gen, []
-    cum, tails = d._cum.tolist(), _tail_list(d)
+    rem = counter.remaining()
+    # the repetition that spends the remainder trips the counter and is the
+    # last; with nothing left, one repetition runs at cap 0
+    full, last = (reps, 0) if rem is None else divmod(min(rem, per_rep_budget * reps),
+                                                      per_rep_budget)
+    caps = [per_rep_budget] * full + ([last] if last or not full else [])
+    d = qvar.dist
+    ends, _, aa, _ = amplify_chain(d._cum.tolist(), _tail_list(d), 0, caps, qvar.pair_cost(),
+                                   qvar.cost_measure, rng.gen, [], math.inf)
+    counter.charge(sum(caps), aa)
+    tracker.close_each(_repetition_names(len(caps)), caps)
     values = [-math.inf] + d.values.tolist()  # a chain ending above k atoms reads values[k]
-    walk, measure = qvar.pair_cost(), qvar.cost_measure
-    for i in range(reps):
-        rem = counter.remaining()
-        cap = per_rep_budget if rem is None else min(per_rep_budget, rem)
-        k, _, aa, _ = amplify_chain(cum, tails, 0, cap, walk, measure, gen, us, math.inf)
-        counter.charge(cap, aa)
-        estimates.append(values[k])
-        tracker.close(f"repetition_{i:02d}")
-        if counter.interrupted:
-            break
-    estimate = lower_median(estimates) if estimates else 0.0
-    return tracker.report(estimate)
+    return tracker.report(lower_median([values[k] for k in ends]))
 
 
 def _window_estimates(qvar: QVar, edges: np.ndarray, n: float, delta: float,

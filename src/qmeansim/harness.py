@@ -83,8 +83,10 @@ class SweepConfig:
         if spec is None:
             raise ConfigError(f"unknown estimator {self.estimator!r}; "
                               f"choose one of {', '.join(ESTIMATORS)}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        for key, low in (("trials", 1), ("seed", 0), ("budget", 0)):
+            value = getattr(self, key)  # bools are not integers here
+            if not (key == "budget" and value is None) and (type(value) is not int or value < low):
+                raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
         if not self.grid or any(not v for v in self.grid.values()):
             raise ConfigError("grid must be non-empty with non-empty value lists")
         for key in self.grid:

@@ -7,7 +7,8 @@ quantum primitives reduce to closed-form probability laws:
   sin^2((2n+1) * asin(sqrt(p)));
 * the sequential (restartable) variant draws its round count from a
   geometrically growing grid and stops at the first success;
-  :func:`amplify_chain` runs it along a whole chain of conditional draws;
+  :func:`amplify_chain` runs it along chains of conditional draws, all the
+  repetitions of a quantile estimate in one call;
 * M-point amplitude estimation measures an index y whose exact law is a
   half/half mixture of Fejer kernels centred on the two eigenphases
   +-asin(sqrt(p))/pi. Draws never build the M-point law: an offset from the
@@ -15,7 +16,8 @@ quantum primitives reduce to closed-form probability laws:
   1/k^2, and a fair coin picks the eigenphase, so a draw costs O(1) time and
   memory whatever M is. :func:`aest_median` draws all copies of a sequence
   of amplitudes sharing one register, such as a windowed-mean ladder, in
-  one vectorised pass. :func:`ae_outcome_dist` materialises the law as the
+  one vectorised pass and reads each median off the phase distances
+  min(y, M - y). :func:`ae_outcome_dist` materialises the law as the
   reference the sampler is tested against.
 
 Every routine but :func:`amplify_chain` charges an :class:`ExperimentCounter`
@@ -206,84 +208,90 @@ def _burn_schedule(per_app: int, measure: int) -> tuple[list[int], list[int], li
     return cum_oracle, cum_aa, ns
 
 
-def _burn(rem: int, per_app: int, measure: int) -> tuple[int, int]:
-    # Rounds and amplification steps that burn a budget remainder `rem` on a
-    # zero amplitude. Only the burn-down is observable, so the round costs
-    # come from the static schedule instead of fresh draws.
-    cum_oracle, cum_aa, ns = _burn_schedule(per_app, measure)
-    if rem > cum_oracle[-1]:  # pragma: no cover - beyond any desk-scale budget
-        raise ValueError(f"budget {rem} beyond the burn schedule")
-    full = bisect_right(cum_oracle, rem)
-    aa = cum_aa[full - 1] if full else 0
-    rem2 = rem - (cum_oracle[full - 1] if full else 0)
-    if rem2 > 0:
-        f = min(rem2 // per_app, 2 * ns[full] + 1)  # credited as in amplify_chain
-        return full + 1, aa + f + f // 2
-    return full, aa
+def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
+                  caps: list[int | None], walk: int, measure: int, gen: np.random.Generator,
+                  us: list[float], draws: float) -> tuple[list[int], int, int, int]:
+    """Sequential amplitude amplification along chains of conditional draws.
 
-
-def amplify_chain(cum: list[float] | None, tails: list[float], k: int, cap: int | None,
-                  walk: int, measure: int, gen: np.random.Generator, us: list[float],
-                  draws: float) -> tuple[int, int, int, int]:
-    """Sequential amplitude amplification along a chain of conditional draws.
-
-    A draw amplifies the tail mass ``tails[k]`` (at most 1) in rounds: round
-    ell draws n uniformly from its grid, costs (2n+1)*walk + measure oracle
+    Runs one chain per entry of ``caps``, each from atom ``k``. A draw
+    amplifies the tail mass ``tails[k]`` (at most 1) in rounds: round ell
+    draws n uniformly from its grid, costs (2n+1)*walk + measure oracle
     experiments and 3n+1 amplification steps, and succeeds with probability
     sin^2((2n+1)*asin(sqrt(tail))). A readout measurement then picks the next
     atom off the cumulative law ``cum`` and moves k above it; with ``cum``
-    None a success just adds one to k. The chain stops after ``draws`` draws
-    or once the oracle ``cap`` is spent: inside a round, with partial-round
-    credit; at a success that leaves no budget for its readout; or at an
-    empty tail, which burns the rest. Uniforms are popped off ``us``, refilled
-    from ``gen`` in blocks of 64, so calls can share the spares. Returns
-    ``(k, oracle, aa, rounds)`` and charges nothing.
+    None a success just adds one to k. A chain stops after ``draws`` draws or
+    once its oracle cap (None: no cap) is spent: inside a round, with
+    partial-round credit; at a success that leaves no budget for its
+    readout; or at an empty tail, which burns the rest on the static
+    schedule of :func:`_burn_schedule` without drawing. Uniforms are popped
+    off ``us``, refilled from ``gen`` in blocks of 64 whenever fewer than 3
+    are left, so chains and calls can share the spares. Returns the end
+    atoms and the summed ``(oracle, aa, rounds)``, and charges nothing.
     """
     los, sizes = _round_table()
-    limit = math.inf if cap is None else cap
     sin, pop = math.sin, us.pop
-    spent = aa = rounds = 0
-    while draws:
-        tail = tails[k]
-        if not tail > 0.0:
-            if cap is None:
-                raise ValueError("zero amplitude never succeeds; a budget is required")
-            if walk < 1:
-                raise ValueError("zero amplitude with a free walk never burns its budget")
-            burnt, burnt_aa = _burn(cap - spent, walk, measure)
-            return k, cap, aa + burnt_aa, rounds + burnt
-        theta = math.asin(math.sqrt(tail))
-        r = 0
-        while True:
-            if len(us) < 3:  # room for this round and a readout
-                us.extend(gen.random(64).tolist())
-            n = los[r] + int(pop() * sizes[r])
-            m = 2 * n + 1
-            oracle = m * walk + measure
-            r += 1
-            if spent + oracle > limit:
-                # credit the steps paid before the stop: U, then n times
-                # (reflection, U^-1, U), reflections free at the oracle level
-                f = min((cap - spent) // walk, m) if walk else 0
-                return k, cap, aa + f + f // 2, rounds + r - (cap == spent)
-            spent += oracle
-            aa += 3 * n + 1
-            s = sin(m * theta)
-            if pop() < s * s:
+    ends: list[int] = []
+    oracle_sum = aa = rounds = 0
+    burn = _burn_schedule(walk, measure) if walk > 0 else None
+    for cap in caps:
+        limit = math.inf if cap is None else cap
+        at, spent, left = k, 0, draws
+        while left:
+            tail = tails[at]
+            if not tail > 0.0:
+                if cap is None:
+                    raise ValueError("zero amplitude never succeeds; a budget is required")
+                if walk < 1:
+                    raise ValueError("zero amplitude with a free walk never burns its budget")
+                # only the burn-down is observable, so every round fails and
+                # costs its grid's lower end
+                cum_oracle, cum_aa, ns = burn
+                full = bisect_right(cum_oracle, cap - spent)
+                rem = cap - spent - (cum_oracle[full - 1] if full else 0)
+                f = min(rem // walk, 2 * ns[full] + 1)  # a partial round, credited as below
+                aa += (cum_aa[full - 1] if full else 0) + f + f // 2
+                rounds += full + (rem > 0)
+                spent = cap
                 break
-        rounds += r
-        draws -= 1
-        if cum is None:
-            k += 1
-        elif spent + measure > limit or spent == limit:
-            return k, cap, aa, rounds
-        else:
-            spent += measure
-            below = cum[k - 1] if k else 0.0
-            k = bisect_right(cum, below + pop() * tail, k, len(cum) - 1) + 1
-            if spent == limit:
+            theta = math.asin(math.sqrt(tail))
+            r = 0
+            while True:
+                if len(us) < 3:  # room for this round and a readout
+                    us.extend(gen.random(64).tolist())
+                n = los[r] + int(pop() * sizes[r])
+                m = 2 * n + 1
+                oracle = m * walk + measure
+                r += 1
+                if spent + oracle > limit:
+                    # credit the steps paid before the stop: U, then n times
+                    # (reflection, U^-1, U), reflections free at the oracle level
+                    f = min((cap - spent) // walk, m) if walk else 0
+                    aa += f + f // 2
+                    r -= cap == spent
+                    spent, left = cap, 0
+                    break
+                spent += oracle
+                aa += 3 * n + 1
+                s = sin(m * theta)
+                if pop() < s * s:
+                    break
+            rounds += r
+            if not left:
                 break
-    return k, spent, aa, rounds
+            left -= 1
+            if cum is None:
+                at += 1
+            elif spent + measure > limit or spent == limit:
+                break
+            else:
+                spent += measure
+                below = cum[at - 1] if at else 0.0
+                at = bisect_right(cum, below + pop() * tail, at, len(cum) - 1) + 1
+                if spent == limit:
+                    break
+        ends.append(at)
+        oracle_sum += spent
+    return ends, oracle_sum, aa, rounds
 
 
 def seq_aamp(
@@ -310,8 +318,8 @@ def seq_aamp(
         raise ValueError(f"amplitude must be in [0, 1], got {p}")
     if counter.interrupted and p > 0.0:
         return False, 0, 0
-    k, oracle, aa, rounds = amplify_chain(None, [p], 0, counter.remaining(),
-                                          per_app_oracle_cost, cost_measure, rng.gen, [], 1)
+    (k,), oracle, aa, rounds = amplify_chain(None, [p], 0, [counter.remaining()],
+                                             per_app_oracle_cost, cost_measure, rng.gen, [], 1)
     counter.charge(oracle, aa)
     return k == 1, rounds, aa
 
@@ -399,11 +407,11 @@ def _phase_draws(ps, m: int, gen: np.random.Generator, size: int) -> np.ndarray:
 
 
 def sin2_frac(y, m: int) -> np.ndarray:
-    """sin^2(pi * y/M) per index, with exact values at the quarter-turn grid points."""
+    """sin^2(pi * y/M) per index (a scalar or an array), read off the phase
+    distance min(y, M - y) mod M; exact 0, 1 and 1/2 at distances 0, M/2, M/4."""
     y = np.asarray(y) % m
-    y = np.minimum(y, m - y)  # sin^2 is symmetric about M/2
-    return np.select([y == 0, 2 * y == m, 4 * y == m], [0.0, 1.0, 0.5],
-                     np.sin(np.pi * y / m) ** 2)
+    y = np.minimum(y, m - y)
+    return np.where(4 * y == m, 0.5, np.sin(np.pi * y / m) ** 2)
 
 
 def aest_sample(
@@ -454,7 +462,8 @@ def aest_median(
     at least 1 - delta. Requires n >= log(1/delta). All copies of all
     amplitudes are drawn in one pass and charged as one call per amplitude
     would be, so a budget stops a windowed-mean ladder at the same copy.
-    Returns the lower medians, one per amplitude.
+    Returns the lower medians of the readings sin^2(pi*y/M), one per
+    amplitude, each read off the lower median of its phase distances.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
@@ -477,7 +486,8 @@ def aest_median(
         counter.charge(fit * cost, fit * 3 * m)
     if fit < ys.size:
         counter.charge(cost, 3 * m)
-    return np.sort(sin2_frac(ys, m), axis=1)[:, (copies - 1) // 2]
+    mid = (copies - 1) // 2  # sin^2 is nondecreasing in the distance min(y, M - y)
+    return sin2_frac(np.partition(np.minimum(ys, m - ys), mid, axis=1)[:, mid], m)
 
 
 def seq_aest(

@@ -64,6 +64,19 @@ def test_sweep_reports_config_errors(tmp_path, capsys):
     assert "error:" in out.err
 
 
+def test_sweep_bad_budget_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"estimator": "quantile", "distribution": "point:1",
+                                    "grid": {"p": [0.1], "delta": [0.1]}, "trials": 2,
+                                    "seed": 1, "budget": -5}))
+    out_path = tmp_path / "x.csv"
+    code, out = run_cli("sweep", "--config", str(cfg_path), "--out", str(out_path),
+                        capsys=capsys)
+    assert code == 1
+    assert "budget must be an integer" in out.err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_sweep_missing_file_is_config_error(tmp_path, capsys):
     code, out = run_cli("sweep", "--config", str(tmp_path / "none.json"),
                         "--out", str(tmp_path / "x.csv"), capsys=capsys)

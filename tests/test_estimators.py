@@ -27,7 +27,8 @@ from qmeansim import (
     subgauss_est,
     theoretical_profile,
 )
-from qmeansim.kernels import GROWTH
+from qmeansim.estimators import _StageTracker, _tail_list
+from qmeansim.kernels import GROWTH, amplify_chain, lower_median
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +387,47 @@ def test_seq_relative_budget_properties(profile, probs, eps, delta, budget, pre,
         return
     rep = seq_relative_est(qv, eps, delta, profile, RandomSource(seed))
     check_budget_properties(rep, qv.counter, before, budget)
+
+
+def _quantile_per_repetition(qv, p, delta, profile, rng):
+    # The loop quantile_est fuses: one single-cap chain call, one charge and
+    # one stage close per repetition, the calls sharing one list of spares.
+    reps = math.ceil(6 * math.log(1.0 / delta))
+    per_rep = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
+    counter, d, us = qv.counter, qv.dist, []
+    tracker = _StageTracker(counter)
+    values = [-math.inf] + d.values.tolist()
+    estimates = []
+    for i in range(reps):
+        rem = counter.remaining()
+        cap = per_rep if rem is None else min(per_rep, rem)
+        (k,), _, aa, _ = amplify_chain(d._cum.tolist(), _tail_list(d), 0, [cap], qv.pair_cost(),
+                                       qv.cost_measure, rng.gen, us, math.inf)
+        counter.charge(cap, aa)
+        estimates.append(values[k])
+        tracker.close(f"repetition_{i:02d}")
+        if counter.interrupted:
+            break
+    return tracker.report(lower_median(estimates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.floats(0.01, 0.9), **BUDGETED)
+def test_quantile_matches_per_repetition_loop(profile, probs, p, delta, budget, pre, cost_u,
+                                              cost_oracle, cost_measure, seed):
+    args = (np.arange(len(probs), dtype=float), probs, budget, pre, cost_u, cost_oracle,
+            cost_measure)
+    fused, looped = budgeted_qvar(*args), budgeted_qvar(*args)
+    fused_rng, looped_rng = RandomSource(seed), RandomSource(seed)
+    got = quantile_est(fused, p, delta, profile, fused_rng)
+    want = _quantile_per_repetition(looped, p, delta, profile, looped_rng)
+    assert got.estimate == want.estimate
+    assert list(got.stage_costs.items()) == list(want.stage_costs.items())
+    assert got.interrupted_stages == want.interrupted_stages
+    assert got.counter_snapshot == want.counter_snapshot
+    assert fused.counter == looped.counter
+    # both leave the stream at the same place
+    assert fused_rng.gen.random() == looped_rng.gen.random()
 
 
 def test_quantile_rejects_bad_args(profile):

@@ -87,6 +87,22 @@ def test_config_requires_each_declared_key(name, key):
         estimator_config(name, drop=key)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("budget", -5), ("budget", 2.5), ("budget", True), ("budget", "100"),
+    ("seed", -1), ("seed", 1.7), ("seed", True), ("seed", None),
+    ("trials", 0), ("trials", 2.5), ("trials", True), ("trials", "3"),
+])
+def test_config_rejects_bad_integer_fields(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+        config(**{key: value})
+
+
+def test_config_accepts_integer_field_bounds():
+    cfg = config(trials=1, seed=0, budget=0)
+    assert (cfg.trials, cfg.seed, cfg.budget) == (1, 0, 0)
+    assert config(budget=None).budget is None
+
+
 def test_config_rejects_empty_grid():
     with pytest.raises(ConfigError, match="grid"):
         config(grid={})

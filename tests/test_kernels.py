@@ -105,6 +105,28 @@ def test_burn_schedule_matches_cumsums(per_app, measure):
     assert cum_oracle[-2] < 1e18 <= cum_oracle[-1]
 
 
+@pytest.mark.parametrize("walk,measure", [(1, 0), (2, 1), (3, 5)])
+def test_zero_amplitude_burn_matches_round_loop(walk, measure):
+    # an empty tail burns its budget round by round at each grid's lower end;
+    # a round cut by the budget is counted, with its steps credited up to it
+    for budget in (0, 1, 2, 3, 7, 50, 333, 10_000, 123_457, 10**9 + 7):
+        rounds = aa = spent = 0
+        while True:
+            n = math.ceil(GROWTH**rounds)
+            cost = (2 * n + 1) * walk + measure
+            if spent + cost > budget:
+                f = min((budget - spent) // walk, 2 * n + 1)
+                aa += f + f // 2
+                rounds += spent < budget
+                break
+            spent += cost
+            aa += 3 * n + 1
+            rounds += 1
+        counter = ExperimentCounter(budget=budget)
+        assert seq_aamp(0.0, RandomSource(0), counter, walk, measure) == (False, rounds, aa)
+        assert counter.oracle_experiments == budget and counter.aa_applications == aa
+
+
 def _grid(ell):
     # integer grid of round ell, as the sequential schedule defines it
     lo = math.ceil(GROWTH ** (ell - 1))
@@ -364,6 +386,47 @@ def test_sin2_frac_exact_grid_points():
     assert sin2_frac(6, 8) == 0.5
     assert sin2_frac(80, 320) == 0.5
     assert sin2_frac(3, 8) == pytest.approx(math.sin(3 * math.pi / 8) ** 2)
+    # arrays, with indices outside [0, M) folded mod M, and every scalar
+    # reading equal to its array element
+    for m in (1, 2, 4, 7, 8, 320, 1 << 20, (1 << 20) + 2):
+        ys = np.concatenate([np.arange(-9, 10), m // 4 + np.arange(-2, 3),
+                             m // 2 + np.arange(-2, 3), 3 * m // 4 + np.arange(-2, 3),
+                             [m - 1, m, m + 1, 5 * m // 4, 2 * m]])
+        out = sin2_frac(ys, m)
+        assert out.shape == ys.shape
+        dist = np.minimum(ys % m, m - ys % m)
+        assert np.all(out[dist == 0] == 0.0)
+        assert np.all(out[2 * dist == m] == 1.0)
+        assert np.all(out[4 * dist == m] == 0.5)
+        assert np.allclose(out, np.sin(np.pi * ys / m) ** 2, rtol=0, atol=1e-12)
+        assert [sin2_frac(int(y), m) for y in ys] == out.tolist()
+
+
+def _median_amplitudes(gen, m):
+    # 1 to 6 amplitudes from a pool of degenerate, on-grid, quarter-turn and
+    # generic ones
+    j = int(gen.integers(0, m // 2 + 1))
+    pool = [0.0, 1.0, 0.5, math.sin(math.pi / 4) ** 2, math.sin(math.pi * j / m) ** 2,
+            math.sin(math.pi * (m // 4) / m) ** 2, float(gen.random()), float(gen.random()) ** 4]
+    return [pool[i] for i in gen.integers(0, len(pool), int(gen.integers(1, 7)))]
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.25, 1 / 16, 0.3], ids=["14", "9", "17", "8"])
+def test_aest_median_fold_matches_sorted_readout(delta):
+    # medians taken on the phase distances min(y, M - y), then read out, equal
+    # the lower medians of the sorted readings of the same draws
+    log_term = math.log(1 / delta)
+    copies = math.ceil(6 * log_term)
+    assert copies == {0.1: 14, 0.25: 9, 1 / 16: 17, 0.3: 8}[delta]
+    gen = np.random.default_rng(copies)
+    for case in range(300):
+        m = int(gen.choice([7, 8, 9, 12, 16, 31, 64, 273, 1024, 4097]))
+        n = (m - 0.5) * log_term / (2 * math.pi)  # a register of exactly M points
+        ps = _median_amplitudes(gen, m)
+        got = aest_median(ps, n, delta, RandomSource(case), ExperimentCounter(), 2)
+        ys = _phase_draws(ps, m, RandomSource(case).gen, copies)
+        want = np.sort(sin2_frac(ys, m), axis=1)[:, (copies - 1) // 2]
+        assert got.tolist() == want.tolist(), (m, ps)
 
 
 def test_aest_sample_degenerate_amplitudes():
