@@ -493,34 +493,40 @@ def seq_relative_est(
     refinement with time parameter
     refine_time_coeff * max(sqrt(var_probe), sqrt(eps*mu_rough)) / (eps*mu_rough)
     and fixed failure 1/16. The output is the median of the refinements.
-    A repetition whose rough stage was interrupted contributes 0.
+    A repetition whose rough stage was interrupted contributes 0. Every
+    stage charges the caller's counter. The probe's cap is the smaller of
+    its stop budget and the counter's remainder; a probe that spends its
+    whole cap counts as stopped and gives var_probe = 0.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"relative error must be in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
-    _unit_mean(qvar)
-    pair_dist = pair_square_diff(qvar.dist)
+    mu = _unit_mean(qvar)
+    var = truncated_mean(pair_square_diff(qvar.dist), 0.0, 1.0)
     reps = math.ceil(32 * math.log(1.0 / delta))
-    tracker = _StageTracker(qvar.counter)
+    counter, walk, measure = qvar.counter, qvar.pair_cost(), qvar.cost_measure
+    tracker = _StageTracker(counter)
     outputs: list[float] = []
-    for i in range(reps):
-        rough = seq_bern_est(qvar, rng)
+    for _ in range(reps):
+        mu_rough, _ = seq_aest(mu, rng, counter, walk, measure)
         tracker.close("rough_mean")
-        mu_rough = rough.estimate
         if mu_rough <= 0.0:
             # exhausted rough stage: this repetition votes 0
             outputs.append(0.0)
             continue
 
-        probe_budget = math.ceil(profile.probe_budget_coeff / math.sqrt(eps * mu_rough))
-        probe_counter = qvar.counter.child(probe_budget)
-        probe = seq_bern_est(
-            qvar.with_dist(pair_dist).with_counter(probe_counter), rng
-        )
-        qvar.counter.absorb(probe_counter)
+        # the probe: one sequential amplification of the pair's mean, read as
+        # 1/T^2 off its T amplification steps, as seq_aest reads it
+        cap = math.ceil(profile.probe_budget_coeff / math.sqrt(eps * mu_rough))
+        rem = counter.remaining()
+        if rem is not None:
+            cap = min(cap, rem)
+        (k,), oracle, aa, _ = amplify_chain(None, [var], 0, [cap], walk, measure,
+                                            rng.gen, [], 1)
+        counter.charge(oracle, aa)
         tracker.close("variance_probe")
-        var_probe = 0.0 if probe_counter.interrupted else probe.estimate
+        var_probe = 1.0 / (aa * aa) if k == 1 and oracle < cap else 0.0
 
         n_refine = profile.refine_time_coeff * max(
             math.sqrt(var_probe) / (eps * mu_rough),
@@ -530,7 +536,7 @@ def seq_relative_est(
         refined = subgauss_est(qvar, n_refine, 1.0 / 16.0, profile, rng)
         tracker.close("refinement")
         outputs.append(refined.estimate)
-        if qvar.counter.interrupted:
+        if counter.interrupted:
             break
     estimate = lower_median(outputs) if outputs else 0.0
     return tracker.report(estimate)

@@ -415,8 +415,8 @@ def verify_ae(max_m: int = 32) -> dict:
     20-amplitude panel; returns the worst total-variation distance and the
     per-case table.
     """
-    if max_m > 32:
-        raise ValueError("statevector reference is intended for M <= 32")
+    if not 2 <= max_m <= 32:
+        raise ValueError(f"max_m must be in [2, 32] (registers 2 to 32), got {max_m}")
     from .kernels import ae_outcome_dist
 
     cases = []

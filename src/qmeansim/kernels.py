@@ -100,25 +100,6 @@ class ExperimentCounter:
             self.interrupted = True
         return True
 
-    def child(self, budget: int | None = None) -> "ExperimentCounter":
-        """A fresh counter capped by ``budget`` and by this counter's remainder."""
-        rem = self.remaining()
-        if budget is None:
-            cap = rem
-        elif rem is None:
-            cap = int(budget)
-        else:
-            cap = min(int(budget), rem)
-        return ExperimentCounter(budget=cap)
-
-    def absorb(self, other: "ExperimentCounter") -> None:
-        """Fold a child's tallies back in, re-checking this counter's budget."""
-        self.oracle_experiments += other.oracle_experiments
-        self.aa_applications += other.aa_applications
-        if self.budget is not None and self.oracle_experiments >= self.budget:
-            self.oracle_experiments = min(self.oracle_experiments, self.budget)
-            self.interrupted = True
-
     def snapshot(self) -> "ExperimentCounter":
         return ExperimentCounter(
             self.oracle_experiments, self.aa_applications, self.budget, self.interrupted
@@ -150,9 +131,6 @@ class QVar:
 
     def with_dist(self, dist: FiniteDist) -> "QVar":
         return QVar(dist, self.counter, self.cost_u, self.cost_oracle, self.cost_measure)
-
-    def with_counter(self, counter: ExperimentCounter) -> "QVar":
-        return QVar(self.dist, counter, self.cost_u, self.cost_oracle, self.cost_measure)
 
 
 @dataclass(frozen=True)
@@ -191,15 +169,16 @@ def _round_table() -> tuple[list[int], list[int]]:
 @lru_cache(maxsize=8)
 def _burn_schedule(per_app: int, measure: int) -> tuple[list[int], list[int], list[int]]:
     # Static per-round cost schedule for zero-amplitude runs (every round
-    # fails, so draws are skipped and each round uses its grid's lower end):
-    # cumulative oracle and amplification costs and the round counts, up to
-    # a cumulative oracle cost of 1e18.
+    # fails, so draws are skipped and each round uses its grid's lower end
+    # from _round_table): cumulative oracle and amplification costs and the
+    # round counts, up to a cumulative oracle cost of 1e18.
     cum_oracle: list[int] = []
     cum_aa: list[int] = []
     ns: list[int] = []
     total = aa = 0
-    while total < 1e18:
-        n = math.ceil(GROWTH ** len(ns))
+    for n in _round_table()[0]:
+        if total >= 1e18:
+            break
         ns.append(n)
         total += (2 * n + 1) * per_app + measure
         aa += 3 * n + 1

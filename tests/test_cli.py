@@ -23,6 +23,15 @@ def test_verify_ae_command(capsys):
     assert "max total-variation" in out.out
 
 
+@pytest.mark.parametrize("max_m", ["1", "0", "-4", "33"])
+def test_verify_ae_rejects_register_bound_outside_sweep(max_m, capsys):
+    # below the smallest register nothing would be validated
+    code, out = run_cli("verify-ae", "--max-m", max_m, capsys=capsys)
+    assert code == 1
+    assert "max_m must be in [2, 32]" in out.err
+    assert "cases" not in out.out
+
+
 def test_sweep_and_summarize_and_slope(tmp_path, capsys):
     cfg = {
         "estimator": "empirical",

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmeansim import (
@@ -20,6 +20,7 @@ from qmeansim import (
     default_profile,
     make_dist,
     named_dist,
+    pair_square_diff,
     quantile_est,
     relative_est,
     seq_bern_est,
@@ -27,7 +28,7 @@ from qmeansim import (
     subgauss_est,
     theoretical_profile,
 )
-from qmeansim.estimators import _StageTracker, _tail_list
+from qmeansim.estimators import _MAX_REFINE_TIME, _StageTracker, _tail_list
 from qmeansim.kernels import GROWTH, amplify_chain, lower_median
 
 
@@ -428,6 +429,79 @@ def test_quantile_matches_per_repetition_loop(profile, probs, p, delta, budget, 
     assert fused.counter == looped.counter
     # both leave the stream at the same place
     assert fused_rng.gen.random() == looped_rng.gen.random()
+
+
+def _seq_relative_nested(qv, eps, delta, profile, rng):
+    # The loop seq_relative_est flattens: the rough and probe stages go
+    # through the seq_bern_est entry point, the probe on a fresh counter
+    # capped by its stop budget and the caller's remainder, whose tallies are
+    # then folded into the caller's counter, re-checking its budget.
+    counter = qv.counter
+    pair = pair_square_diff(qv.dist)
+    reps = math.ceil(32 * math.log(1.0 / delta))
+    tracker = _StageTracker(counter)
+    outputs = []
+    for _ in range(reps):
+        mu_rough = seq_bern_est(qv, rng).estimate
+        tracker.close("rough_mean")
+        if mu_rough <= 0.0:
+            outputs.append(0.0)
+            continue
+        probe_budget = math.ceil(profile.probe_budget_coeff / math.sqrt(eps * mu_rough))
+        rem = counter.remaining()
+        child = ExperimentCounter(budget=probe_budget if rem is None else min(probe_budget, rem))
+        probe = seq_bern_est(QVar(pair, child, qv.cost_u, qv.cost_oracle, qv.cost_measure), rng)
+        counter.oracle_experiments += child.oracle_experiments
+        counter.aa_applications += child.aa_applications
+        if counter.budget is not None and counter.oracle_experiments >= counter.budget:
+            counter.oracle_experiments = min(counter.oracle_experiments, counter.budget)
+            counter.interrupted = True
+        tracker.close("variance_probe")
+        var_probe = 0.0 if child.interrupted else probe.estimate
+        n_refine = min(profile.refine_time_coeff * max(math.sqrt(var_probe) / (eps * mu_rough),
+                                                       1.0 / math.sqrt(eps * mu_rough)),
+                       _MAX_REFINE_TIME)
+        outputs.append(subgauss_est(qv, n_refine, 1.0 / 16.0, profile, rng).estimate)
+        tracker.close("refinement")
+        if counter.interrupted:
+            break
+    return tracker.report(lower_median(outputs) if outputs else 0.0)
+
+
+# A probe that succeeds exactly on its stop budget, which changes the
+# refinement, and a probe capped by the counter's remainder.
+@example(probs=[20, 3], eps=0.10564031292060048, delta=0.0671203393199393, budget=None, pre=0,
+         cost_u=1, cost_oracle=3, cost_measure=2, seed=2078805149,
+         probe_coeff=1.1268878982278303)
+@example(probs=[1, 16, 18, 18, 9], eps=0.45313631381557246, delta=0.1595622801845067,
+         budget=18, pre=0, cost_u=1, cost_oracle=2, cost_measure=2, seed=3624582912,
+         probe_coeff=None)
+@settings(max_examples=150, deadline=None)
+@given(eps=st.floats(0.05, 0.9), probe_coeff=st.one_of(st.none(), st.floats(0.1, 10.0)),
+       **BUDGETED)
+def test_seq_relative_matches_nested_counter_loop(profile, probs, eps, delta, budget, pre,
+                                                  cost_u, cost_oracle, cost_measure, seed,
+                                                  probe_coeff):
+    # support {0, 1/k, ..., 1}: a point mass at 0 has zero mean. A small probe
+    # coefficient (None: the calibrated one) lets probes reach their stop budget.
+    if probe_coeff is not None:
+        profile = replace(profile, probe_budget_coeff=probe_coeff)
+    k = max(len(probs) - 1, 1)
+    args = (np.arange(len(probs)) / k, probs, budget, pre, cost_u, cost_oracle, cost_measure)
+    flat, nested = budgeted_qvar(*args), budgeted_qvar(*args)
+    if budget is None and len(probs) == 1:
+        with pytest.raises(ValueError, match="budget is required"):
+            seq_relative_est(flat, eps, delta, profile, RandomSource(seed))
+        return
+    flat_rng, nested_rng = RandomSource(seed), RandomSource(seed)
+    got = seq_relative_est(flat, eps, delta, profile, flat_rng)
+    want = _seq_relative_nested(nested, eps, delta, profile, nested_rng)
+    assert got.estimate == want.estimate
+    assert list(got.stage_costs.items()) == list(want.stage_costs.items())
+    assert got.interrupted_stages == want.interrupted_stages
+    assert got.counter_snapshot == want.counter_snapshot
+    assert flat.counter == nested.counter
+    assert flat_rng.gen.random() == nested_rng.gen.random()
 
 
 def test_quantile_rejects_bad_args(profile):
