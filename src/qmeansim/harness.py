@@ -416,7 +416,7 @@ def verify_ae(max_m: int = 32) -> dict:
     per-case table.
     """
     if not 2 <= max_m <= 32:
-        raise ValueError(f"max_m must be in [2, 32] (registers 2 to 32), got {max_m}")
+        raise ValueError(f"max_m must be in [2, 32], got {max_m}")
     from .kernels import ae_outcome_dist
 
     cases = []
