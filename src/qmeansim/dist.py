@@ -194,10 +194,6 @@ def conditional_above(d: FiniteDist, x: float) -> tuple[FiniteDist | None, float
     ``x`` may be +-inf. An empty conditional is signalled as (None, 0.0),
     not an error.
     """
-    if len(d) == 1:
-        if x < d.values[0]:
-            return d, float(d.probs[0])
-        return None, 0.0
     idx = int(np.searchsorted(d.values, x, side="right"))
     if idx >= len(d):
         return None, 0.0
@@ -208,12 +204,8 @@ def conditional_above(d: FiniteDist, x: float) -> tuple[FiniteDist | None, float
 
 
 def sample(d: FiniteDist, rng: RandomSource) -> float:
-    """One draw from ``d``; deterministic under a fixed rng state."""
-    if len(d) == 1:
-        return float(d.values[0])
-    u = float(rng.gen.random())
-    idx = min(int(np.searchsorted(d._cum, u, side="right")), len(d) - 1)
-    return float(d.values[idx])
+    """One draw from ``d``: the one-draw case of :func:`sample_n`."""
+    return float(sample_n(d, rng, 1)[0])
 
 
 def sample_n(d: FiniteDist, rng: RandomSource, n: int) -> np.ndarray:

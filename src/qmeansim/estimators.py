@@ -63,13 +63,13 @@ __all__ = [
     "default_profile",
 ]
 
-# Desk-scale time factors used by calibrated profiles. The worst-case
-# couplings (layer factor 600/sqrt(quantile_order_factor), refinement factor
+# Desk-scale time factors of calibrated profiles. The worst-case couplings
+# (layer factor 600/sqrt(quantile_order_factor), refinement factor
 # 4(1+c)/sqrt(1-c)) come to about 18000 and 100 on the calibrated constants,
 # multiplying the simulated cost of those stages by thousands and by about
 # 13 for accuracy the target tolerances do not need, so calibrated profiles
-# substitute fixed factors validated by the statistical acceptance suite.
-# Theoretical profiles keep the couplings.
+# take fixed factors validated by the statistical acceptance suite.
+# Theoretical profiles take the couplings.
 _DESK_LAYER_TIME_FACTOR = 2.0
 _DESK_REFINE_TIME_FACTOR = 8.0
 
@@ -84,93 +84,98 @@ _MAX_REFINE_TIME = 65536.0
 class ConstantProfile:
     """Universal constants steering budgets and time parameters.
 
-    ``mode = "theoretical"`` profiles satisfy the coupling identities between
-    the constants (checked at construction); ``mode = "calibrated"`` profiles
-    carry Monte-Carlo measurements plus desk-scale time factors.
+    A profile is set by five measured constants and its mode. The five
+    schedule constants are derived at construction from their couplings,
+    except that ``mode = "calibrated"`` profiles take fixed desk-scale
+    layer and refinement time factors.
 
-    Fields:
+    Measured:
       sampler_low_coeff / sampler_mean_coeff: lower/upper coefficients for
         the conditional sampler's experiment count T: the 10th percentile of
         T stays above low/sqrt(tail) while E[T] <= mean/sqrt(tail).
-      quantile_order_factor: factor c < 1 such that a quantile estimate of
-        order p lands in [Q(p), Q(c*p)] with high probability.
-      quantile_budget_coeff: per-repetition experiment cap is
-        ceil(coeff / sqrt(p)) in the quantile estimator.
-      layer_time_factor: multiplier on the per-layer time parameter of the
-        sub-Gaussian estimator's windowed-mean ladder.
-      probe_budget_coeff: stop coefficient for the sequential estimator's
-        variance probe, cap = ceil(coeff / sqrt(eps * mu_rough)).
-      refine_time_coeff: multiplier on the refinement time parameter of the
-        sequential relative estimator.
-      seq_rel_err: relative-error level of the sequential rough estimator
-        (holds with probability >= 7/8).
+      seq_rel_err: relative-error level, below 1, of the sequential rough
+        estimator (holds with probability >= 7/8).
       seq_cost_sq_coeff: E[T^2] = E[1/p_tilde] <= coeff / p for the
         sequential estimator.
       seq_sqrt_coeff: E[sqrt(p_tilde)] = E[1/T] <= coeff * sqrt(p).
+
+    Derived:
+      quantile_order_factor: factor c = low^2/(mean^2*sqrt(191)) < 1 such
+        that a quantile estimate of order p lands in [Q(p), Q(c*p)] with
+        high probability.
+      quantile_budget_coeff: 190*mean; the per-repetition experiment cap is
+        ceil(coeff / sqrt(p)) in the quantile estimator.
+      layer_time_factor: 600/sqrt(c), or 2 when calibrated; multiplier on
+        the per-layer time parameter of the sub-Gaussian estimator's
+        windowed-mean ladder.
+      probe_budget_coeff: 16*seq_cost_sq_coeff*sqrt(1 + seq_rel_err); stop
+        coefficient for the sequential estimator's variance probe,
+        cap = ceil(coeff / sqrt(eps * mu_rough)).
+      refine_time_coeff: 4(1 + seq_rel_err)/sqrt(1 - seq_rel_err), or 8
+        when calibrated; multiplier on the refinement time parameter of the
+        sequential relative estimator.
 
     Every log(1/delta) is natural; the dyadic ladder depth is base 2.
     """
 
     sampler_low_coeff: float
     sampler_mean_coeff: float
-    quantile_order_factor: float
-    quantile_budget_coeff: float
-    layer_time_factor: float
-    probe_budget_coeff: float
-    refine_time_coeff: float
     seq_rel_err: float
     seq_cost_sq_coeff: float
     seq_sqrt_coeff: float
     mode: str = "calibrated"
+    quantile_order_factor: float = field(init=False)
+    quantile_budget_coeff: float = field(init=False)
+    layer_time_factor: float = field(init=False)
+    probe_budget_coeff: float = field(init=False)
+    refine_time_coeff: float = field(init=False)
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.name == "mode":
+            if not f.init or f.name == "mode":
                 continue
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
                 raise ValueError(f"{f.name} must be a positive number, got {value!r}")
-        if not self.quantile_order_factor < 1:
-            raise ValueError("quantile_order_factor must be < 1")
         if not self.sampler_low_coeff < self.sampler_mean_coeff:
             raise ValueError("sampler_low_coeff must be below sampler_mean_coeff")
+        if not self.seq_rel_err < 1:
+            raise ValueError(f"seq_rel_err must be below 1, got {self.seq_rel_err!r}")
         if self.mode not in ("theoretical", "calibrated"):
             raise ValueError(f"unknown profile mode {self.mode!r}")
+        err = self.seq_rel_err
+        c = self.sampler_low_coeff**2 / (self.sampler_mean_coeff**2 * math.sqrt(191))
+        self.quantile_order_factor = c
+        self.quantile_budget_coeff = 190 * self.sampler_mean_coeff
+        self.probe_budget_coeff = 16 * self.seq_cost_sq_coeff * math.sqrt(1 + err)
         if self.mode == "theoretical":
-            self._check_couplings()
-
-    def _check_couplings(self) -> None:
-        pairs = _couplings(self.sampler_low_coeff, self.sampler_mean_coeff,
-                           self.seq_rel_err, self.seq_cost_sq_coeff)
-        for name, want in pairs.items():
-            got = getattr(self, name)
-            if not math.isclose(got, want, rel_tol=1e-9):
-                raise ValueError(f"theoretical profile breaks coupling for {name}: "
-                                 f"{got} != {want}")
+            self.layer_time_factor = 600 / math.sqrt(c)
+            self.refine_time_coeff = 4 * (1 + err) / math.sqrt(1 - err)
+        else:
+            self.layer_time_factor = _DESK_LAYER_TIME_FACTOR
+            self.refine_time_coeff = _DESK_REFINE_TIME_FACTOR
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ConstantProfile":
+        """Parse a profile; a derived constant may be stated but must match."""
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed profile: expected an object, got {data!r}")
+        stated = {f.name: data.pop(f.name) for f in fields(cls) if not f.init and f.name in data}
         try:
-            return cls(**json.loads(text))
-        except TypeError as exc:  # a missing or unknown key, or not an object
+            profile = cls(**data)
+        except TypeError as exc:  # a missing or unknown key
             raise ValueError(f"malformed profile: {exc}") from exc
-
-
-def _couplings(c0: float, c1: float, seq_rel_err: float,
-               seq_cost_sq_coeff: float) -> dict[str, float]:
-    # The five constants the analysis ties to the sampler coefficients c0 <
-    # c1 and the sequential-estimation envelopes.
-    c = c0**2 / (c1**2 * math.sqrt(191))
-    return {
-        "quantile_order_factor": c,
-        "quantile_budget_coeff": 190 * c1,
-        "layer_time_factor": 600 / math.sqrt(c),
-        "probe_budget_coeff": 16 * seq_cost_sq_coeff * math.sqrt(1 + seq_rel_err),
-        "refine_time_coeff": 4 * (1 + seq_rel_err) / math.sqrt(1 - seq_rel_err),
-    }
+        for name, value in stated.items():
+            want = getattr(profile, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isclose(value, want, rel_tol=1e-9)):
+                raise ValueError(f"{name} = {value!r} does not match the value "
+                                 f"{want!r} derived from the profile's constants")
+        return profile
 
 
 def theoretical_profile() -> ConstantProfile:
@@ -180,17 +185,8 @@ def theoretical_profile() -> ConstantProfile:
     constants are existential); the resulting time parameters are far too
     large to run, so this profile serves structural and accounting checks.
     """
-    c0, c1 = 0.1, 20.0
-    seq_err, seq_sq, seq_sqrt = 0.95, 5e4, 10.0
-    return ConstantProfile(
-        sampler_low_coeff=c0,
-        sampler_mean_coeff=c1,
-        seq_rel_err=seq_err,
-        seq_cost_sq_coeff=seq_sq,
-        seq_sqrt_coeff=seq_sqrt,
-        mode="theoretical",
-        **_couplings(c0, c1, seq_err, seq_sq),
-    )
+    return ConstantProfile(sampler_low_coeff=0.1, sampler_mean_coeff=20.0, seq_rel_err=0.95,
+                           seq_cost_sq_coeff=5e4, seq_sqrt_coeff=10.0, mode="theoretical")
 
 
 def default_profile(name: str = "calibrated") -> ConstantProfile:
@@ -555,14 +551,12 @@ def calibrate_constants(
 
     * sampler_mean_coeff: max over the grid of sqrt(p) * mean(T_oracle);
     * sampler_low_coeff: min over the grid of sqrt(p) * 10th-percentile(T);
-    * quantile_order_factor / quantile_budget_coeff via their couplings;
     * the sequential-estimation envelopes seq_rel_err (worst 7/8-quantile of
-      the relative error of 1/T_aa^2), seq_cost_sq_coeff (worst p*E[T_aa^2])
-      and seq_sqrt_coeff (worst E[1/T_aa]/sqrt(p));
-    * probe_budget_coeff via its coupling;
-    * fixed desk-scale layer and refinement time factors (the worst-case
-      couplings multiply simulated costs for no needed accuracy; see module
-      notes).
+      the relative error of 1/T_aa^2, at most 0.999), seq_cost_sq_coeff
+      (worst p*E[T_aa^2]) and seq_sqrt_coeff (worst E[1/T_aa]/sqrt(p)).
+
+    The profile derives its schedule constants from these (see
+    :class:`ConstantProfile`).
 
     Deterministic for a fixed ``rng``.
     """
@@ -595,16 +589,11 @@ def calibrate_constants(
     c0 = min(low_coeffs)
     if not c0 < c1:
         c0 = 0.9 * c1
-    seq_err = min(max(seq_errs), 0.999)
-    seq_sq = max(seq_sqs)
     return ConstantProfile(
         sampler_low_coeff=c0,
         sampler_mean_coeff=c1,
-        seq_rel_err=seq_err,
-        seq_cost_sq_coeff=seq_sq,
+        seq_rel_err=min(max(seq_errs), 0.999),
+        seq_cost_sq_coeff=max(seq_sqs),
         seq_sqrt_coeff=max(seq_sqrts),
         mode="calibrated",
-        **{**_couplings(c0, c1, seq_err, seq_sq),
-           "layer_time_factor": _DESK_LAYER_TIME_FACTOR,
-           "refine_time_coeff": _DESK_REFINE_TIME_FACTOR},
     )

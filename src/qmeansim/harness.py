@@ -65,6 +65,12 @@ class EstimatorError(ValueError):
     """An estimator failed after the first trial of a grid point succeeded."""
 
 
+def _finite_number(value) -> bool:
+    # bools are not numbers here
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
+
+
 @dataclass
 class SweepConfig:
     estimator: str
@@ -87,11 +93,18 @@ class SweepConfig:
             value = getattr(self, key)  # bools are not integers here
             if not (key == "budget" and value is None) and (type(value) is not int or value < low):
                 raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-        if not self.grid or any(not v for v in self.grid.values()):
+        if not isinstance(self.grid, dict) or not self.grid or not all(self.grid.values()):
             raise ConfigError("grid must be non-empty with non-empty value lists")
-        for key in self.grid:
+        for key, values in self.grid.items():
             if key not in _GRID_KEYS:
                 raise ConfigError(f"unknown grid key {key!r}")
+            if not isinstance(values, list) or not all(map(_finite_number, values)):
+                raise ConfigError(f"grid key {key!r} needs a list of finite numbers, "
+                                  f"got {values!r}")
+        for key in ("ch", "a", "b"):
+            value = getattr(self, key)
+            if value is not None and not _finite_number(value):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
         for kind, missing in (("grid", [k for k in spec.grid if k not in self.grid]),
                               ("scalar", [k for k in spec.scalars if getattr(self, k) is None])):
             if missing:

@@ -116,6 +116,24 @@ def test_sweep_reports_bad_profile(tmp_path, capsys, profile, named):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("seq_rel_err", [1.0, 1.5])
+def test_sweep_rejects_seq_rel_err_of_one_or_more(tmp_path, capsys, seq_rel_err):
+    # the theoretical refinement factor 4(1 + err)/sqrt(1 - err) needs err < 1
+    theoretical = json.loads(qmeansim.theoretical_profile().to_json())
+    prof_path = tmp_path / "prof.json"
+    prof_path.write_text(json.dumps({**theoretical, "seq_rel_err": seq_rel_err}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"estimator": "subgauss", "distribution": "point:5",
+                                    "grid": {"n": [32], "delta": [0.1]}, "trials": 1,
+                                    "seed": 1, "profile": str(prof_path)}))
+    out_path = tmp_path / "x.csv"
+    code, out = run_cli("sweep", "--config", str(cfg_path), "--out", str(out_path),
+                        capsys=capsys)
+    assert code == 1
+    assert out.err.startswith("error:") and "seq_rel_err must be below 1" in out.err
+    assert not out_path.exists()
+
+
 def test_sweep_estimator_error_exits_3_and_leaves_no_csv(tmp_path, capsys, monkeypatch):
     original, calls = harness.subgauss_est, []
 

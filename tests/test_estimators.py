@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -63,21 +64,13 @@ def test_theoretical_profile_couplings_hold():
 
 
 def test_theoretical_profile_rejects_broken_coupling():
-    prof = theoretical_profile()
-    with pytest.raises(ValueError, match="coupling"):
-        ConstantProfile(
-            sampler_low_coeff=prof.sampler_low_coeff,
-            sampler_mean_coeff=prof.sampler_mean_coeff,
-            quantile_order_factor=prof.quantile_order_factor,
-            quantile_budget_coeff=prof.quantile_budget_coeff + 1,
-            layer_time_factor=prof.layer_time_factor,
-            probe_budget_coeff=prof.probe_budget_coeff,
-            refine_time_coeff=prof.refine_time_coeff,
-            seq_rel_err=prof.seq_rel_err,
-            seq_cost_sq_coeff=prof.seq_cost_sq_coeff,
-            seq_sqrt_coeff=prof.seq_sqrt_coeff,
-            mode="theoretical",
-        )
+    theoretical = json.loads(theoretical_profile().to_json())
+    theoretical["quantile_budget_coeff"] += 1
+    with pytest.raises(ValueError, match="quantile_budget_coeff"):
+        ConstantProfile.from_json(json.dumps(theoretical))
+    calibrated = json.loads(default_profile().to_json())
+    with pytest.raises(ValueError, match="layer_time_factor"):
+        ConstantProfile.from_json(json.dumps({**calibrated, "layer_time_factor": 4.0}))
 
 
 def test_profile_roundtrip(profile):
@@ -245,7 +238,8 @@ def test_quantile_chain_end_law(profile, probs, cap, weights, chi_square_ok):
     cost_u, cost_oracle, cost_measure = weights
     law = _chain_end_law(d, cap, cost_u + cost_oracle, cost_measure)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
-    prof = replace(profile, quantile_budget_coeff=cap / 2)
+    prof = replace(profile)
+    prof.quantile_budget_coeff = cap / 2
     rng = RandomSource(cap)
     counts = np.zeros(len(probs) + 1)
     for _ in range(20_000):
@@ -485,7 +479,8 @@ def test_seq_relative_matches_nested_counter_loop(profile, probs, eps, delta, bu
     # support {0, 1/k, ..., 1}: a point mass at 0 has zero mean. A small probe
     # coefficient (None: the calibrated one) lets probes reach their stop budget.
     if probe_coeff is not None:
-        profile = replace(profile, probe_budget_coeff=probe_coeff)
+        profile = replace(profile)
+        profile.probe_budget_coeff = probe_coeff
     k = max(len(probs) - 1, 1)
     args = (np.arange(len(probs)) / k, probs, budget, pre, cost_u, cost_oracle, cost_measure)
     flat, nested = budgeted_qvar(*args), budgeted_qvar(*args)

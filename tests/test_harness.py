@@ -103,6 +103,31 @@ def test_config_accepts_integer_field_bounds():
     assert config(budget=None).budget is None
 
 
+RELATIVE = {"estimator": "relative", "grid": {"epsilon": [0.1], "delta": [0.1]}}
+BERN = {"estimator": "bern", "grid": {"n": [50], "delta": [0.1]}, "a": 0.0, "b": 1.0}
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"grid": {"n": ["abc"], "delta": [0.1]}}, "'n'"),
+    ({"grid": {"n": [32], "delta": [None]}}, "'delta'"),
+    ({"grid": {"n": [32], "delta": "0.1"}}, "'delta'"),
+    ({"grid": {"n": [1e400], "delta": [0.1]}}, "'n'"),
+    ({"grid": {"n": [32], "delta": [float("nan")]}}, "'delta'"),
+    ({"grid": {"n": [True], "delta": [0.1]}}, "'n'"),
+    ({"grid": [32]}, "grid"),
+    ({**RELATIVE, "ch": "x"}, "ch"),
+    ({**RELATIVE, "ch": True}, "ch"),
+    ({**BERN, "a": [0.0]}, "a"),
+    ({**BERN, "b": float("inf")}, "b"),
+    ({"ch": float("nan")}, "ch"),
+], ids=["str", "null", "not-a-list", "overflow", "nan", "bool", "grid-list", "ch-str",
+        "ch-bool", "a-list", "b-inf", "unused-ch-nan"])
+def test_config_rejects_non_numeric_values(overrides, key):
+    with pytest.raises(ConfigError) as info:
+        config(**overrides)
+    assert key in str(info.value)
+
+
 def test_config_rejects_empty_grid():
     with pytest.raises(ConfigError, match="grid"):
         config(grid={})
