@@ -66,9 +66,9 @@ class EstimatorError(ValueError):
 
 
 def _finite_number(value) -> bool:
-    # bools are not numbers here
+    # bools are not numbers here, nor ints too large for a float
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -math.inf < value < math.inf)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass
@@ -85,10 +85,13 @@ class SweepConfig:
     b: float | None = None
 
     def __post_init__(self) -> None:
-        spec = ESTIMATORS.get(self.estimator)
+        spec = ESTIMATORS.get(self.estimator) if isinstance(self.estimator, str) else None
         if spec is None:
             raise ConfigError(f"unknown estimator {self.estimator!r}; "
                               f"choose one of {', '.join(ESTIMATORS)}")
+        for key in ("distribution", "profile"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"{key} must be a string, got {getattr(self, key)!r}")
         for key, low in (("trials", 1), ("seed", 0), ("budget", 0)):
             value = getattr(self, key)  # bools are not integers here
             if not (key == "budget" and value is None) and (type(value) is not int or value < low):

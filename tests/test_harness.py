@@ -112,6 +112,7 @@ BERN = {"estimator": "bern", "grid": {"n": [50], "delta": [0.1]}, "a": 0.0, "b":
     ({"grid": {"n": [32], "delta": [None]}}, "'delta'"),
     ({"grid": {"n": [32], "delta": "0.1"}}, "'delta'"),
     ({"grid": {"n": [1e400], "delta": [0.1]}}, "'n'"),
+    ({"grid": {"n": [10**400], "delta": [0.1]}}, "'n'"),
     ({"grid": {"n": [32], "delta": [float("nan")]}}, "'delta'"),
     ({"grid": {"n": [True], "delta": [0.1]}}, "'n'"),
     ({"grid": [32]}, "grid"),
@@ -120,12 +121,21 @@ BERN = {"estimator": "bern", "grid": {"n": [50], "delta": [0.1]}, "a": 0.0, "b":
     ({**BERN, "a": [0.0]}, "a"),
     ({**BERN, "b": float("inf")}, "b"),
     ({"ch": float("nan")}, "ch"),
-], ids=["str", "null", "not-a-list", "overflow", "nan", "bool", "grid-list", "ch-str",
+], ids=["str", "null", "not-a-list", "overflow", "big-int", "nan", "bool", "grid-list", "ch-str",
         "ch-bool", "a-list", "b-inf", "unused-ch-nan"])
 def test_config_rejects_non_numeric_values(overrides, key):
     with pytest.raises(ConfigError) as info:
         config(**overrides)
     assert key in str(info.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("estimator", ["subgauss"]), ("distribution", 5), ("profile", 7), ("profile", None),
+])
+def test_config_rejects_non_string_names(key, value):
+    # a profile of 7 would otherwise be opened as file descriptor 7
+    with pytest.raises(ConfigError, match=key):
+        config(**{key: value})
 
 
 def test_config_rejects_empty_grid():
