@@ -32,7 +32,7 @@ from .estimators import (
     subgauss_est,
 )
 from .generators import resolve_distribution
-from .kernels import ExperimentCounter, QVar
+from .kernels import SAMPLE_COST, ExperimentCounter, QVar
 from .qpe_ref import qpe_statevector_dist, total_variation
 from .rng import RandomSource
 
@@ -96,8 +96,8 @@ class SweepConfig:
             value = getattr(self, key)  # bools are not integers here
             if not (key == "budget" and value is None) and (type(value) is not int or value < low):
                 raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-        if not isinstance(self.grid, dict) or not self.grid or not all(self.grid.values()):
-            raise ConfigError("grid must be non-empty with non-empty value lists")
+        if not isinstance(self.grid, dict) or not all(self.grid.values()):
+            raise ConfigError("grid must be an object with non-empty value lists")
         for key, values in self.grid.items():
             if key not in _GRID_KEYS:
                 raise ConfigError(f"unknown grid key {key!r}")
@@ -172,10 +172,10 @@ def _fmt(value) -> str:
 
 def _classical(qvar: QVar, n: float, rng: RandomSource, reduce) -> EstimateReport:
     # one random experiment is simulated by a state preparation plus a
-    # measurement, two oracle experiments per sample
+    # measurement, SAMPLE_COST oracle experiments per sample
     n = int(n)
     samples = sample_n(qvar.dist, rng, n)
-    qvar.counter.charge(n * (qvar.cost_u + qvar.cost_measure))
+    qvar.counter.charge(n * SAMPLE_COST)
     return EstimateReport(reduce(samples), qvar.counter.snapshot())
 
 

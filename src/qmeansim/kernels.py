@@ -60,6 +60,13 @@ __all__ = [
 # Growth rate of the sequential amplification schedule.
 GROWTH = 1.1
 
+# Oracle experiments per unit of work: a walk application (the state
+# preparation and one comparison or rotation oracle), a measurement, and a
+# classical sample (a state preparation and a measurement).
+WALK_COST = 2
+MEASURE_COST = 1
+SAMPLE_COST = 2
+
 
 @dataclass
 class ExperimentCounter:
@@ -110,27 +117,13 @@ class ExperimentCounter:
 class QVar:
     """A finite distribution exposed through simulated quantum oracles.
 
-    ``cost_u``/``cost_oracle``/``cost_measure`` weigh one application of the
-    state preparation, of a comparison/rotation oracle, and of a measurement.
-    Composite walk operators apply the state preparation together with one
-    oracle, so they charge ``pair_cost()`` per application.
+    Every use of it is charged to ``counter`` at the fixed unit costs:
+    ``WALK_COST`` per walk application, ``MEASURE_COST`` per measurement
+    and ``SAMPLE_COST`` per classical sample.
     """
 
     dist: FiniteDist
     counter: ExperimentCounter
-    cost_u: int = 1
-    cost_oracle: int = 1
-    cost_measure: int = 1
-
-    def __post_init__(self) -> None:
-        if min(self.cost_u, self.cost_oracle, self.cost_measure) < 0:
-            raise ValueError("cost weights must be non-negative")
-
-    def pair_cost(self) -> int:
-        return self.cost_u + self.cost_oracle
-
-    def with_dist(self, dist: FiniteDist) -> "QVar":
-        return QVar(dist, self.counter, self.cost_u, self.cost_oracle, self.cost_measure)
 
 
 @dataclass(frozen=True)
@@ -156,136 +149,129 @@ def aamp_success_prob(p: float, n: int) -> float:
 
 
 @lru_cache(maxsize=1)
-def _round_table() -> tuple[list[int], list[int]]:
+def _round_table() -> tuple[list[int], list[int], list[int], list[int]]:
     # Lower ends and sizes of the integer grids {ceil(G^(ell-1)), ...,
     # ceil(G^ell) - 1} of rounds ell = 1..436, each collapsed to its lower end
-    # when empty. Round 436's grid starts past 1e18, beyond any budget.
+    # when empty. Round 436's grid starts past 1e18, beyond any budget. Then
+    # the burn schedule of zero-amplitude runs (every round fails, so draws
+    # are skipped and each round costs its grid's lower end): cumulative
+    # oracle and amplification costs, up to a cumulative oracle cost of 1e18.
     ells = np.arange(1, 437, dtype=float)
     lo = np.ceil(GROWTH ** (ells - 1)).astype(np.int64)
     hi = np.ceil(GROWTH**ells).astype(np.int64) - 1
-    return lo.tolist(), (np.maximum(lo, hi) - lo + 1).tolist()
-
-
-@lru_cache(maxsize=8)
-def _burn_schedule(per_app: int, measure: int) -> tuple[list[int], list[int], list[int]]:
-    # Static per-round cost schedule for zero-amplitude runs (every round
-    # fails, so draws are skipped and each round uses its grid's lower end
-    # from _round_table): cumulative oracle and amplification costs and the
-    # round counts, up to a cumulative oracle cost of 1e18.
-    cum_oracle: list[int] = []
-    cum_aa: list[int] = []
-    ns: list[int] = []
+    los = lo.tolist()
+    burn_oracle: list[int] = []
+    burn_aa: list[int] = []
     total = aa = 0
-    for n in _round_table()[0]:
+    for n in los:
         if total >= 1e18:
             break
-        ns.append(n)
-        total += (2 * n + 1) * per_app + measure
+        total += (2 * n + 1) * WALK_COST + MEASURE_COST
         aa += 3 * n + 1
-        cum_oracle.append(total)
-        cum_aa.append(aa)
-    return cum_oracle, cum_aa, ns
+        burn_oracle.append(total)
+        burn_aa.append(aa)
+    return los, (np.maximum(lo, hi) - lo + 1).tolist(), burn_oracle, burn_aa
 
 
 def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
-                  caps: list[int | None], walk: int, measure: int, gen: np.random.Generator,
+                  caps: list[int | None], gen: np.random.Generator,
                   us: list[float], draws: float) -> tuple[list[int], int, int, int]:
     """Sequential amplitude amplification along chains of conditional draws.
 
     Runs one chain per entry of ``caps``, each from atom ``k``. A draw
     amplifies the tail mass ``tails[k]`` (at most 1) in rounds: round ell
-    draws n uniformly from its grid, costs (2n+1)*walk + measure oracle
-    experiments and 3n+1 amplification steps, and succeeds with probability
+    draws n uniformly from its grid, costs 2n+1 walk applications and a
+    measurement, (2n+1)*WALK_COST + MEASURE_COST oracle experiments, and
+    3n+1 amplification steps, and succeeds with probability
     sin^2((2n+1)*asin(sqrt(tail))). A readout measurement then picks the next
     atom off the cumulative law ``cum`` and moves k above it; with ``cum``
     None a success just adds one to k. A chain stops after ``draws`` draws or
     once its oracle cap (None: no cap) is spent: inside a round, with
     partial-round credit; at a success that leaves no budget for its
     readout; or at an empty tail, which burns the rest on the static
-    schedule of :func:`_burn_schedule` without drawing. Uniforms are popped
-    off ``us``, refilled from ``gen`` in blocks of 64 whenever fewer than 3
-    are left, so chains and calls can share the spares. Returns the end
-    atoms and the summed ``(oracle, aa, rounds)``, and charges nothing.
+    schedule of :func:`_round_table` without drawing. A chain that would
+    run past the table's last round raises ``ValueError``. Uniforms are
+    popped off ``us``, refilled from ``gen`` in blocks of 64 whenever fewer
+    than 3 are left, so chains and calls can share the spares. Returns the
+    end atoms and the summed ``(oracle, aa, rounds)``, and charges nothing.
     """
-    los, sizes = _round_table()
+    los, sizes, burn_oracle, burn_aa = _round_table()
+    walk, measure = WALK_COST, MEASURE_COST
     sin, pop = math.sin, us.pop
     ends: list[int] = []
     oracle_sum = aa = rounds = 0
-    burn = _burn_schedule(walk, measure) if walk > 0 else None
-    for cap in caps:
-        limit = math.inf if cap is None else cap
-        at, spent, left = k, 0, draws
-        while left:
-            tail = tails[at]
-            if not tail > 0.0:
-                if cap is None:
-                    raise ValueError("zero amplitude never succeeds; a budget is required")
-                if walk < 1:
-                    raise ValueError("zero amplitude with a free walk never burns its budget")
-                # only the burn-down is observable, so every round fails and
-                # costs its grid's lower end
-                cum_oracle, cum_aa, ns = burn
-                full = bisect_right(cum_oracle, cap - spent)
-                rem = cap - spent - (cum_oracle[full - 1] if full else 0)
-                f = min(rem // walk, 2 * ns[full] + 1)  # a partial round, credited as below
-                aa += (cum_aa[full - 1] if full else 0) + f + f // 2
-                rounds += full + (rem > 0)
-                spent = cap
-                break
-            theta = math.asin(math.sqrt(tail))
-            r = 0
-            while True:
-                if len(us) < 3:  # room for this round and a readout
-                    us.extend(gen.random(64).tolist())
-                n = los[r] + int(pop() * sizes[r])
-                m = 2 * n + 1
-                oracle = m * walk + measure
-                r += 1
-                if spent + oracle > limit:
-                    # credit the steps paid before the stop: U, then n times
-                    # (reflection, U^-1, U), reflections free at the oracle level
-                    f = min((cap - spent) // walk, m) if walk else 0
-                    aa += f + f // 2
-                    r -= cap == spent
-                    spent, left = cap, 0
+    try:
+        for cap in caps:
+            limit = math.inf if cap is None else cap
+            at, spent, left = k, 0, draws
+            while left:
+                tail = tails[at]
+                if not tail > 0.0:
+                    if cap is None:
+                        raise ValueError("zero amplitude never succeeds; a budget is required")
+                    # only the burn-down is observable, so every round fails
+                    # and costs its grid's lower end: `full` rounds fit, and
+                    # the next one is cut
+                    full = bisect_right(burn_oracle, cap - spent)
+                    done = burn_oracle[full - 1] if full else 0
+                    rem = cap - spent - done
+                    # the cut round's paid walk applications, credited as below
+                    f = min(rem, burn_oracle[full] - done - measure) // walk
+                    aa += (burn_aa[full - 1] if full else 0) + f + f // 2
+                    rounds += full + (rem > 0)
+                    spent = cap
                     break
-                spent += oracle
-                aa += 3 * n + 1
-                s = sin(m * theta)
-                if pop() < s * s:
+                theta = math.asin(math.sqrt(tail))
+                r = 0
+                while True:
+                    if len(us) < 3:  # room for this round and a readout
+                        us.extend(gen.random(64).tolist())
+                    n = los[r] + int(pop() * sizes[r])
+                    m = 2 * n + 1
+                    oracle = m * walk + measure
+                    r += 1
+                    if spent + oracle > limit:
+                        # credit the steps paid before the stop: U, then n times
+                        # (reflection, U^-1, U), reflections free at the oracle level
+                        f = min((cap - spent) // walk, m)
+                        aa += f + f // 2
+                        r -= cap == spent
+                        spent, left = cap, 0
+                        break
+                    spent += oracle
+                    aa += 3 * n + 1
+                    s = sin(m * theta)
+                    if pop() < s * s:
+                        break
+                rounds += r
+                if not left:
                     break
-            rounds += r
-            if not left:
-                break
-            left -= 1
-            if cum is None:
-                at += 1
-            elif spent + measure > limit or spent == limit:
-                break
-            else:
-                spent += measure
-                below = cum[at - 1] if at else 0.0
-                at = bisect_right(cum, below + pop() * tail, at, len(cum) - 1) + 1
-                if spent == limit:
+                left -= 1
+                if cum is None:
+                    at += 1
+                elif spent + measure > limit or spent == limit:
                     break
-        ends.append(at)
-        oracle_sum += spent
+                else:
+                    spent += measure
+                    below = cum[at - 1] if at else 0.0
+                    at = bisect_right(cum, below + pop() * tail, at, len(cum) - 1) + 1
+                    if spent == limit:
+                        break
+            ends.append(at)
+            oracle_sum += spent
+    except IndexError:  # a round or a burn past the end of _round_table
+        raise ValueError("sequential amplification past 1e18 oracle experiments "
+                         "is not simulated") from None
     return ends, oracle_sum, aa, rounds
 
 
-def seq_aamp(
-    p: float,
-    rng: RandomSource,
-    counter: ExperimentCounter,
-    per_app_oracle_cost: int,
-    cost_measure: int = 1,
-) -> tuple[bool, int, int]:
+def seq_aamp(p: float, rng: RandomSource, counter: ExperimentCounter) -> tuple[bool, int, int]:
     """Sequential amplitude amplification on a known amplitude.
 
     Round ell draws an iteration count n uniformly from a geometrically
     growing integer grid, charges 3n+1 amplification steps and
-    (2n+1)*per_app_oracle_cost + cost_measure oracle experiments, and stops
-    at the first successful ancilla measurement: one draw of
+    (2n+1)*WALK_COST + MEASURE_COST = 4n+3 oracle experiments, and stops at
+    the first successful ancilla measurement: one draw of
     :func:`amplify_chain` without readout.
 
     Returns ``(succeeded, rounds, aa_charged)`` where ``aa_charged`` is the
@@ -297,8 +283,7 @@ def seq_aamp(
         raise ValueError(f"amplitude must be in [0, 1], got {p}")
     if counter.interrupted and p > 0.0:
         return False, 0, 0
-    (k,), oracle, aa, rounds = amplify_chain(None, [p], 0, [counter.remaining()],
-                                             per_app_oracle_cost, cost_measure, rng.gen, [], 1)
+    (k,), oracle, aa, rounds = amplify_chain(None, [p], 0, [counter.remaining()], rng.gen, [], 1)
     counter.charge(oracle, aa)
     return k == 1, rounds, aa
 
@@ -393,26 +378,20 @@ def sin2_frac(y, m: int) -> np.ndarray:
     return np.where(4 * y == m, 0.5, np.sin(np.pi * y / m) ** 2)
 
 
-def aest_sample(
-    p: float,
-    m: int,
-    rng: RandomSource,
-    counter: ExperimentCounter,
-    per_app_oracle_cost: int,
-    cost_measure: int = 1,
-) -> AEOutcome:
+def aest_sample(p: float, m: int, rng: RandomSource, counter: ExperimentCounter) -> AEOutcome:
     """One amplitude-estimation measurement with an M-point phase register.
 
-    Charges M*(2*per_app_oracle_cost) + cost_measure oracle experiments and
-    3M amplification steps; the estimation run itself is not interruptible
-    mid-flight, so a budget shortfall clamps the tally and flags the counter
-    but the outcome is still produced. The index is drawn exactly from the
-    law of :func:`ae_outcome_dist` by the draw :func:`aest_median` uses.
+    Charges 2M walk applications and a measurement, 2M*WALK_COST +
+    MEASURE_COST = 4M+1 oracle experiments, and 3M amplification steps; the
+    estimation run itself is not interruptible mid-flight, so a budget
+    shortfall clamps the tally and flags the counter but the outcome is still
+    produced. The index is drawn exactly from the law of
+    :func:`ae_outcome_dist` by the draw :func:`aest_median` uses.
     """
     if m < 1:
         raise ValueError(f"need at least one phase point, got M={m}")
     y = int(_phase_draws([p], m, rng.gen, 1)[0, 0])
-    counter.charge(m * 2 * per_app_oracle_cost + cost_measure, 3 * m)
+    counter.charge(2 * m * WALK_COST + MEASURE_COST, 3 * m)
     return AEOutcome(y=y, p_estimate=float(sin2_frac(y, m)))
 
 
@@ -424,15 +403,8 @@ def lower_median(values) -> float:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def aest_median(
-    ps,
-    n: float,
-    delta: float,
-    rng: RandomSource,
-    counter: ExperimentCounter,
-    per_app_oracle_cost: int,
-    cost_measure: int = 1,
-) -> np.ndarray:
+def aest_median(ps, n: float, delta: float, rng: RandomSource,
+                counter: ExperimentCounter) -> np.ndarray:
     """Medians of ceil(6*log(1/delta)) amplitude estimations per amplitude.
 
     The amplitudes in ``ps`` share the time parameter n and the failure
@@ -440,7 +412,9 @@ def aest_median(
     point register; each median meets the estimation bound with probability
     at least 1 - delta. Requires n >= log(1/delta). All copies of all
     amplitudes are drawn in one pass and charged as one call per amplitude
-    would be, so a budget stops a windowed-mean ladder at the same copy.
+    would be, 4M+1 oracle experiments and 3M amplification steps a copy, as
+    :func:`aest_sample` charges, so a budget stops a windowed-mean ladder at
+    the same copy.
     Returns the lower medians of the readings sin^2(pi*y/M), one per
     amplitude, each read off the lower median of its phase distances.
     """
@@ -453,14 +427,10 @@ def aest_median(
     m = math.ceil(2 * math.pi * n / log_term)
     ys = _phase_draws(ps, m, rng.gen, copies)
     # charged as ys.size successive aest_sample calls would be: the copies
-    # that fit, then one that clamps the tally. At a zero cost the first copy
-    # lands on a spent budget and trips it.
-    cost = m * 2 * per_app_oracle_cost + cost_measure
+    # that fit, then one that clamps the tally
+    cost = 2 * m * WALK_COST + MEASURE_COST
     rem = counter.remaining()
-    if rem is None or (cost == 0 and rem > 0):
-        fit = ys.size
-    else:
-        fit = min(ys.size, rem // cost if cost else 1)
+    fit = ys.size if rem is None else min(ys.size, rem // cost)
     if fit:
         counter.charge(fit * cost, fit * 3 * m)
     if fit < ys.size:
@@ -469,20 +439,14 @@ def aest_median(
     return sin2_frac(np.partition(np.minimum(ys, m - ys), mid, axis=1)[:, mid], m)
 
 
-def seq_aest(
-    p: float,
-    rng: RandomSource,
-    counter: ExperimentCounter,
-    per_app_oracle_cost: int,
-    cost_measure: int = 1,
-) -> tuple[float, int]:
+def seq_aest(p: float, rng: RandomSource, counter: ExperimentCounter) -> tuple[float, int]:
     """Sequential amplitude estimation: p_tilde = 1/T^2 off the work tally.
 
     Runs sequential amplification and reads the estimate from the number T of
     amplification steps it took. On budget exhaustion returns (0.0, T) --
     the consumed budget yielded no success.
     """
-    ok, _, t_aa = seq_aamp(p, rng, counter, per_app_oracle_cost, cost_measure)
+    ok, _, t_aa = seq_aamp(p, rng, counter)
     if not ok or t_aa == 0:
         return 0.0, t_aa
     return 1.0 / (t_aa * t_aa), t_aa

@@ -78,7 +78,7 @@ def test_c2_estimation_coverage():
     rng = RandomSource(202)
     counter = ExperimentCounter()
     hits = sum(
-        abs(aest_sample(p, m, rng, counter, 2).p_estimate - p) <= bound
+        abs(aest_sample(p, m, rng, counter).p_estimate - p) <= bound
         for _ in range(samples)
     )
     frac = hits / samples
@@ -99,7 +99,7 @@ def _moment_row(p: float) -> tuple[float, float, float, bool]:
     t_aa = np.empty(TRIALS3)
     all_ok = True
     for i in range(TRIALS3):
-        ok, _, aa = seq_aamp(p, rng, ExperimentCounter(), 2)
+        ok, _, aa = seq_aamp(p, rng, ExperimentCounter())
         all_ok &= ok
         t_aa[i] = aa
     sq = math.sqrt(p)

@@ -156,6 +156,22 @@ def test_sweep_estimator_error_exits_3_and_leaves_no_csv(tmp_path, capsys, monke
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
+def test_sweep_skips_grid_point_past_round_table(tmp_path, capsys):
+    # at n = 1e16 the quantile stage of a point mass burns a per-repetition
+    # cap past the 1e18 oracle experiments the schedule tabulates
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"estimator": "subgauss", "distribution": "point:5",
+                                    "grid": {"n": [1e12, 1e16], "delta": [0.1]}, "trials": 2,
+                                    "seed": 1}))
+    out_path = tmp_path / "rows.csv"
+    code, out = run_cli("sweep", "--config", str(cfg_path), "--out", str(out_path),
+                        capsys=capsys)
+    assert code == 0
+    assert out.err.count("skipping grid point") == 1 and "past 1e18" in out.err
+    with out_path.open() as f:
+        assert [row.n for row in harness.read_csv(f)] == [1e12, 1e12]
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(qmeansim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

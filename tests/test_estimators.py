@@ -172,17 +172,18 @@ def _grid(ell):
     return range(lo, max(lo, math.ceil(GROWTH**ell) - 1) + 1)
 
 
-def _call_law(tail, rem, walk, measure):
+def _call_law(tail, rem):
     # Exact law of one sequential amplification of amplitude `tail` with `rem`
     # oracle experiments left: {cost: P(success at that cost)}, plus
-    # {None: P(the budget dies first)}.
+    # {None: P(the budget dies first)}. A round costs 2n+1 walk applications
+    # of 2 oracle experiments and a measurement.
     theta = math.asin(math.sqrt(tail))
     out, alive, ell = {None: 0.0}, {0: 1.0}, 1
     while alive:
         grid, nxt = _grid(ell), {}
         for spent, mass in alive.items():
             for n in grid:
-                w, cost = mass / len(grid), spent + (2 * n + 1) * walk + measure
+                w, cost = mass / len(grid), spent + (2 * n + 1) * 2 + 1
                 if cost > rem:
                     out[None] += w
                     continue
@@ -194,11 +195,11 @@ def _call_law(tail, rem, walk, measure):
     return out
 
 
-def _chain_end_law(d, cap, walk, measure):
+def _chain_end_law(d, cap):
     # Exact law of the atom count k a chain capped at `cap` ends above (its
     # estimate is atom k - 1, -inf for k = 0), by dynamic programming over
-    # (k, oracle spent). A success pays one readout, which needs a live
-    # budget, and moves above atom j >= k with probability probs[j] / tail;
+    # (k, oracle spent). A success pays one readout measurement, which needs a
+    # live budget, and moves above atom j >= k with probability probs[j] / tail;
     # an empty tail burns the rest of the cap.
     probs, tails = d.probs.tolist(), d._tail.tolist() + [0.0]
     law = np.zeros(len(probs) + 1)
@@ -210,11 +211,11 @@ def _chain_end_law(d, cap, walk, measure):
             if tail == 0.0:
                 law[k] += mass
                 continue
-            for cost, w in _call_law(tail, cap - spent, walk, measure).items():
-                if cost is None or spent + cost == cap or spent + cost + measure > cap:
+            for cost, w in _call_law(tail, cap - spent).items():
+                if cost is None or spent + cost == cap or spent + cost + 1 > cap:
                     law[k] += mass * w
                     continue
-                after = spent + cost + measure
+                after = spent + cost + 1
                 for j in range(k, len(probs)):
                     step = mass * w * probs[j] / tail
                     if after == cap:
@@ -224,58 +225,45 @@ def _chain_end_law(d, cap, walk, measure):
     return law
 
 
-@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 0)], ids=["pair2-measure1", "pair3-measure0"])
 @pytest.mark.parametrize("probs,cap", [
     ([0.5, 0.5], 9),
     ([0.8, 0.15, 0.04, 0.01], 30),
     ([0.6, 0.3, 0.0, 0.08, 0.015, 0.005], 100),
     ([0.95, 0.04, 0.0, 0.009, 0.001], 500),
 ], ids=["2atoms-cap9", "4atoms-cap30", "6atoms-cap100", "5atoms-cap500"])
-def test_quantile_chain_end_law(profile, probs, cap, weights, chi_square_ok):
+def test_quantile_chain_end_law(profile, probs, cap, chi_square_ok):
     # delta = 0.9 runs one repetition, and order p = 1/4 makes the profile's
     # coefficient cap / 2 a cap of exactly `cap`
     d = FiniteDist(np.arange(len(probs), dtype=float), np.array(probs))
-    cost_u, cost_oracle, cost_measure = weights
-    law = _chain_end_law(d, cap, cost_u + cost_oracle, cost_measure)
+    law = _chain_end_law(d, cap)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
     prof = replace(profile)
     prof.quantile_budget_coeff = cap / 2
     rng = RandomSource(cap)
     counts = np.zeros(len(probs) + 1)
     for _ in range(20_000):
-        qv = QVar(d, ExperimentCounter(), cost_u, cost_oracle, cost_measure)
-        rep = quantile_est(qv, 0.25, 0.9, prof, rng)
+        rep = quantile_est(qvar(d), 0.25, 0.9, prof, rng)
         assert rep.stage_costs == {"repetition_00": cap}
         counts[0 if rep.estimate == -math.inf else int(rep.estimate) + 1] += 1
     assert chi_square_ok(counts, law)
 
 
-def test_quantile_free_walk_refused(profile):
-    # a chain that reaches the top atom burns its budget with a free walk
-    qv = QVar(uniform(1, 2, 3), ExperimentCounter(), cost_u=0, cost_oracle=0)
-    with pytest.raises(ValueError, match="free walk"):
-        quantile_est(qv, 0.3, 0.1, profile, RandomSource(0))
-
-
-# Random budgets, pre-charges and cost weights for the budget properties.
+# Random budgets and pre-charges for the budget properties.
 BUDGETED = dict(
     probs=st.lists(st.integers(1, 20), min_size=1, max_size=6),
     delta=st.floats(0.05, 0.5),
     budget=st.one_of(st.none(), st.integers(0, 200_000)),
     pre=st.integers(0, 5000),
-    cost_u=st.integers(0, 3),
-    cost_oracle=st.integers(1, 3),
-    cost_measure=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 
 
-def budgeted_qvar(values, probs, budget, pre, cost_u, cost_oracle, cost_measure):
+def budgeted_qvar(values, probs, budget, pre):
     d = make_dist(values, np.array(probs) / sum(probs))
     counter = ExperimentCounter(budget=budget)
     if pre:  # budget 0 without a charge leaves a counter not yet tripped
         counter.charge(pre)
-    return QVar(d, counter, cost_u, cost_oracle, cost_measure)
+    return QVar(d, counter)
 
 
 def check_budget_properties(rep, counter, before, budget):
@@ -294,10 +282,8 @@ def check_budget_properties(rep, counter, before, budget):
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.floats(0.01, 0.9), **BUDGETED)
-def test_quantile_budget_properties(profile, probs, p, delta, budget, pre, cost_u,
-                                    cost_oracle, cost_measure, seed):
-    qv = budgeted_qvar(np.arange(len(probs), dtype=float), probs, budget, pre, cost_u,
-                       cost_oracle, cost_measure)
+def test_quantile_budget_properties(profile, probs, p, delta, budget, pre, seed):
+    qv = budgeted_qvar(np.arange(len(probs), dtype=float), probs, budget, pre)
     before = qv.counter.oracle_experiments
     rep = quantile_est(qv, p, delta, profile, RandomSource(seed))
     check_budget_properties(rep, qv.counter, before, budget)
@@ -315,10 +301,8 @@ def test_quantile_budget_properties(profile, probs, p, delta, budget, pre, cost_
 
 @settings(max_examples=60, deadline=None)
 @given(factor=st.floats(1.0, 30.0), **BUDGETED)
-def test_bern_budget_properties(profile, probs, factor, delta, budget, pre, cost_u,
-                                cost_oracle, cost_measure, seed):
-    qv = budgeted_qvar(np.arange(1, len(probs) + 1, dtype=float), probs, budget, pre,
-                       cost_u, cost_oracle, cost_measure)
+def test_bern_budget_properties(profile, probs, factor, delta, budget, pre, seed):
+    qv = budgeted_qvar(np.arange(1, len(probs) + 1, dtype=float), probs, budget, pre)
     before = qv.counter.oracle_experiments
     n = factor * math.log(1.0 / delta)
     rep = bern_est(qv, n, 0.0, len(probs), delta, RandomSource(seed))
@@ -327,10 +311,8 @@ def test_bern_budget_properties(profile, probs, factor, delta, budget, pre, cost
 
 @settings(max_examples=60, deadline=None)
 @given(factor=st.floats(1.0, 30.0), shift=st.integers(0, 5), **BUDGETED)
-def test_subgauss_budget_properties(profile, probs, factor, shift, delta, budget, pre,
-                                    cost_u, cost_oracle, cost_measure, seed):
-    qv = budgeted_qvar(np.arange(len(probs), dtype=float) - shift, probs, budget, pre,
-                       cost_u, cost_oracle, cost_measure)
+def test_subgauss_budget_properties(profile, probs, factor, shift, delta, budget, pre, seed):
+    qv = budgeted_qvar(np.arange(len(probs), dtype=float) - shift, probs, budget, pre)
     before = qv.counter.oracle_experiments
     n = factor * math.log(1.0 / delta)
     rep = subgauss_est(qv, n, delta, profile, RandomSource(seed))
@@ -339,12 +321,10 @@ def test_subgauss_budget_properties(profile, probs, factor, shift, delta, budget
 
 @settings(max_examples=60, deadline=None)
 @given(**BUDGETED)
-def test_seq_bern_budget_properties(probs, delta, budget, pre, cost_u, cost_oracle,
-                                    cost_measure, seed):
+def test_seq_bern_budget_properties(probs, delta, budget, pre, seed):
     # support {0, 1/k, ..., 1}: a point mass at 0 has zero mean
     k = max(len(probs) - 1, 1)
-    qv = budgeted_qvar(np.arange(len(probs)) / k, probs, budget, pre, cost_u, cost_oracle,
-                       cost_measure)
+    qv = budgeted_qvar(np.arange(len(probs)) / k, probs, budget, pre)
     before = qv.counter.oracle_experiments
     if budget is None and len(probs) == 1:
         with pytest.raises(ValueError, match="budget is required"):
@@ -358,10 +338,9 @@ def test_seq_bern_budget_properties(probs, delta, budget, pre, cost_u, cost_orac
 @given(factor=st.floats(1.0, 30.0), eps=st.floats(0.05, 0.9), shift=st.integers(0, 5),
        **BUDGETED)
 def test_relative_budget_properties(profile, probs, factor, eps, shift, delta, budget, pre,
-                                    cost_u, cost_oracle, cost_measure, seed):
+                                    seed):
     # ch = factor * eps keeps the time parameter at factor * log(1/delta)
-    qv = budgeted_qvar(np.arange(len(probs), dtype=float) - shift, probs, budget, pre,
-                       cost_u, cost_oracle, cost_measure)
+    qv = budgeted_qvar(np.arange(len(probs), dtype=float) - shift, probs, budget, pre)
     before = qv.counter.oracle_experiments
     rep = relative_est(qv, factor * eps, eps, delta, profile, RandomSource(seed))
     check_budget_properties(rep, qv.counter, before, budget)
@@ -369,12 +348,10 @@ def test_relative_budget_properties(profile, probs, factor, eps, shift, delta, b
 
 @settings(max_examples=60, deadline=None)
 @given(eps=st.floats(0.05, 0.9), **BUDGETED)
-def test_seq_relative_budget_properties(profile, probs, eps, delta, budget, pre, cost_u,
-                                        cost_oracle, cost_measure, seed):
+def test_seq_relative_budget_properties(profile, probs, eps, delta, budget, pre, seed):
     # support {0, 1/k, ..., 1}: a point mass at 0 has zero mean
     k = max(len(probs) - 1, 1)
-    qv = budgeted_qvar(np.arange(len(probs)) / k, probs, budget, pre, cost_u, cost_oracle,
-                       cost_measure)
+    qv = budgeted_qvar(np.arange(len(probs)) / k, probs, budget, pre)
     before = qv.counter.oracle_experiments
     if budget is None and len(probs) == 1:
         with pytest.raises(ValueError, match="budget is required"):
@@ -396,8 +373,8 @@ def _quantile_per_repetition(qv, p, delta, profile, rng):
     for i in range(reps):
         rem = counter.remaining()
         cap = per_rep if rem is None else min(per_rep, rem)
-        (k,), _, aa, _ = amplify_chain(d._cum.tolist(), _tail_list(d), 0, [cap], qv.pair_cost(),
-                                       qv.cost_measure, rng.gen, us, math.inf)
+        (k,), _, aa, _ = amplify_chain(d._cum.tolist(), _tail_list(d), 0, [cap], rng.gen, us,
+                                       math.inf)
         counter.charge(cap, aa)
         estimates.append(values[k])
         tracker.close(f"repetition_{i:02d}")
@@ -408,10 +385,8 @@ def _quantile_per_repetition(qv, p, delta, profile, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(p=st.floats(0.01, 0.9), **BUDGETED)
-def test_quantile_matches_per_repetition_loop(profile, probs, p, delta, budget, pre, cost_u,
-                                              cost_oracle, cost_measure, seed):
-    args = (np.arange(len(probs), dtype=float), probs, budget, pre, cost_u, cost_oracle,
-            cost_measure)
+def test_quantile_matches_per_repetition_loop(profile, probs, p, delta, budget, pre, seed):
+    args = (np.arange(len(probs), dtype=float), probs, budget, pre)
     fused, looped = budgeted_qvar(*args), budgeted_qvar(*args)
     fused_rng, looped_rng = RandomSource(seed), RandomSource(seed)
     got = quantile_est(fused, p, delta, profile, fused_rng)
@@ -444,7 +419,7 @@ def _seq_relative_nested(qv, eps, delta, profile, rng):
         probe_budget = math.ceil(profile.probe_budget_coeff / math.sqrt(eps * mu_rough))
         rem = counter.remaining()
         child = ExperimentCounter(budget=probe_budget if rem is None else min(probe_budget, rem))
-        probe = seq_bern_est(QVar(pair, child, qv.cost_u, qv.cost_oracle, qv.cost_measure), rng)
+        probe = seq_bern_est(QVar(pair, child), rng)
         counter.oracle_experiments += child.oracle_experiments
         counter.aa_applications += child.aa_applications
         if counter.budget is not None and counter.oracle_experiments >= counter.budget:
@@ -464,25 +439,22 @@ def _seq_relative_nested(qv, eps, delta, profile, rng):
 
 # A probe that succeeds exactly on its stop budget, which changes the
 # refinement, and a probe capped by the counter's remainder.
-@example(probs=[20, 3], eps=0.10564031292060048, delta=0.0671203393199393, budget=None, pre=0,
-         cost_u=1, cost_oracle=3, cost_measure=2, seed=2078805149,
-         probe_coeff=1.1268878982278303)
-@example(probs=[1, 16, 18, 18, 9], eps=0.45313631381557246, delta=0.1595622801845067,
-         budget=18, pre=0, cost_u=1, cost_oracle=2, cost_measure=2, seed=3624582912,
-         probe_coeff=None)
+@example(probs=[4, 15, 2, 13, 6], eps=0.7153463977372433, delta=0.1630704101769868,
+         budget=None, pre=0, seed=1235299605, probe_coeff=0.8445900069626039)
+@example(probs=[6, 3, 6, 9, 17, 10], eps=0.5600854470708059, delta=0.3778522370653076,
+         budget=198, pre=0, seed=394775965, probe_coeff=None)
 @settings(max_examples=150, deadline=None)
 @given(eps=st.floats(0.05, 0.9), probe_coeff=st.one_of(st.none(), st.floats(0.1, 10.0)),
        **BUDGETED)
 def test_seq_relative_matches_nested_counter_loop(profile, probs, eps, delta, budget, pre,
-                                                  cost_u, cost_oracle, cost_measure, seed,
-                                                  probe_coeff):
+                                                  seed, probe_coeff):
     # support {0, 1/k, ..., 1}: a point mass at 0 has zero mean. A small probe
     # coefficient (None: the calibrated one) lets probes reach their stop budget.
     if probe_coeff is not None:
         profile = replace(profile)
         profile.probe_budget_coeff = probe_coeff
     k = max(len(probs) - 1, 1)
-    args = (np.arange(len(probs)) / k, probs, budget, pre, cost_u, cost_oracle, cost_measure)
+    args = (np.arange(len(probs)) / k, probs, budget, pre)
     flat, nested = budgeted_qvar(*args), budgeted_qvar(*args)
     if budget is None and len(probs) == 1:
         with pytest.raises(ValueError, match="budget is required"):

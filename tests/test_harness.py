@@ -67,12 +67,11 @@ SCALARS = {"ch": 2.0, "a": 0.0, "b": 1.0}
 
 
 def estimator_config(name, drop=None):
-    # a grid must not be empty: an estimator without grid keys gets delta
     spec = ESTIMATORS[name]
     raw = {
         "estimator": name,
         "distribution": "bernoulli:0.4",
-        "grid": {key: FULL_GRID[key] for key in spec.grid if key != drop} or {"delta": [0.2]},
+        "grid": {key: FULL_GRID[key] for key in spec.grid if key != drop},
         "trials": 1,
         "seed": 3,
         **{key: SCALARS[key] for key in spec.scalars if key != drop},
@@ -237,6 +236,13 @@ def test_sweep_classical_baselines_cost():
         for row in run_sweep(cfg):
             assert row.oracle_experiments == 200  # two experiments per sample
             assert row.aa_applications == 0
+
+
+def test_sweep_without_grid_keys_is_one_grid_point():
+    # seq-bern reads no grid key, so an empty grid crosses to one grid point
+    cfg = config(estimator="seq-bern", distribution="bernoulli:0.3", grid={}, trials=2)
+    rows = list(run_sweep(cfg))
+    assert [(row.trial, row.n, row.delta) for row in rows] == [(0, None, None), (1, None, None)]
 
 
 def test_sweep_seq_bern_interrupted_flag():

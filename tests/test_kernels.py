@@ -19,7 +19,6 @@ from qmeansim import (
 )
 from qmeansim.kernels import (
     GROWTH,
-    _burn_schedule,
     _phase_draws,
     _round_table,
     sin2_frac,
@@ -52,7 +51,7 @@ def test_aamp_success_prob():
 
 def test_seq_aamp_certain_amplitude_one_round():
     counter = ExperimentCounter()
-    ok, rounds, t = seq_aamp(1.0, RandomSource(0), counter, 2)
+    ok, rounds, t = seq_aamp(1.0, RandomSource(0), counter)
     assert ok and rounds == 1
     assert t == 4  # round 1 always draws n = 1: 3n+1 amplification steps
     assert counter.oracle_experiments == (2 * 1 + 1) * 2 + 1
@@ -61,7 +60,7 @@ def test_seq_aamp_certain_amplitude_one_round():
 
 def test_seq_aamp_zero_amplitude_burns_budget():
     counter = ExperimentCounter(budget=500)
-    ok, rounds, _ = seq_aamp(0.0, RandomSource(0), counter, 2)
+    ok, rounds, _ = seq_aamp(0.0, RandomSource(0), counter)
     assert not ok
     assert counter.interrupted
     assert counter.oracle_experiments == 500
@@ -70,60 +69,55 @@ def test_seq_aamp_zero_amplitude_burns_budget():
 
 def test_seq_aamp_zero_amplitude_requires_budget():
     with pytest.raises(ValueError, match="budget"):
-        seq_aamp(0.0, RandomSource(0), ExperimentCounter(), 2)
+        seq_aamp(0.0, RandomSource(0), ExperimentCounter())
 
 
 def test_seq_aamp_deterministic():
     runs = []
     for _ in range(2):
         counter = ExperimentCounter()
-        runs.append(seq_aamp(0.07, RandomSource(313), counter, 2) + (counter.oracle_experiments,))
+        runs.append(seq_aamp(0.07, RandomSource(313), counter) + (counter.oracle_experiments,))
     assert runs[0] == runs[1]
 
 
 def test_seq_aamp_small_amplitude_terminates():
     for seed in range(1000):
-        ok, _, _ = seq_aamp(1e-4, RandomSource(seed), ExperimentCounter(), 2)
+        ok, _, _ = seq_aamp(1e-4, RandomSource(seed), ExperimentCounter())
         assert ok
 
 
 def test_seq_aamp_budget_never_exceeded():
     for budget in (1, 7, 8, 50, 333):
         counter = ExperimentCounter(budget=budget)
-        seq_aamp(1e-3, RandomSource(budget), counter, 2)
+        seq_aamp(1e-3, RandomSource(budget), counter)
         assert counter.oracle_experiments <= budget
 
 
 
-def test_seq_aamp_zero_amplitude_free_walk_refused():
-    # a walk that costs nothing never burns a budget down
-    with pytest.raises(ValueError, match="free walk"):
-        seq_aamp(0.0, RandomSource(0), ExperimentCounter(budget=100), 0)
-
-
-@pytest.mark.parametrize("per_app,measure", [(1, 0), (2, 1), (3, 5), (4, 1)])
-def test_burn_schedule_matches_cumsums(per_app, measure):
+def test_burn_schedule_matches_cumsums():
     # a burn's rounds run on the live rounds' grid: a prefix of _round_table's
-    # lower ends, which a Python ceil(GROWTH ** ell) misses from round 358 on
-    cum_oracle, cum_aa, ns = _burn_schedule(per_app, measure)
-    narr = np.array(_round_table()[0][:len(ns)], dtype=np.int64)
-    assert ns == narr.tolist() and len(ns) > 358
-    assert cum_oracle == np.cumsum((2 * narr + 1) * per_app + measure).tolist()
+    # lower ends, which a Python ceil(GROWTH ** ell) misses from round 358 on;
+    # a round costs 2n+1 walk applications of 2 oracle experiments and a
+    # measurement
+    los, _, cum_oracle, cum_aa = _round_table()
+    narr = np.array(los[:len(cum_oracle)], dtype=np.int64)
+    assert len(narr) > 358
+    assert cum_oracle == np.cumsum((2 * narr + 1) * 2 + 1).tolist()
     assert cum_aa == np.cumsum(3 * narr + 1).tolist()
     assert cum_oracle[-2] < 1e18 <= cum_oracle[-1]
 
 
-@pytest.mark.parametrize("walk,measure", [(1, 0), (2, 1), (3, 5)])
-def test_zero_amplitude_burn_matches_round_loop(walk, measure):
+def test_zero_amplitude_burn_matches_round_loop():
     # an empty tail burns its budget round by round at each grid's lower end;
-    # a round cut by the budget is counted, with its steps credited up to it
+    # a round cut by the budget is counted, with its walk steps (2 oracle
+    # experiments each) credited up to it
     for budget in (0, 1, 2, 3, 7, 50, 333, 10_000, 123_457, 10**9 + 7):
         rounds = aa = spent = 0
         while True:
             n = math.ceil(GROWTH**rounds)
-            cost = (2 * n + 1) * walk + measure
+            cost = (2 * n + 1) * 2 + 1
             if spent + cost > budget:
-                f = min((budget - spent) // walk, 2 * n + 1)
+                f = min((budget - spent) // 2, 2 * n + 1)
                 aa += f + f // 2
                 rounds += spent < budget
                 break
@@ -131,8 +125,17 @@ def test_zero_amplitude_burn_matches_round_loop(walk, measure):
             aa += 3 * n + 1
             rounds += 1
         counter = ExperimentCounter(budget=budget)
-        assert seq_aamp(0.0, RandomSource(0), counter, walk, measure) == (False, rounds, aa)
+        assert seq_aamp(0.0, RandomSource(0), counter) == (False, rounds, aa)
         assert counter.oracle_experiments == budget and counter.aa_applications == aa
+
+
+def test_chain_past_round_table_refused():
+    # the schedule is tabulated up to 1e18 oracle experiments; a burn past
+    # that, or a live run whose rounds outgrow it, is refused
+    with pytest.raises(ValueError, match="past 1e18"):
+        seq_aamp(0.0, RandomSource(0), ExperimentCounter(budget=10**19))
+    with pytest.raises(ValueError, match="past 1e18"):
+        seq_aamp(1e-40, RandomSource(0), ExperimentCounter())
 
 
 def _grid(ell):
@@ -160,7 +163,7 @@ def test_seq_aamp_round_law(p, chi_square_ok):
     rng = RandomSource(77)
     counts = np.zeros(len(law))
     for _ in range(draws):
-        ok, rounds, _ = seq_aamp(p, rng, ExperimentCounter(), 2)
+        ok, rounds, _ = seq_aamp(p, rng, ExperimentCounter())
         assert ok
         counts[min(rounds, len(law)) - 1] += 1
     assert chi_square_ok(counts, np.array(law))
@@ -170,10 +173,10 @@ def test_seq_aamp_round_law_under_budget(chi_square_ok):
     # The first rounds have one-point grids, so their costs are fixed: a
     # budget three units into round 13 lets rounds 1..12 succeed with their
     # closed-form probabilities and otherwise fails inside round 13.
-    p, per_app, stop = 3e-3, 2, 13
+    p, stop = 3e-3, 13
     ns = [_grid(ell)[0] for ell in range(1, stop + 1)]
     assert all(len(_grid(ell)) == 1 for ell in range(1, stop + 1))
-    cum_oracle = np.cumsum([(2 * n + 1) * per_app + 1 for n in ns]).tolist()
+    cum_oracle = np.cumsum([(2 * n + 1) * 2 + 1 for n in ns]).tolist()
     cum_aa = np.cumsum([3 * n + 1 for n in ns]).tolist()
     budget = cum_oracle[stop - 2] + 3
     law, alive = [], 1.0
@@ -186,7 +189,7 @@ def test_seq_aamp_round_law_under_budget(chi_square_ok):
     counts = np.zeros(stop)
     for _ in range(20_000):
         counter = ExperimentCounter(budget=budget)
-        ok, rounds, aa = seq_aamp(p, rng, counter, per_app)
+        ok, rounds, aa = seq_aamp(p, rng, counter)
         if ok:
             assert counter.oracle_experiments == cum_oracle[rounds - 1]
             assert aa == counter.aa_applications == cum_aa[rounds - 1]
@@ -199,22 +202,28 @@ def test_seq_aamp_round_law_under_budget(chi_square_ok):
 
 
 def test_seq_aamp_first_wide_grid_is_uniform(chi_square_ok):
-    # Rounds before the first grid of two or more points have fixed costs. A
-    # budget that runs out inside that round after its 2n+1 oracle
-    # applications but before the measurement credits 3n+1 steps, which
-    # reveals the n drawn there; p is too small for any round to succeed.
-    p, per_app, measure = 1e-12, 1, 1000
+    # Rounds before the first grid of two or more points, {n, n + 1}, have
+    # fixed costs; a round costs 2n+1 walk applications of 2 oracle
+    # experiments and a measurement. A budget that runs out after the 2n+3
+    # walk applications of n + 1 cuts that draw there, crediting 3n+4 steps,
+    # but lets a draw of n finish its round and cuts the next after one
+    # walk step: the rounds reveal the n drawn. p is too small for any round
+    # to succeed.
+    p = 1e-12
     ell = next(ell for ell in range(1, 100) if len(_grid(ell)) > 1)
-    spent = sum((2 * _grid(l)[0] + 1) * per_app + measure for l in range(1, ell))
+    spent = sum((2 * _grid(l)[0] + 1) * 2 + 1 for l in range(1, ell))
     spent_aa = sum(3 * _grid(l)[0] + 1 for l in range(1, ell))
     grid = _grid(ell)
-    budget = spent + (2 * grid[-1] + 1) * per_app
+    assert len(grid) == 2
+    budget = spent + (2 * grid[-1] + 1) * 2
     rng = RandomSource(79)
     counts = np.zeros(len(grid))
     for _ in range(4000):
-        ok, rounds, aa = seq_aamp(p, rng, ExperimentCounter(budget=budget), per_app, measure)
-        assert not ok and rounds == ell
-        counts[(aa - spent_aa - 1) // 3 - grid[0]] += 1
+        ok, rounds, aa = seq_aamp(p, rng, ExperimentCounter(budget=budget))
+        assert not ok
+        n = grid[-1] if rounds == ell else grid[0]
+        assert (rounds, aa) in ((ell, spent_aa + 3 * n + 1), (ell + 1, spent_aa + 3 * n + 2))
+        counts[n - grid[0]] += 1
     assert chi_square_ok(counts, np.full(len(grid), 1.0 / len(grid)))
 
 
@@ -223,20 +232,18 @@ def test_seq_aamp_first_wide_grid_is_uniform(chi_square_ok):
     p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-4, 1.0)),
     budget=st.one_of(st.none(), st.integers(0, 5000)),
     pre=st.integers(0, 6000),
-    per_app=st.integers(0, 4),
-    measure=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_seq_aamp_budget_properties(p, budget, pre, per_app, measure, seed):
+def test_seq_aamp_budget_properties(p, budget, pre, seed):
     counter = ExperimentCounter(budget=budget)
     if pre:  # budget 0 without a charge leaves a counter not yet tripped
         counter.charge(pre)
     before = counter.snapshot()
-    if p == 0.0 and (budget is None or per_app < 1):
+    if p == 0.0 and budget is None:
         with pytest.raises(ValueError):
-            seq_aamp(p, RandomSource(seed), counter, per_app, measure)
+            seq_aamp(p, RandomSource(seed), counter)
         return
-    ok, rounds, aa = seq_aamp(p, RandomSource(seed), counter, per_app, measure)
+    ok, rounds, aa = seq_aamp(p, RandomSource(seed), counter)
     assert aa == counter.aa_applications - before.aa_applications
     assert counter.oracle_experiments >= before.oracle_experiments
     if budget is None:
@@ -326,7 +333,7 @@ def test_sampler_matches_law(p, m, chi_square_ok):
     singles, n = 1000, 200_000
     rng = RandomSource(5)
     counter = ExperimentCounter()
-    ys = [aest_sample(p, m, rng, counter, 2).y for _ in range(singles)]
+    ys = [aest_sample(p, m, rng, counter).y for _ in range(singles)]
     assert counter.oracle_experiments == singles * (m * 4 + 1)
     assert counter.aa_applications == singles * 3 * m
     lanes = [p, 0.0, 1.0, math.sin(math.pi * (m // 3) / m) ** 2, 0.3]
@@ -349,7 +356,7 @@ def test_sampler_huge_register_constant_memory():
     counter = ExperimentCounter()
     tracemalloc.start()
     try:
-        outs = [aest_sample(p, m, rng, counter, 2) for _ in range(draws)]
+        outs = [aest_sample(p, m, rng, counter) for _ in range(draws)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,7 +428,7 @@ def test_aest_median_fold_matches_sorted_readout(delta):
         m = int(gen.choice([7, 8, 9, 12, 16, 31, 64, 273, 1024, 4097]))
         n = (m - 0.5) * log_term / (2 * math.pi)  # a register of exactly M points
         ps = _median_amplitudes(gen, m)
-        got = aest_median(ps, n, delta, RandomSource(case), ExperimentCounter(), 2)
+        got = aest_median(ps, n, delta, RandomSource(case), ExperimentCounter())
         ys = _phase_draws(ps, m, RandomSource(case).gen, copies)
         want = np.sort(sin2_frac(ys, m), axis=1)[:, (copies - 1) // 2]
         assert got.tolist() == want.tolist(), (m, ps)
@@ -430,8 +437,8 @@ def test_aest_median_fold_matches_sorted_readout(delta):
 def test_aest_sample_degenerate_amplitudes():
     rng = RandomSource(0)
     counter = ExperimentCounter()
-    assert aest_sample(0.0, 64, rng, counter, 2).p_estimate == 0.0
-    assert aest_sample(1.0, 64, rng, counter, 2).p_estimate == 1.0
+    assert aest_sample(0.0, 64, rng, counter).p_estimate == 0.0
+    assert aest_sample(1.0, 64, rng, counter).p_estimate == 1.0
 
 
 def test_aest_sample_on_grid_angle_is_exact():
@@ -440,7 +447,7 @@ def test_aest_sample_on_grid_angle_is_exact():
     rng = RandomSource(11)
     counter = ExperimentCounter()
     for _ in range(200):
-        out = aest_sample(p, 8, rng, counter, 2)
+        out = aest_sample(p, 8, rng, counter)
         assert out.p_estimate == pytest.approx(p, abs=1e-15)
 
 
@@ -448,7 +455,7 @@ def test_aest_median_exact_half():
     # amplitude 0.5 with a register size divisible by 4 reads out exactly
     rng = RandomSource(3)
     counter = ExperimentCounter()
-    est = aest_median([0.5], 117.2, 0.1, rng, counter, 2)
+    est = aest_median([0.5], 117.2, 0.1, rng, counter)
     assert est.tolist() == [0.5]
 
 
@@ -459,7 +466,7 @@ def test_aest_median_budget_stops_after_k_copies():
     per_copy = 4 * m + 1
     budget = k * per_copy + per_copy // 2
     counter = ExperimentCounter(budget=budget)
-    (est,) = aest_median([0.3], 100.0, 0.1, RandomSource(4), counter, 2)
+    (est,) = aest_median([0.3], 100.0, 0.1, RandomSource(4), counter)
     assert 0.0 <= est <= 1.0
     assert counter.oracle_experiments == budget
     assert counter.aa_applications == k * 3 * m
@@ -467,29 +474,28 @@ def test_aest_median_budget_stops_after_k_copies():
     # charge for charge what 14 single measurements leave on a counter
     reference = ExperimentCounter(budget=budget)
     for _ in range(14):
-        aest_sample(0.3, m, RandomSource(4), reference, 2)
+        aest_sample(0.3, m, RandomSource(4), reference)
     assert counter == reference
     # a three-amplitude call stopped inside its second amplitude's copies
     # leaves what 3 * 14 single measurements leave
     budget = (14 + k) * per_copy + per_copy // 2
     counter = ExperimentCounter(budget=budget)
-    ests = aest_median([0.0, 0.3, 1.0], 100.0, 0.1, RandomSource(4), counter, 2)
+    ests = aest_median([0.0, 0.3, 1.0], 100.0, 0.1, RandomSource(4), counter)
     assert ests[0] == 0.0 and all(0.0 <= est <= 1.0 for est in ests)
     assert counter.aa_applications == (14 + k) * 3 * m
     reference = ExperimentCounter(budget=budget)
     for _ in range(3 * 14):
-        aest_sample(0.3, m, RandomSource(4), reference, 2)
+        aest_sample(0.3, m, RandomSource(4), reference)
     assert counter == reference
-    # random budgets, pre-charges, cost weights and 1 to 4 amplitudes, against
-    # the per-copy loop
+    # random budgets, pre-charges and 1 to 4 amplitudes, against the per-copy
+    # loop
     gen = np.random.default_rng(9)
     for case in range(5000):
         lanes = [0.0, 0.3, 1.0, 0.7][:1 + case % 4]
         n = float(gen.uniform(3.0, 60.0))
-        per_app, measure = int(gen.integers(0, 4)), int(gen.integers(0, 3))
         copies = math.ceil(6 * math.log(10))
         m = math.ceil(2 * math.pi * n / math.log(10))
-        cost = m * 2 * per_app + measure
+        cost = 4 * m + 1
         total = len(lanes) * copies
         budget = {0: None, 1: 0}.get(case % 10, int(gen.integers(0, (total + 2) * cost + 2)))
         pre = int(gen.integers(0, 2 * cost + 2))
@@ -497,28 +503,28 @@ def test_aest_median_budget_stops_after_k_copies():
         if pre:  # budget 0 without a charge leaves a counter not yet tripped
             counter.charge(pre)
         reference = counter.snapshot()
-        aest_median(lanes, n, 0.1, RandomSource(case), counter, per_app, measure)
+        aest_median(lanes, n, 0.1, RandomSource(case), counter)
         for _ in range(total):
             reference.charge(cost, 3 * m)
-        assert counter == reference, (lanes, n, per_app, measure, budget, pre)
+        assert counter == reference, (lanes, n, budget, pre)
 
 
 def test_aest_median_rejects_small_n():
     with pytest.raises(ValueError):
-        aest_median([0.5], 1.0, 0.1, RandomSource(0), ExperimentCounter(), 2)
+        aest_median([0.5], 1.0, 0.1, RandomSource(0), ExperimentCounter())
 
 
 # -- sequential estimation -----------------------------------------------------
 
 def test_seq_aest_certain_amplitude():
-    p_est, t = seq_aest(1.0, RandomSource(0), ExperimentCounter(), 2)
+    p_est, t = seq_aest(1.0, RandomSource(0), ExperimentCounter())
     assert t == 4
     assert p_est == 1.0 / 16.0
 
 
 def test_seq_aest_zero_amplitude_with_budget():
     counter = ExperimentCounter(budget=200)
-    p_est, _ = seq_aest(0.0, RandomSource(0), counter, 2)
+    p_est, _ = seq_aest(0.0, RandomSource(0), counter)
     assert p_est == 0.0
     assert counter.interrupted and counter.oracle_experiments == 200
 
@@ -530,7 +536,7 @@ def test_seq_aest_moment_envelopes():
         inv = []
         sqrt_est = []
         for _ in range(4000):
-            est, t = seq_aest(p, rng, ExperimentCounter(), 2)
+            est, t = seq_aest(p, rng, ExperimentCounter())
             inv.append(1.0 / est)
             sqrt_est.append(math.sqrt(est))
         assert np.mean(inv) <= 130 / p  # seq_cost_sq envelope (calibrated: ~111)

@@ -17,27 +17,27 @@ from qmeansim.estimators import _tail_list
 from qmeansim.kernels import amplify_chain
 
 
-def chain(cum, tails, caps, walk, measure, draws, seed):
+def chain(cum, tails, caps, draws, seed):
     # one call from atom 0 on a fresh list of spares, and the next uniform
     gen = RandomSource(seed).gen
-    ends, oracle, aa, rounds = amplify_chain(cum, tails, 0, caps, walk, measure, gen, [], draws)
+    ends, oracle, aa, rounds = amplify_chain(cum, tails, 0, caps, gen, [], draws)
     return (ends, oracle, aa, rounds), gen.random()
 
 
 def test_chain_stream_multi_cap_with_zero_atom():
     # six chains share the spares; most climb to the top atom and burn the rest
     d = FiniteDist(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
-    got = chain(d._cum.tolist(), _tail_list(d), [40, 40, 300, 25, 7, 0], 2, 1, math.inf, 11)
+    got = chain(d._cum.tolist(), _tail_list(d), [40, 40, 300, 25, 7, 0], math.inf, 11)
     assert got == (([5, 5, 5, 3, 0, 0], 412, 264, 34), 0.739246874033692)
 
 
 def test_chain_stream_stopped_by_cap():
-    assert chain(None, [0.001], [60], 3, 1, 1, 12) == (([0], 60, 25, 5), 0.6164768219402089)
+    assert chain(None, [0.001], [60], 1, 12) == (([0], 60, 38, 6), 0.6164768219402089)
 
 
 def test_chain_stream_without_readout():
-    got = chain(None, [0.3, 0.05, 0.7, 0.0], [None, 500], 1, 0, 3, 13)
-    assert got == (([3, 3], 38, 52, 10), 0.9285460335053835)
+    got = chain(None, [0.3, 0.05, 0.7, 0.0], [None, 500], 3, 13)
+    assert got == (([3, 3], 86, 52, 10), 0.9285460335053835)
 
 
 def sweep(estimator, distribution, grid, trials, seed, budget=None):
