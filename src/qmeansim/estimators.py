@@ -42,6 +42,8 @@ from .kernels import (
     SAMPLE_COST,
     ExperimentCounter,
     QVar,
+    ae_register,
+    aest_charge,
     aest_median,
     amplify_chain,
     lower_median,
@@ -324,17 +326,42 @@ def quantile_est(
     return tracker.report(lower_median([values[k] for k in ends]))
 
 
-def _window_estimates(qvar: QVar, edges: np.ndarray, n: float, delta: float,
-                      rng: RandomSource) -> np.ndarray:
-    # Estimates of E[X 1{edges[i] < X <= edges[i+1]}] for increasing edges >= 0
-    # by one amplitude-estimation call: each window mean, read off one prefix
-    # sum of values*probs, is exposed as the amplitude mean/b and scaled back.
-    d = qvar.dist
-    prefix = np.concatenate(([0.0], np.cumsum(d.values * d.probs)))
-    means = np.diff(prefix[np.searchsorted(d.values, edges, side="right")])
-    amplitudes = np.clip(means / edges[1:], 0.0, 1.0)
-    medians = aest_median(amplitudes, n, delta, rng, qvar.counter)
-    return edges[1:] * medians
+class _Ladders:
+    """The windowed-mean ladders of one top-level estimate.
+
+    A ladder's charge depends only on its register, its copy count, its
+    number of windows and the counter's remainder, and no later stage reads
+    its draws, only the returned estimate does. So :meth:`add` charges a
+    ladder when the schedule reaches it and records it, and :meth:`sums`
+    draws every recorded ladder at the end, from a stream derived once per
+    top-level estimate.
+    """
+
+    def __init__(self) -> None:
+        self._ladders: list[tuple[np.ndarray, int, int, np.ndarray, int]] = []
+
+    def add(self, qvar: QVar, edges: np.ndarray, register: tuple[int, int], sign: float,
+            term: int) -> None:
+        # Windows (edges[i], edges[i+1]] for increasing edges >= 0: each
+        # window mean, read off one prefix sum of values*probs, is exposed as
+        # the amplitude mean/b, estimated on the (M, copies) register and
+        # scaled back by sign*b into the sum of term `term`.
+        d = qvar.dist
+        prefix = np.concatenate(([0.0], np.cumsum(d.values * d.probs)))
+        means = np.diff(prefix[np.searchsorted(d.values, edges, side="right")])
+        amplitudes = np.clip(means / edges[1:], 0.0, 1.0)
+        m, copies = register
+        aest_charge(m, amplitudes.size * copies, qvar.counter)
+        self._ladders.append((amplitudes, m, copies, sign * edges[1:], term))
+
+    def sums(self, terms: int, rng: RandomSource) -> np.ndarray:
+        """Per term 0..terms-1, the sum of its ladders' scaled estimates."""
+        out = np.zeros(terms)
+        stream = rng.derive(1)
+        for amplitudes, m, copies, scales, term in self._ladders:
+            k = amplitudes.size
+            out[term] += float(scales @ aest_median(amplitudes, [m] * k, [copies] * k, stream))
+        return out
 
 
 def bern_est(
@@ -354,7 +381,7 @@ def bern_est(
     the error is at most sqrt(b*mu_{a,b})*log(1/delta)/n + b*log(1/delta)^2/n^2.
     Requires 0 <= a < b (the degenerate empty window a = b = 0 returns 0 at
     no cost) and n >= log(1/delta). This is the one-window case of the
-    ladder :func:`subgauss_est` estimates in one call.
+    ladders :func:`subgauss_est` estimates, charged and then drawn once.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
@@ -362,10 +389,63 @@ def bern_est(
         return _StageTracker(qvar.counter).report(0.0)
     if not (0.0 <= a < b):
         raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
+    register = ae_register(n, delta)
     tracker = _StageTracker(qvar.counter)
-    (estimate,) = _window_estimates(qvar, np.array([a, b], dtype=float), n, delta, rng)
+    ladders = _Ladders()
+    ladders.add(qvar, np.array([a, b], dtype=float), register, 1.0, 0)
     tracker.close("amplitude_estimation")
-    return tracker.report(estimate)
+    return tracker.report(ladders.sums(1, rng)[0])
+
+
+def _subgauss(qvar: QVar, n: float, delta: float, profile: ConstantProfile, rng: RandomSource,
+              ladders: _Ladders, term: int) -> tuple[_StageTracker, float]:
+    # subgauss_est up to its draws: charges every stage, adds each part's
+    # ladder to `ladders` under `term`, and returns the stage tracker and the
+    # classical shift, to which the term's ladder sum adds
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"failure probability must be in (0, 1), got {delta}")
+    log_term = math.log(1.0 / delta)
+    if n < log_term:
+        raise ValueError(f"time parameter {n} below log(1/delta) = {log_term:.3f}")
+    if not n <= 2.0**1023:
+        raise ValueError(f"time parameter {n} does not round up to a power of two "
+                         "within the float range")
+    # the time parameter rounded up to a power of two n2 = 2^k, up to round-off
+    k = max(math.ceil(math.log2(n) - 1e-12), 0)
+    n2 = 2.0**k
+    ladder_depth = max(k, 1)  # a k = 0 request collapses to a single layer
+    layer_delta = delta / (9 * ladder_depth)
+    layer_time = (
+        profile.layer_time_factor
+        * n2
+        * math.sqrt(ladder_depth)
+        * math.log(9 * ladder_depth / delta)
+        / log_term
+    )
+    register = ae_register(layer_time, layer_delta)
+    quantile_order = (log_term / (6 * n2)) ** 2
+    steps = np.concatenate(([0.0], 2.0 ** np.arange(k + 1) / n2))
+
+    tracker = _StageTracker(qvar.counter)
+
+    shots = math.ceil(30 * math.log(2.0 / delta))
+    qvar.counter.charge(shots * SAMPLE_COST)
+    eta = lower_median(sample_n(qvar.dist, rng, shots).tolist())
+    tracker.close("classical_median")
+
+    for sign, part in zip(("pos", "neg"), shift_split(qvar.dist, eta)):
+        part_var = QVar(part, qvar.counter)
+        qrep = quantile_est(part_var, quantile_order, delta / 8, profile, rng)
+        # budget-starved repetitions report -inf; the support is non-negative
+        q_top = max(qrep.estimate, 0.0)
+        tracker.close(f"quantile_{sign}")
+
+        if q_top > 0.0:
+            ladders.add(part_var, q_top * steps, register, 1.0 if sign == "pos" else -1.0, term)
+        tracker.close(f"layers_{sign}")
+        if qvar.counter.interrupted:
+            break
+    return tracker, eta
 
 
 def subgauss_est(
@@ -380,52 +460,14 @@ def subgauss_est(
     ladder a_l = 2^l * Q / n for l = 0..log2(n), each with failure share
     delta/(9*log2(n)) and time parameter
     layer_time_factor * n * sqrt(log2 n) * log(9k/delta)/log(1/delta).
-    All windows of a part are estimated by one amplitude-estimation call; a
-    part with Q = 0 costs nothing. The time parameter is rounded up to the
-    next power of two.
+    A part with Q = 0 costs nothing. The time parameter is rounded up to the
+    next power of two. Each part's ladder is charged when the schedule
+    reaches it; both are drawn at the end in one amplitude-estimation call,
+    from a stream derived from ``rng``, so the draws never move ``rng``.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"failure probability must be in (0, 1), got {delta}")
-    log_term = math.log(1.0 / delta)
-    if n < log_term:
-        raise ValueError(f"time parameter {n} below log(1/delta) = {log_term:.3f}")
-    # the time parameter rounded up to a power of two n2 = 2^k, up to round-off
-    k = max(math.ceil(math.log2(n) - 1e-12), 0)
-    n2 = 2.0**k
-    ladder_depth = max(k, 1)  # a k = 0 request collapses to a single layer
-    layer_delta = delta / (9 * ladder_depth)
-    layer_time = (
-        profile.layer_time_factor
-        * n2
-        * math.sqrt(ladder_depth)
-        * math.log(9 * ladder_depth / delta)
-        / log_term
-    )
-    quantile_order = (log_term / (6 * n2)) ** 2
-    steps = np.concatenate(([0.0], 2.0 ** np.arange(k + 1) / n2))
-
-    tracker = _StageTracker(qvar.counter)
-
-    shots = math.ceil(30 * math.log(2.0 / delta))
-    qvar.counter.charge(shots * SAMPLE_COST)
-    eta = lower_median(sample_n(qvar.dist, rng, shots).tolist())
-    tracker.close("classical_median")
-
-    part_means = [0.0, 0.0]
-    for i, (sign, part) in enumerate(zip(("pos", "neg"), shift_split(qvar.dist, eta))):
-        part_var = QVar(part, qvar.counter)
-        qrep = quantile_est(part_var, quantile_order, delta / 8, profile, rng)
-        # budget-starved repetitions report -inf; the support is non-negative
-        q_top = max(qrep.estimate, 0.0)
-        tracker.close(f"quantile_{sign}")
-
-        if q_top > 0.0:
-            windows = _window_estimates(part_var, q_top * steps, layer_time, layer_delta, rng)
-            part_means[i] = float(windows.sum())
-        tracker.close(f"layers_{sign}")
-        if qvar.counter.interrupted:
-            break
-    return tracker.report(eta + part_means[0] - part_means[1])
+    ladders = _Ladders()
+    tracker, eta = _subgauss(qvar, n, delta, profile, rng, ladders, 0)
+    return tracker.report(eta + ladders.sums(1, rng)[0])
 
 
 def relative_est(
@@ -496,7 +538,11 @@ def seq_relative_est(
     A repetition whose rough stage was interrupted contributes 0. Every
     stage charges the caller's counter. The probe's cap is the smaller of
     its stop budget and the counter's remainder; a probe that spends its
-    whole cap counts as stopped and gives var_probe = 0.
+    whole cap counts as stopped and gives var_probe = 0. Each refinement's
+    ladders are charged when the schedule reaches them; the ladders of all
+    refinements are drawn at the end in one amplitude-estimation call, from
+    a stream derived from ``rng``, and only then is each refinement's
+    estimate formed.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"relative error must be in (0, 1), got {eps}")
@@ -507,6 +553,8 @@ def seq_relative_est(
     reps = math.ceil(32 * math.log(1.0 / delta))
     counter = qvar.counter
     tracker = _StageTracker(counter)
+    ladders = _Ladders()
+    # per repetition its classical shift, to which its ladders add, or 0
     outputs: list[float] = []
     for _ in range(reps):
         mu_rough, _ = seq_aest(mu, rng, counter)
@@ -532,13 +580,13 @@ def seq_relative_est(
             1.0 / math.sqrt(eps * mu_rough),
         )
         n_refine = min(n_refine, _MAX_REFINE_TIME)
-        refined = subgauss_est(qvar, n_refine, 1.0 / 16.0, profile, rng)
+        _, eta = _subgauss(qvar, n_refine, 1.0 / 16.0, profile, rng, ladders, len(outputs))
         tracker.close("refinement")
-        outputs.append(refined.estimate)
+        outputs.append(eta)
         if counter.interrupted:
             break
-    estimate = lower_median(outputs) if outputs else 0.0
-    return tracker.report(estimate)
+    estimates = np.add(outputs, ladders.sums(len(outputs), rng))
+    return tracker.report(lower_median(estimates.tolist()))
 
 
 def calibrate_constants(

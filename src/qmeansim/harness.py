@@ -117,6 +117,8 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a config must be an object, got {raw!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:

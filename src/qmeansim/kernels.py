@@ -14,17 +14,20 @@ quantum primitives reduce to closed-form probability laws:
   +-asin(sqrt(p))/pi. Draws never build the M-point law: an offset from the
   kernel's peak is drawn exactly by rejection from an envelope decaying as
   1/k^2, and a fair coin picks the eigenphase, so a draw costs O(1) time and
-  memory whatever M is. :func:`aest_median` draws all copies of a sequence
-  of amplitudes sharing one register, such as a windowed-mean ladder, in
-  one vectorised pass and reads each median off the phase distances
-  min(y, M - y). :func:`ae_outcome_dist` materialises the law as the
-  reference the sampler is tested against.
+  memory whatever M is. A windowed-mean ladder is charged when the
+  estimator's schedule reaches it, by :func:`aest_charge`, and drawn once
+  at the end: :func:`aest_median` draws every copy of every ladder of a
+  top-level estimate in one vectorised pass, from a stream derived once per
+  estimate, each amplitude with its own register and copy count, and reads
+  each median off the phase distances min(y, M - y).
+  :func:`ae_outcome_dist` materialises the law as the reference the sampler
+  is tested against.
 
-Every routine but :func:`amplify_chain` charges an :class:`ExperimentCounter`
-under two parallel accountings: low-level oracle experiments (state
-preparations, comparison or rotation oracles, their inverses, and
-measurements) and amplification applications (state preparation, its
-inverse, and the ancilla reflection). Ancilla-only reflections cost nothing
+Every routine but :func:`amplify_chain` and :func:`aest_median` charges an
+:class:`ExperimentCounter` under two parallel accountings: low-level oracle
+experiments (state preparations, comparison or rotation oracles, their
+inverses, and measurements) and amplification applications (state
+preparation, its inverse, and the ancilla reflection). Ancilla-only reflections cost nothing
 at the oracle level but one unit at the amplification level. An optional
 budget caps the oracle tally; the cap is checked at single-charge
 granularity, is never exceeded, and trips the counter's ``interrupted`` flag.
@@ -51,6 +54,8 @@ __all__ = [
     "amplify_chain",
     "seq_aamp",
     "ae_outcome_dist",
+    "ae_register",
+    "aest_charge",
     "aest_sample",
     "aest_median",
     "seq_aest",
@@ -66,6 +71,10 @@ GROWTH = 1.1
 WALK_COST = 2
 MEASURE_COST = 1
 SAMPLE_COST = 2
+
+# Phase registers are simulated below this size, so that the int64
+# arithmetic of a draw and of its readout (4 * y == M) cannot overflow.
+MAX_REGISTER = 1 << 62
 
 
 @dataclass
@@ -316,11 +325,12 @@ def ae_outcome_dist(p: float, m: int) -> np.ndarray:
     return 0.5 * _fejer(y / m - omega, m) + 0.5 * _fejer(y / m + omega, m)
 
 
-def _phase_draws(ps, m: int, gen: np.random.Generator, size: int) -> np.ndarray:
-    # `size` exact draws of the measured index y in [0, M) for each amplitude
-    # in `ps`, as a (len(ps), size) array, in O(1) time and memory per draw
-    # whatever M is. With c = M*omega and f = c - floor(c), the kernel
-    # centred on +omega puts mass
+def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
+    # copies[i] exact draws of the measured index y in [0, M_i) at amplitude
+    # ps[i] on an M_i = ms[i] point register, one lane per amplitude, as a
+    # (lanes, max(copies)) array whose entries past a lane's count are
+    # padding; O(1) time and memory per draw whatever M is. With c = M*omega
+    # and f = c - floor(c), the kernel centred on +omega puts mass
     #   K(j) = sin^2(pi f) / (M^2 sin^2(pi (j - f) / M)) <= min(1, 1/(4 (j - f)^2))
     # on y = floor(c) + j, for the M offsets with -M/2 < j - f <= M/2
     # (|sin(pi x)| >= 2|x| for |x| <= 1/2). Offsets are proposed as 0 or 1
@@ -332,18 +342,23 @@ def _phase_draws(ps, m: int, gen: np.random.Generator, size: int) -> np.ndarray:
     # at p = 1, whose two eigenphases coincide. Lanes with a single outcome
     # (p = 0, or p = 1 and even M) take no proposals.
     ps = np.asarray(ps, dtype=float).reshape(-1)
+    ms = np.asarray(ms, dtype=np.int64).reshape(-1)
+    copies = np.asarray(copies, dtype=np.int64).reshape(-1)
     if not np.all((ps >= 0.0) & (ps <= 1.0)):
         raise ValueError(f"amplitudes must be in [0, 1], got {ps}")
-    ys = np.zeros((ps.size, size), dtype=np.int64)
-    ys[ps == 1.0] = m // 2
-    live = np.flatnonzero((ps > 0.0) & ((ps < 1.0) | (m % 2 == 1)))
-    c = m * np.arcsin(np.sqrt(ps[live])) / np.pi
+    ys = np.zeros((ps.size, copies.max(initial=0)), dtype=np.int64)
+    one = ps == 1.0
+    ys[one] = ms[one, None] // 2
+    live = np.flatnonzero((ps > 0.0) & ((ps < 1.0) | (ms % 2 == 1)))
+    m, want = ms[live], copies[live]
+    mf = m.astype(float)
+    c = mf * np.arcsin(np.sqrt(ps[live])) / np.pi
     base = np.floor(c)
     f = c - base
     s2 = np.sin(np.pi * np.minimum(f, 1.0 - f)) ** 2
-    draws = np.empty((live.size, size), dtype=np.int64)
+    draws = np.zeros((live.size, ys.shape[1]), dtype=np.int64)
     filled = np.zeros(live.size, dtype=np.int64)
-    while (need := size - filled).any():
+    while (need := want - filled).any():
         # four proposals per missing draw and eight spare, so refills are
         # rare, but about 2^16 at most a pass, so memory stays bounded
         share = max((1 << 16) // np.count_nonzero(need), 1)
@@ -354,25 +369,27 @@ def _phase_draws(ps, m: int, gen: np.random.Generator, size: int) -> np.ndarray:
         j = np.where(far, np.where(choice < 5.0 / 6.0, 1.0 + k, -k), choice >= 1.0 / 3.0)
         weight = np.where(far, 2.0 * k * (k + 1.0), 1.0)
         x = j - f[lane]
-        hit = ((-0.5 * m < x) & (x <= 0.5 * m)
-               & ((1.0 - accept) * (m * np.sin(np.pi * x / m)) ** 2 <= s2[lane] * weight))
+        size = mf[lane]
+        hit = ((-0.5 * size < x) & (x <= 0.5 * size)
+               & ((1.0 - accept) * (size * np.sin(np.pi * x / size)) ** 2 <= s2[lane] * weight))
         lane, j = lane[hit], j[hit]
         # each lane keeps its first `need` accepted offsets, in proposal order
         slot = filled[lane] + np.arange(lane.size) - np.searchsorted(lane, lane)
-        keep = slot < size
+        keep = slot < want[lane]
         lane = lane[keep]
-        draws[lane, slot[keep]] = np.mod(base[lane] + j[keep], m).astype(np.int64)
+        draws[lane, slot[keep]] = np.mod(base[lane] + j[keep], mf[lane]).astype(np.int64)
         filled += np.bincount(lane, minlength=live.size)
     reflect = (gen.random(draws.shape) < 0.5) & (ps[live] < 1.0)[:, None]
-    np.subtract(m, draws, out=draws, where=reflect)
-    draws %= m
+    np.subtract(m[:, None], draws, out=draws, where=reflect)
+    draws %= m[:, None]
     ys[live] = draws
     return ys
 
 
-def sin2_frac(y, m: int) -> np.ndarray:
-    """sin^2(pi * y/M) per index (a scalar or an array), read off the phase
-    distance min(y, M - y) mod M; exact 0, 1 and 1/2 at distances 0, M/2, M/4."""
+def sin2_frac(y, m) -> np.ndarray:
+    """sin^2(pi * y/M) per index (a scalar or an array, with M an int or an
+    array of one register size per index), read off the phase distance
+    min(y, M - y) mod M; exact 0, 1 and 1/2 at distances 0, M/2, M/4."""
     y = np.asarray(y) % m
     y = np.minimum(y, m - y)
     return np.where(4 * y == m, 0.5, np.sin(np.pi * y / m) ** 2)
@@ -390,7 +407,7 @@ def aest_sample(p: float, m: int, rng: RandomSource, counter: ExperimentCounter)
     """
     if m < 1:
         raise ValueError(f"need at least one phase point, got M={m}")
-    y = int(_phase_draws([p], m, rng.gen, 1)[0, 0])
+    y = int(_phase_draws([p], [m], [1], rng.gen)[0, 0])
     counter.charge(2 * m * WALK_COST + MEASURE_COST, 3 * m)
     return AEOutcome(y=y, p_estimate=float(sin2_frac(y, m)))
 
@@ -403,40 +420,62 @@ def lower_median(values) -> float:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def aest_median(ps, n: float, delta: float, rng: RandomSource,
-                counter: ExperimentCounter) -> np.ndarray:
-    """Medians of ceil(6*log(1/delta)) amplitude estimations per amplitude.
+def ae_register(n: float, delta: float) -> tuple[int, int]:
+    """Register size M and copy count of a median of amplitude estimations.
 
-    The amplitudes in ``ps`` share the time parameter n and the failure
-    probability delta, so every copy uses one M = ceil(2*pi*n / log(1/delta))
-    point register; each median meets the estimation bound with probability
-    at least 1 - delta. Requires n >= log(1/delta). All copies of all
-    amplitudes are drawn in one pass and charged as one call per amplitude
-    would be, 4M+1 oracle experiments and 3M amplification steps a copy, as
-    :func:`aest_sample` charges, so a budget stops a windowed-mean ladder at
-    the same copy.
-    Returns the lower medians of the readings sin^2(pi*y/M), one per
-    amplitude, each read off the lower median of its phase distances.
+    Time parameter n and failure probability delta give ceil(6*log(1/delta))
+    copies of an M = ceil(2*pi*n / log(1/delta)) point register, whose
+    median meets the estimation bound with probability at least 1 - delta.
+    Requires n >= log(1/delta) and M below ``MAX_REGISTER`` = 2^62, so that
+    the draws fit their int64 arrays.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
     log_term = math.log(1.0 / delta)
     if n < log_term:
         raise ValueError(f"time parameter {n} below log(1/delta) = {log_term:.3f}")
-    copies = math.ceil(6 * log_term)
-    m = math.ceil(2 * math.pi * n / log_term)
-    ys = _phase_draws(ps, m, rng.gen, copies)
-    # charged as ys.size successive aest_sample calls would be: the copies
-    # that fit, then one that clamps the tally
+    points = 2 * math.pi * n / log_term
+    if not points < MAX_REGISTER:
+        raise ValueError(f"time parameter {n} needs a register of {points:.3g} points, "
+                         f"past the 2^62 simulated")
+    return math.ceil(points), math.ceil(6 * log_term)
+
+
+def aest_charge(m: int, count: int, counter: ExperimentCounter) -> None:
+    """Charge ``count`` M-point amplitude estimations as that many successive
+    :func:`aest_sample` calls would: 4M+1 oracle experiments and 3M
+    amplification steps each, for the copies that fit, then one that clamps
+    the tally. The charge never depends on what the copies draw."""
     cost = 2 * m * WALK_COST + MEASURE_COST
     rem = counter.remaining()
-    fit = ys.size if rem is None else min(ys.size, rem // cost)
+    fit = count if rem is None else min(count, rem // cost)
     if fit:
         counter.charge(fit * cost, fit * 3 * m)
-    if fit < ys.size:
+    if fit < count:
         counter.charge(cost, 3 * m)
-    mid = (copies - 1) // 2  # sin^2 is nondecreasing in the distance min(y, M - y)
-    return sin2_frac(np.partition(np.minimum(ys, m - ys), mid, axis=1)[:, mid], m)
+
+
+def aest_median(ps, ms, copies, rng: RandomSource) -> np.ndarray:
+    """Lower medians of amplitude estimations, one per lane, in one pass.
+
+    Lane i draws copies[i] estimations of amplitude ps[i] on an ms[i] point
+    register, each exactly from the law of :func:`ae_outcome_dist`, and
+    reads its median sin^2(pi*y/M) off the lower median of its own phase
+    distances min(y, M - y), as sin^2 is nondecreasing in the distance.
+    Charges nothing: an estimator charges each windowed-mean ladder with
+    :func:`aest_charge` when its schedule reaches it, since no later stage
+    reads the draws, and draws every ladder of a top-level estimate in one
+    call at its end, from a stream derived once per estimate. Needs at
+    least one lane.
+    """
+    ms = np.asarray(ms, dtype=np.int64)
+    copies = np.asarray(copies, dtype=np.int64)
+    ys = _phase_draws(ps, ms, copies, rng.gen)
+    dist = np.minimum(ys, ms[:, None] - ys)
+    dist[np.arange(ys.shape[1]) >= copies[:, None]] = ms.max()  # padding sorts last
+    mid = (copies - 1) // 2
+    dist = np.partition(dist, np.unique(mid), axis=1)
+    return sin2_frac(dist[np.arange(mid.size), mid], ms)
 
 
 def seq_aest(p: float, rng: RandomSource, counter: ExperimentCounter) -> tuple[float, int]:

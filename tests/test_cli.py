@@ -73,6 +73,18 @@ def test_sweep_reports_config_errors(tmp_path, capsys):
     assert "error:" in out.err
 
 
+def test_sweep_config_not_an_object_is_config_error(tmp_path, capsys):
+    # a number, null, an empty list and a list of the required key names
+    cfg_path = tmp_path / "bad.json"
+    for raw in (5, None, [], ["estimator", "distribution", "grid", "trials", "seed"]):
+        cfg_path.write_text(json.dumps(raw))
+        code, out = run_cli("sweep", "--config", str(cfg_path), "--out",
+                            str(tmp_path / "x.csv"), capsys=capsys)
+        assert code == 1, raw
+        assert out.err == f"error: a config must be an object, got {raw!r}\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_sweep_bad_budget_is_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"estimator": "quantile", "distribution": "point:1",
@@ -170,6 +182,27 @@ def test_sweep_skips_grid_point_past_round_table(tmp_path, capsys):
     assert out.err.count("skipping grid point") == 1 and "past 1e18" in out.err
     with out_path.open() as f:
         assert [row.n for row in harness.read_csv(f)] == [1e12, 1e12]
+
+
+@pytest.mark.parametrize("estimator, distribution, extra, huge", [
+    # 2^1024, the power of two n rounds up to, is past the float range
+    ("subgauss", "pareto:2.5:1:512", {}, 1e308),
+    # a register of about 2.7e300 points does not fit the draw's arrays
+    ("bern", "uniform:1..100:100", {"a": 0, "b": 100}, 1e300),
+])
+def test_sweep_skips_grid_point_with_huge_time_parameter(tmp_path, capsys, estimator,
+                                                         distribution, extra, huge):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"estimator": estimator, "distribution": distribution,
+                                    "grid": {"n": [64, huge], "delta": [0.1]}, "trials": 2,
+                                    "seed": 1, **extra}))
+    out_path = tmp_path / "rows.csv"
+    code, out = run_cli("sweep", "--config", str(cfg_path), "--out", str(out_path),
+                        capsys=capsys)
+    assert code == 0
+    assert out.err.count("skipping grid point") == 1 and f"time parameter {huge}" in out.err
+    with out_path.open() as f:
+        assert [row.n for row in harness.read_csv(f)] == [64, 64]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,14 @@ from qmeansim import (
     subgauss_est,
     theoretical_profile,
 )
-from qmeansim.estimators import _MAX_REFINE_TIME, _StageTracker, _tail_list
+from qmeansim import estimators
+from qmeansim.estimators import (
+    _MAX_REFINE_TIME,
+    _Ladders,
+    _StageTracker,
+    _subgauss,
+    _tail_list,
+)
 from qmeansim.kernels import GROWTH, amplify_chain, lower_median
 
 
@@ -361,6 +369,40 @@ def test_seq_relative_budget_properties(profile, probs, eps, delta, budget, pre,
     check_budget_properties(rep, qv.counter, before, budget)
 
 
+def _zero_medians(ps, ms, copies, rng):
+    return np.zeros(len(ps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor=st.floats(1.0, 30.0), eps=st.floats(0.05, 0.9), shift=st.integers(0, 5),
+       **BUDGETED)
+def test_tallies_do_not_depend_on_ladder_draws(profile, probs, factor, eps, shift, delta,
+                                               budget, pre, seed):
+    # a ladder is charged when the schedule reaches it and drawn at the end
+    # from a derived stream, so with every draw stubbed to zeros the tallies,
+    # stage costs, interruptions and the main stream's next uniform stay
+    # bit-identical
+    n = factor * math.log(1.0 / delta)
+    cases = [
+        (np.arange(len(probs), dtype=float) - shift,
+         lambda qv, rng: subgauss_est(qv, n, delta, profile, rng)),
+        (np.arange(1, len(probs) + 1, dtype=float),
+         lambda qv, rng: bern_est(qv, n, 0.0, len(probs), delta, rng)),
+    ]
+    if budget is not None or len(probs) > 1:  # a point mass at 0 needs a budget
+        cases.append((np.arange(len(probs)) / max(len(probs) - 1, 1),
+                      lambda qv, rng: seq_relative_est(qv, eps, delta, profile, rng)))
+    for values, run in cases:
+        seen = []
+        for draw in (estimators.aest_median, _zero_medians):
+            qv, rng = budgeted_qvar(values, probs, budget, pre), RandomSource(seed)
+            with mock.patch.object(estimators, "aest_median", draw):
+                rep = run(qv, rng)
+            seen.append((rep.counter_snapshot, list(rep.stage_costs.items()),
+                         rep.interrupted_stages, qv.counter, rng.gen.random()))
+        assert seen[0] == seen[1]
+
+
 def _quantile_per_repetition(qv, p, delta, profile, rng):
     # The loop quantile_est fuses: one single-cap chain call, one charge and
     # one stage close per repetition, the calls sharing one list of spares.
@@ -404,11 +446,13 @@ def _seq_relative_nested(qv, eps, delta, profile, rng):
     # The loop seq_relative_est flattens: the rough and probe stages go
     # through the seq_bern_est entry point, the probe on a fresh counter
     # capped by its stop budget and the caller's remainder, whose tallies are
-    # then folded into the caller's counter, re-checking its budget.
+    # then folded into the caller's counter, re-checking its budget. The
+    # refinements share one ladder batch, drawn at the end, as in the flat code.
     counter = qv.counter
     pair = pair_square_diff(qv.dist)
     reps = math.ceil(32 * math.log(1.0 / delta))
     tracker = _StageTracker(counter)
+    ladders = _Ladders()
     outputs = []
     for _ in range(reps):
         mu_rough = seq_bern_est(qv, rng).estimate
@@ -430,11 +474,12 @@ def _seq_relative_nested(qv, eps, delta, profile, rng):
         n_refine = min(profile.refine_time_coeff * max(math.sqrt(var_probe) / (eps * mu_rough),
                                                        1.0 / math.sqrt(eps * mu_rough)),
                        _MAX_REFINE_TIME)
-        outputs.append(subgauss_est(qv, n_refine, 1.0 / 16.0, profile, rng).estimate)
+        outputs.append(_subgauss(qv, n_refine, 1.0 / 16.0, profile, rng, ladders,
+                                 len(outputs))[1])
         tracker.close("refinement")
         if counter.interrupted:
             break
-    return tracker.report(lower_median(outputs) if outputs else 0.0)
+    return tracker.report(lower_median(np.add(outputs, ladders.sums(len(outputs), rng)).tolist()))
 
 
 # A probe that succeeds exactly on its stop budget, which changes the

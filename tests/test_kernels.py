@@ -20,6 +20,8 @@ from qmeansim import (
 from qmeansim.kernels import (
     GROWTH,
     _phase_draws,
+    ae_register,
+    aest_charge,
     _round_table,
     sin2_frac,
 )
@@ -338,7 +340,8 @@ def test_sampler_matches_law(p, m, chi_square_ok):
     assert counter.aa_applications == singles * 3 * m
     lanes = [p, 0.0, 1.0, math.sin(math.pi * (m // 3) / m) ** 2, 0.3]
     # ten calls keep the proposal arrays small
-    batch = np.concatenate([_phase_draws(lanes, m, rng.gen, (n - singles) // 10)
+    k, size = len(lanes), (n - singles) // 10
+    batch = np.concatenate([_phase_draws(lanes, [m] * k, [size] * k, rng.gen)
                             for _ in range(10)], axis=1)
     assert batch.shape == (len(lanes), n - singles)
     for lane, draws in zip(lanes, [ys + batch[0].tolist(), *batch[1:]]):
@@ -376,7 +379,7 @@ def test_phase_draws_memory_bounded_per_pass():
     gen = RandomSource(12).gen
     tracemalloc.start()
     try:
-        ys = _phase_draws(lanes, m, gen, 199_000)
+        ys = _phase_draws(lanes, [m] * 5, [199_000] * 5, gen)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -427,9 +430,11 @@ def test_aest_median_fold_matches_sorted_readout(delta):
     for case in range(300):
         m = int(gen.choice([7, 8, 9, 12, 16, 31, 64, 273, 1024, 4097]))
         n = (m - 0.5) * log_term / (2 * math.pi)  # a register of exactly M points
+        assert ae_register(n, delta) == (m, copies)
         ps = _median_amplitudes(gen, m)
-        got = aest_median(ps, n, delta, RandomSource(case), ExperimentCounter())
-        ys = _phase_draws(ps, m, RandomSource(case).gen, copies)
+        ms, counts = [m] * len(ps), [copies] * len(ps)
+        got = aest_median(ps, ms, counts, RandomSource(case))
+        ys = _phase_draws(ps, ms, counts, RandomSource(case).gen)
         want = np.sort(sin2_frac(ys, m), axis=1)[:, (copies - 1) // 2]
         assert got.tolist() == want.tolist(), (m, ps)
 
@@ -453,21 +458,21 @@ def test_aest_sample_on_grid_angle_is_exact():
 
 def test_aest_median_exact_half():
     # amplitude 0.5 with a register size divisible by 4 reads out exactly
-    rng = RandomSource(3)
-    counter = ExperimentCounter()
-    est = aest_median([0.5], 117.2, 0.1, rng, counter)
+    m, copies = ae_register(117.2, 0.1)
+    assert m % 4 == 0
+    est = aest_median([0.5], [m], [copies], RandomSource(3))
     assert est.tolist() == [0.5]
 
 
-def test_aest_median_budget_stops_after_k_copies():
+def test_aest_charge_budget_stops_after_k_copies():
     # n = 100, delta = 0.1: 14 copies of an M = 273 register, each charged
     # 4M + 1 oracle experiments and 3M amplification steps
     m, k = 273, 5
+    assert ae_register(100.0, 0.1) == (m, 14)
     per_copy = 4 * m + 1
     budget = k * per_copy + per_copy // 2
     counter = ExperimentCounter(budget=budget)
-    (est,) = aest_median([0.3], 100.0, 0.1, RandomSource(4), counter)
-    assert 0.0 <= est <= 1.0
+    aest_charge(m, 14, counter)
     assert counter.oracle_experiments == budget
     assert counter.aa_applications == k * 3 * m
     assert counter.interrupted
@@ -476,17 +481,19 @@ def test_aest_median_budget_stops_after_k_copies():
     for _ in range(14):
         aest_sample(0.3, m, RandomSource(4), reference)
     assert counter == reference
-    # a three-amplitude call stopped inside its second amplitude's copies
+    # a three-amplitude ladder stopped inside its second amplitude's copies
     # leaves what 3 * 14 single measurements leave
     budget = (14 + k) * per_copy + per_copy // 2
     counter = ExperimentCounter(budget=budget)
-    ests = aest_median([0.0, 0.3, 1.0], 100.0, 0.1, RandomSource(4), counter)
-    assert ests[0] == 0.0 and all(0.0 <= est <= 1.0 for est in ests)
+    aest_charge(m, 3 * 14, counter)
     assert counter.aa_applications == (14 + k) * 3 * m
     reference = ExperimentCounter(budget=budget)
     for _ in range(3 * 14):
         aest_sample(0.3, m, RandomSource(4), reference)
     assert counter == reference
+    # the draw charges nothing and reads p = 0 exactly
+    ests = aest_median([0.0, 0.3, 1.0], [m] * 3, [14] * 3, RandomSource(4))
+    assert ests[0] == 0.0 and all(0.0 <= est <= 1.0 for est in ests)
     # random budgets, pre-charges and 1 to 4 amplitudes, against the per-copy
     # loop
     gen = np.random.default_rng(9)
@@ -495,6 +502,7 @@ def test_aest_median_budget_stops_after_k_copies():
         n = float(gen.uniform(3.0, 60.0))
         copies = math.ceil(6 * math.log(10))
         m = math.ceil(2 * math.pi * n / math.log(10))
+        assert ae_register(n, 0.1) == (m, copies)
         cost = 4 * m + 1
         total = len(lanes) * copies
         budget = {0: None, 1: 0}.get(case % 10, int(gen.integers(0, (total + 2) * cost + 2)))
@@ -503,15 +511,24 @@ def test_aest_median_budget_stops_after_k_copies():
         if pre:  # budget 0 without a charge leaves a counter not yet tripped
             counter.charge(pre)
         reference = counter.snapshot()
-        aest_median(lanes, n, 0.1, RandomSource(case), counter)
+        aest_charge(m, total, counter)
         for _ in range(total):
             reference.charge(cost, 3 * m)
         assert counter == reference, (lanes, n, budget, pre)
 
 
-def test_aest_median_rejects_small_n():
-    with pytest.raises(ValueError):
-        aest_median([0.5], 1.0, 0.1, RandomSource(0), ExperimentCounter())
+def test_ae_register_rejects_small_n_and_huge_registers():
+    with pytest.raises(ValueError, match="below log"):
+        ae_register(1.0, 0.1)
+    with pytest.raises(ValueError, match="failure probability"):
+        ae_register(10.0, 1.0)
+    # a register just below 2^62 points is simulated, one of 2^62 is refused,
+    # and so is one too large for a float
+    edge = 2.0**62 * math.log(10) / (2 * math.pi)
+    assert ae_register(edge * (1 - 1e-15), 0.1)[0] < 2**62
+    for n in (edge, 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="past the 2\\^62"):
+            ae_register(n, 0.1)
 
 
 # -- sequential estimation -----------------------------------------------------

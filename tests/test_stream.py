@@ -61,4 +61,4 @@ def test_quantile_sweep_stream():
 def test_seq_relative_sweep_stream():
     rows = sweep("seq-relative", "bernoulli:0.1", {"epsilon": [0.3], "delta": [0.3]}, 2, 6)
     assert [(r.oracle_experiments, r.aa_applications, r.interrupted) for r in rows] == [
-        (3907594665, 2930361431, False), (3940511061, 2955053675, False)]
+        (5250681697, 3937670528, False), (4212249934, 3158853511, False)]
