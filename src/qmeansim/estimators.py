@@ -8,9 +8,8 @@ Five estimation routines are provided:
   E[X 1{a < X <= b}] read off a rotation-oracle amplitude;
 * :func:`subgauss_est` -- the sub-Gaussian mean estimator: a classical
   median shift, one quantile estimate per sign, and a ladder of dyadic
-  windowed-mean estimates, all read off one prefix sum and estimated by
-  one amplitude-estimation call, of which :func:`bern_est` is the
-  one-window case;
+  windowed-mean estimates read off one prefix sum, of which
+  :func:`bern_est` is the one-window case;
 * :func:`relative_est` -- the sub-Gaussian estimator parametrized for a
   target relative error given a bound on the coefficient of variation;
 * :func:`seq_relative_est` -- the parameter-free sequential relative
@@ -18,7 +17,10 @@ Five estimation routines are provided:
   variance probe, refined sub-Gaussian pass, outer median).
 
 Every routine returns an :class:`EstimateReport` whose per-stage oracle
-costs add up exactly to the counter movement of the call.
+costs add up exactly to the counter movement of the call. A windowed-mean
+ladder is charged when the schedule reaches it and drawn at the end: every
+ladder of a top-level estimate is drawn in one amplitude-estimation call,
+from a stream derived once per call, so no ladder moves the main stream.
 """
 
 from __future__ import annotations
@@ -355,13 +357,15 @@ class _Ladders:
         self._ladders.append((amplitudes, m, copies, sign * edges[1:], term))
 
     def sums(self, terms: int, rng: RandomSource) -> np.ndarray:
-        """Per term 0..terms-1, the sum of its ladders' scaled estimates."""
-        out = np.zeros(terms)
-        stream = rng.derive(1)
-        for amplitudes, m, copies, scales, term in self._ladders:
-            k = amplitudes.size
-            out[term] += float(scales @ aest_median(amplitudes, [m] * k, [copies] * k, stream))
-        return out
+        """Per term 0..terms-1, the sum of its ladders' scaled estimates,
+        every ladder drawn in one amplitude-estimation call."""
+        if not self._ladders:
+            return np.zeros(terms)
+        amplitudes, ms, copies, scales, owners = zip(*self._ladders)
+        sizes = [a.size for a in amplitudes]
+        medians = aest_median(np.concatenate(amplitudes), np.repeat(ms, sizes),
+                              np.repeat(copies, sizes), rng.derive(1))
+        return np.bincount(np.repeat(owners, sizes), np.concatenate(scales) * medians, terms)
 
 
 def bern_est(

@@ -27,10 +27,11 @@ Every routine but :func:`amplify_chain` and :func:`aest_median` charges an
 :class:`ExperimentCounter` under two parallel accountings: low-level oracle
 experiments (state preparations, comparison or rotation oracles, their
 inverses, and measurements) and amplification applications (state
-preparation, its inverse, and the ancilla reflection). Ancilla-only reflections cost nothing
-at the oracle level but one unit at the amplification level. An optional
-budget caps the oracle tally; the cap is checked at single-charge
-granularity, is never exceeded, and trips the counter's ``interrupted`` flag.
+preparation, its inverse, and the ancilla reflection). Ancilla-only
+reflections cost nothing at the oracle level but one unit at the
+amplification level. An optional budget caps the oracle tally; the cap is
+checked at single-charge granularity, is never exceeded, and trips the
+counter's ``interrupted`` flag.
 """
 
 from __future__ import annotations
@@ -329,7 +330,10 @@ def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
     # copies[i] exact draws of the measured index y in [0, M_i) at amplitude
     # ps[i] on an M_i = ms[i] point register, one lane per amplitude, as a
     # (lanes, max(copies)) array whose entries past a lane's count are
-    # padding; O(1) time and memory per draw whatever M is. With c = M*omega
+    # padding; O(1) time and memory per draw whatever M is. Through
+    # aest_median, one call draws every windowed-mean ladder a top-level
+    # estimate charged as its schedule reached it, so lanes differ in M and
+    # count, from the stream derived once for the estimate. With c = M*omega
     # and f = c - floor(c), the kernel centred on +omega puts mass
     #   K(j) = sin^2(pi f) / (M^2 sin^2(pi (j - f) / M)) <= min(1, 1/(4 (j - f)^2))
     # on y = floor(c) + j, for the M offsets with -M/2 < j - f <= M/2

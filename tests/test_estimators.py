@@ -403,6 +403,28 @@ def test_tallies_do_not_depend_on_ladder_draws(profile, probs, factor, eps, shif
         assert seen[0] == seen[1]
 
 
+def test_every_ladder_of_an_estimate_is_drawn_in_one_call(profile):
+    # 74 refinements on bernoulli:0.1, one windowed-mean ladder each
+    calls = []
+
+    def counted(ps, ms, copies, rng):
+        calls.append(len(ps))
+        return draw(ps, ms, copies, rng)
+
+    draw = estimators.aest_median
+    with mock.patch.object(estimators, "aest_median", counted):
+        rep = seq_relative_est(qvar(named_dist("bernoulli:0.1")), 0.1, 0.1, profile,
+                               RandomSource(1))
+        assert len(calls) == 1 and calls[0] >= 74
+        assert abs(rep.estimate - 0.1) <= 0.01
+        for run in (lambda qv: subgauss_est(qv, 64, 0.1, profile, RandomSource(2)),
+                    lambda qv: relative_est(qv, 1.0, 0.2, 0.1, profile, RandomSource(3)),
+                    lambda qv: bern_est(qv, 64, 0.0, 1.0, 0.1, RandomSource(4))):
+            calls.clear()
+            run(qvar(named_dist("uniform:0..1:11")))
+            assert len(calls) == 1
+
+
 def _quantile_per_repetition(qv, p, delta, profile, rng):
     # The loop quantile_est fuses: one single-cap chain call, one charge and
     # one stage close per repetition, the calls sharing one list of spares.

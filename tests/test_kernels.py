@@ -387,6 +387,52 @@ def test_phase_draws_memory_bounded_per_pass():
     assert peak < 32 << 20
 
 
+def test_phase_draws_mixed_registers_match_law(chi_square_ok):
+    # one call whose lanes each have their own register size and copy count;
+    # every lane follows its own law, and its row is padded past its count
+    m = 64
+    lanes = [(0.0, 16, 20_000), (1.0, 37, 30_000), (1.0, 16, 10_000),
+             (math.sin(math.pi * 3 / m) ** 2, m, 40_000), (0.3, 37, 60_000),
+             (0.3, 4096, 50_000), (1e-4, 3, 25_000), (0.5, 1, 5_000)]
+    ps, ms, copies = zip(*lanes)
+    ys = _phase_draws(ps, ms, copies, RandomSource(21).gen)
+    assert ys.shape == (len(lanes), max(copies))
+    for (p, m, k), row in zip(lanes, ys):
+        counts = np.bincount(row[:k], minlength=m).astype(float)
+        assert len(counts) == m
+        assert chi_square_ok(counts, ae_outcome_dist(p, m)), (p, m)
+
+
+def _median_distance_law(p, m, k):
+    # P(lower median of k distances min(y, M - y) <= d) is the chance that at
+    # least (k - 1)//2 + 1 of the k copies land at distance <= d
+    law = ae_outcome_dist(p, m)
+    ys = np.arange(m)
+    cdf = np.cumsum(np.bincount(np.minimum(ys, m - ys), weights=law, minlength=m // 2 + 1))
+    need = (k - 1) // 2 + 1
+    below = [sum(math.comb(k, i) * f**i * (1 - f) ** (k - i) for i in range(need, k + 1))
+             for f in np.minimum(cdf, 1.0)]
+    return np.diff(below, prepend=0.0)
+
+
+def test_aest_median_matches_exact_median_law(chi_square_ok):
+    # one call over 3000 lanes each of six (p, M, copies) cases; each lane's
+    # reading is mapped back to its median distance and checked against the
+    # exact law of a lower median of its own copies
+    cases = [(0.3, 64, 14), (0.3, 37, 9), (math.sin(math.pi * 5 / 64) ** 2, 64, 17),
+             (0.05, 273, 8), (0.0, 16, 14), (0.7, 16, 47)]
+    reps = 3000
+    ps, ms, copies = (np.repeat(col, reps) for col in zip(*cases))
+    readings = aest_median(ps, ms, copies, RandomSource(22)).reshape(len(cases), reps)
+    for (p, m, k), row in zip(cases, readings):
+        table = sin2_frac(np.arange(m // 2 + 1), m)
+        d = np.searchsorted(table, row)
+        assert np.all(table[np.minimum(d, m // 2)] == row), (p, m, k)
+        law = _median_distance_law(p, m, k)
+        assert law.sum() == pytest.approx(1.0, abs=1e-9)
+        assert chi_square_ok(np.bincount(d, minlength=m // 2 + 1).astype(float), law), (p, m, k)
+
+
 def test_sin2_frac_exact_grid_points():
     assert sin2_frac(0, 8) == 0.0
     assert sin2_frac(4, 8) == 1.0
