@@ -373,9 +373,9 @@ def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
         j = np.where(far, np.where(choice < 5.0 / 6.0, 1.0 + k, -k), choice >= 1.0 / 3.0)
         weight = np.where(far, 2.0 * k * (k + 1.0), 1.0)
         x = j - f[lane]
-        size = mf[lane]
-        hit = ((-0.5 * size < x) & (x <= 0.5 * size)
-               & ((1.0 - accept) * (size * np.sin(np.pi * x / size)) ** 2 <= s2[lane] * weight))
+        ml = mf[lane]
+        hit = ((-0.5 * ml < x) & (x <= 0.5 * ml)
+               & ((1.0 - accept) * (ml * np.sin(np.pi * x / ml)) ** 2 <= s2[lane] * weight))
         lane, j = lane[hit], j[hit]
         # each lane keeps its first `need` accepted offsets, in proposal order
         slot = filled[lane] + np.arange(lane.size) - np.searchsorted(lane, lane)
@@ -441,7 +441,7 @@ def ae_register(n: float, delta: float) -> tuple[int, int]:
     points = 2 * math.pi * n / log_term
     if not points < MAX_REGISTER:
         raise ValueError(f"time parameter {n} needs a register of {points:.3g} points, "
-                         f"past the 2^62 simulated")
+                         "past the 2^62 simulated")
     return math.ceil(points), math.ceil(6 * log_term)
 
 
