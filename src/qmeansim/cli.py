@@ -11,18 +11,19 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .bounds import bound_report
-from .estimators import calibrate_constants
+from .estimators import calibrate_constants, default_profile
 from .harness import (
     ConfigError,
     EstimatorError,
     SweepConfig,
+    SweepRow,
     fit_loglog_slope,
     group_rows,
-    load_profile_spec,
     read_csv,
     run_sweep,
     summarize,
@@ -51,7 +52,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_summarize(args) -> int:
     with open(args.infile) as fh:
         rows = read_csv(fh)
-    profile = load_profile_spec(args.profile) if args.profile else None
+    profile = default_profile(args.profile) if args.profile else None
     records = summarize(rows, bound=args.bound, profile=profile)
     cols = ["estimator", "distribution", "n", "epsilon", "delta", "p", "trials",
             "mean_abs_error", "p90_abs_error", "failure_rate", "bound",
@@ -65,12 +66,12 @@ def _cmd_summarize(args) -> int:
 def _cmd_slope(args) -> int:
     with open(args.infile) as fh:
         rows = read_csv(fh)
-    points = []
-    for members in group_rows(rows).values():
-        x = np.mean([getattr(m, args.x) for m in members])
-        errs = [getattr(m, args.y) for m in members]
-        y = float(np.percentile(errs, args.percentile))
-        points.append((x, y))
+    for name in (args.x, args.y):
+        if any(getattr(row, name) is None for row in rows):
+            raise ConfigError(f"column {name!r} has empty cells")
+    points = [(np.mean([getattr(m, args.x) for m in members]),
+               float(np.percentile([getattr(m, args.y) for m in members], args.percentile)))
+              for members in group_rows(rows).values()]
     print(f"{fit_loglog_slope(points):.6f}")
     return 0
 
@@ -132,9 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_summarize)
 
     p = sub.add_parser("slope", help="log-log slope of error against cost")
+    numeric = [f.name for f in fields(SweepRow) if f.type in ("int", "float", "float | None")]
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--x", default="oracle_experiments")
-    p.add_argument("--y", default="abs_error")
+    p.add_argument("--x", default="oracle_experiments", choices=numeric)
+    p.add_argument("--y", default="abs_error", choices=numeric)
     p.add_argument("--percentile", type=float, default=90.0)
     p.set_defaults(func=_cmd_slope)
 

@@ -18,9 +18,10 @@ Five estimation routines are provided:
 
 Every routine returns an :class:`EstimateReport` whose per-stage oracle
 costs add up exactly to the counter movement of the call. A windowed-mean
-ladder is charged when the schedule reaches it and drawn at the end: every
-ladder of a top-level estimate is drawn in one amplitude-estimation call,
-from a stream derived once per call, so no ladder moves the main stream.
+ladder is charged when the schedule reaches it and drawn at the end: the
+windows of nonzero amplitude of every ladder of a top-level estimate are
+drawn in one amplitude-estimation call, from a stream derived once per
+call, so no ladder moves the main stream.
 """
 
 from __future__ import annotations
@@ -195,14 +196,16 @@ def theoretical_profile() -> ConstantProfile:
                            seq_cost_sq_coeff=5e4, seq_sqrt_coeff=10.0, mode="theoretical")
 
 
-def default_profile(name: str = "calibrated") -> ConstantProfile:
-    """Load a shipped profile: "calibrated" (packaged data) or "theoretical"."""
-    if name == "theoretical":
+def default_profile(spec: str = "calibrated") -> ConstantProfile:
+    """Resolve a profile: "calibrated" (packaged data), "theoretical", or the
+    path of a profile JSON file."""
+    if spec == "theoretical":
         return theoretical_profile()
-    if name == "calibrated":
-        text = resources.files("qmeansim.data").joinpath("calibrated.json").read_text()
-        return ConstantProfile.from_json(text)
-    raise ValueError(f"unknown profile {name!r}")
+    if spec == "calibrated":
+        return ConstantProfile.from_json(
+            resources.files("qmeansim.data").joinpath("calibrated.json").read_text())
+    with open(spec) as fh:
+        return ConstantProfile.from_json(fh.read())
 
 
 @dataclass
@@ -335,8 +338,8 @@ class _Ladders:
     number of windows and the counter's remainder, and no later stage reads
     its draws, only the returned estimate does. So :meth:`add` charges a
     ladder when the schedule reaches it and records it, and :meth:`sums`
-    draws every recorded ladder at the end, from a stream derived once per
-    top-level estimate.
+    draws every recorded window of nonzero amplitude at the end, from a
+    stream derived once per top-level estimate.
     """
 
     def __init__(self) -> None:
@@ -358,14 +361,18 @@ class _Ladders:
 
     def sums(self, terms: int, rng: RandomSource) -> np.ndarray:
         """Per term 0..terms-1, the sum of its ladders' scaled estimates,
-        every ladder drawn in one amplitude-estimation call."""
+        every window of nonzero amplitude drawn in one amplitude-estimation
+        call; an empty window reads exactly 0, so none is drawn."""
         if not self._ladders:
             return np.zeros(terms)
         amplitudes, ms, copies, scales, owners = zip(*self._ladders)
-        sizes = [a.size for a in amplitudes]
-        medians = aest_median(np.concatenate(amplitudes), np.repeat(ms, sizes),
-                              np.repeat(copies, sizes), rng.derive(1))
-        return np.bincount(np.repeat(owners, sizes), np.concatenate(scales) * medians, terms)
+        ps = np.concatenate(amplitudes)
+        live = np.flatnonzero(ps)
+        if not live.size:
+            return np.zeros(terms)
+        ladder = np.repeat(np.arange(len(ms)), [a.size for a in amplitudes])[live]
+        medians = aest_median(ps[live], np.take(ms, ladder), np.take(copies, ladder), rng.derive(1))
+        return np.bincount(np.take(owners, ladder), np.concatenate(scales)[live] * medians, terms)
 
 
 def bern_est(
@@ -467,7 +474,8 @@ def subgauss_est(
     A part with Q = 0 costs nothing. The time parameter is rounded up to the
     next power of two. Each part's ladder is charged when the schedule
     reaches it; both are drawn at the end in one amplitude-estimation call,
-    from a stream derived from ``rng``, so the draws never move ``rng``.
+    empty windows excepted, from a stream derived from ``rng``, so the
+    draws never move ``rng``.
     """
     ladders = _Ladders()
     tracker, eta = _subgauss(qvar, n, delta, profile, rng, ladders, 0)

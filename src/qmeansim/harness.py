@@ -48,7 +48,6 @@ __all__ = [
     "group_rows",
     "summarize",
     "fit_loglog_slope",
-    "load_profile_spec",
     "verify_ae",
     "VERIFY_AE_AMPLITUDES",
 ]
@@ -127,17 +126,6 @@ class SweepConfig:
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         return cls(**raw)
-
-    def load_profile(self) -> ConstantProfile:
-        return load_profile_spec(self.profile)
-
-
-def load_profile_spec(spec: str) -> ConstantProfile:
-    """Resolve a profile name ("calibrated"/"theoretical") or JSON file path."""
-    if spec in ("calibrated", "theoretical"):
-        return default_profile(spec)
-    with open(spec) as fh:
-        return ConstantProfile.from_json(fh.read())
 
 
 @dataclass
@@ -277,7 +265,7 @@ def run_sweep(config: SweepConfig) -> Iterator[SweepRow]:
     :class:`EstimatorError`.
     """
     dist = resolve_distribution(config.distribution)
-    profile = config.load_profile()
+    profile = default_profile(config.profile)
     true_mean = moments(dist).mean
     grid_keys = [k for k in _GRID_KEYS if k in config.grid]
     combos = list(product(*(config.grid[k] for k in grid_keys)))
@@ -333,8 +321,11 @@ _ROW_PARSERS = [(f.name, _PARSERS[f.type]) for f in fields(SweepRow)]
 
 
 def read_csv(inp) -> list[SweepRow]:
+    reader = csv.DictReader(inp, restval="")  # a short row's missing cells are empty
+    if missing := [name for name in CSV_FIELDS if name not in (reader.fieldnames or ())]:
+        raise ValueError(f"not a sweep CSV: missing columns {', '.join(missing)}")
     return [SweepRow(**{name: parse(rec[name]) for name, parse in _ROW_PARSERS})
-            for rec in csv.DictReader(inp)]
+            for rec in reader]
 
 
 _GROUP_FIELDS = ("estimator", "distribution", *_GRID_KEYS)

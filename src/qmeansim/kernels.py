@@ -12,16 +12,18 @@ quantum primitives reduce to closed-form probability laws:
 * M-point amplitude estimation measures an index y whose exact law is a
   half/half mixture of Fejer kernels centred on the two eigenphases
   +-asin(sqrt(p))/pi. Draws never build the M-point law: an offset from the
-  kernel's peak is drawn exactly by rejection from an envelope decaying as
-  1/k^2, and a fair coin picks the eigenphase, so a draw costs O(1) time and
-  memory whatever M is. A windowed-mean ladder is charged when the
-  estimator's schedule reaches it, by :func:`aest_charge`, and drawn once
-  at the end: :func:`aest_median` draws every copy of every ladder of a
-  top-level estimate in one vectorised pass, from a stream derived once per
-  estimate, each amplitude with its own register and copy count, and reads
-  each median off the phase distances min(y, M - y).
-  :func:`ae_outcome_dist` materialises the law as the reference the sampler
-  is tested against.
+  +omega kernel's peak is drawn exactly by rejection from an envelope
+  decaying as 1/k^2, on one path for every amplitude, so a draw costs O(1)
+  time and memory whatever M is. The -omega kernel is its mirror image
+  y -> M - y, so only :func:`aest_sample`, which returns y itself, flips
+  the fair coin that picks the eigenphase. A windowed-mean ladder is
+  charged when the estimator's schedule reaches it, by :func:`aest_charge`,
+  and drawn once at the end: :func:`aest_median` draws every copy of every
+  ladder of a top-level estimate in one vectorised pass, from a stream
+  derived once per estimate, each amplitude with its own register and copy
+  count, and reads each median off the phase distances min(y, M - y),
+  which the coin leaves as they are. :func:`ae_outcome_dist` materialises
+  the law as the reference the sampler is tested against.
 
 Every routine but :func:`amplify_chain` and :func:`aest_median` charges an
 :class:`ExperimentCounter` under two parallel accountings: low-level oracle
@@ -327,46 +329,40 @@ def ae_outcome_dist(p: float, m: int) -> np.ndarray:
 
 
 def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
-    # copies[i] exact draws of the measured index y in [0, M_i) at amplitude
-    # ps[i] on an M_i = ms[i] point register, one lane per amplitude, as a
-    # (lanes, max(copies)) array whose entries past a lane's count are
-    # padding; O(1) time and memory per draw whatever M is. Through
-    # aest_median, one call draws every windowed-mean ladder a top-level
-    # estimate charged as its schedule reached it, so lanes differ in M and
-    # count, from the stream derived once for the estimate. With c = M*omega
-    # and f = c - floor(c), the kernel centred on +omega puts mass
+    # copies[i] exact draws of the index y in [0, M_i) from the Fejer kernel
+    # on the eigenphase +omega of amplitude ps[i] on an M_i = ms[i] point
+    # register, one lane per amplitude, as a (lanes, max(copies)) array
+    # whose entries past a lane's count are padding; O(1) time and memory
+    # per draw whatever M is. Their phase distances min(y, M - y) follow the
+    # two-kernel law, as the -omega kernel is the mirror image y -> M - y.
+    # Through aest_median, one call draws every live window of every ladder
+    # of a top-level estimate, so lanes differ in M and count. With
+    # c = M*omega and f = c - floor(c), the kernel puts mass
     #   K(j) = sin^2(pi f) / (M^2 sin^2(pi (j - f) / M)) <= min(1, 1/(4 (j - f)^2))
     # on y = floor(c) + j, for the M offsets with -M/2 < j - f <= M/2
     # (|sin(pi x)| >= 2|x| for |x| <= 1/2). Offsets are proposed as 0 or 1
     # with probability 1/3 each, else as 1 + k or -k with probability
     # 1/(6 k (k + 1)) each, k = floor(1/U) >= 1, and accepted with
     # probability K(j) / (3 * proposal) <= 1: a third of the proposals are
-    # accepted. On the grid (f = 0) only j = 0 passes. A fair coin then
-    # reflects y -> (M - y) mod M onto the kernel centred on -omega, except
-    # at p = 1, whose two eigenphases coincide. Lanes with a single outcome
-    # (p = 0, or p = 1 and even M) take no proposals.
+    # accepted. On the grid (f = 0: p = 0, and p = 1 with even M among
+    # them) only j = 0 passes.
     ps = np.asarray(ps, dtype=float).reshape(-1)
     ms = np.asarray(ms, dtype=np.int64).reshape(-1)
-    copies = np.asarray(copies, dtype=np.int64).reshape(-1)
+    want = np.asarray(copies, dtype=np.int64).reshape(-1)
     if not np.all((ps >= 0.0) & (ps <= 1.0)):
         raise ValueError(f"amplitudes must be in [0, 1], got {ps}")
-    ys = np.zeros((ps.size, copies.max(initial=0)), dtype=np.int64)
-    one = ps == 1.0
-    ys[one] = ms[one, None] // 2
-    live = np.flatnonzero((ps > 0.0) & ((ps < 1.0) | (ms % 2 == 1)))
-    m, want = ms[live], copies[live]
-    mf = m.astype(float)
-    c = mf * np.arcsin(np.sqrt(ps[live])) / np.pi
+    mf = ms.astype(float)
+    c = mf * np.arcsin(np.sqrt(ps)) / np.pi
     base = np.floor(c)
     f = c - base
     s2 = np.sin(np.pi * np.minimum(f, 1.0 - f)) ** 2
-    draws = np.zeros((live.size, ys.shape[1]), dtype=np.int64)
-    filled = np.zeros(live.size, dtype=np.int64)
+    ys = np.zeros((ps.size, want.max(initial=0)), dtype=np.int64)
+    filled = np.zeros(ps.size, dtype=np.int64)
     while (need := want - filled).any():
         # four proposals per missing draw and eight spare, so refills are
         # rare, but about 2^16 at most a pass, so memory stays bounded
         share = max((1 << 16) // np.count_nonzero(need), 1)
-        lane = np.repeat(np.arange(live.size), np.minimum(4 * need + 8 * (need > 0), share))
+        lane = np.repeat(np.arange(ps.size), np.minimum(4 * need + 8 * (need > 0), share))
         choice, u, accept = gen.random((3, lane.size))
         k = np.floor(1.0 / (1.0 - u))
         far = choice >= 2.0 / 3.0
@@ -381,12 +377,8 @@ def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
         slot = filled[lane] + np.arange(lane.size) - np.searchsorted(lane, lane)
         keep = slot < want[lane]
         lane = lane[keep]
-        draws[lane, slot[keep]] = np.mod(base[lane] + j[keep], mf[lane]).astype(np.int64)
-        filled += np.bincount(lane, minlength=live.size)
-    reflect = (gen.random(draws.shape) < 0.5) & (ps[live] < 1.0)[:, None]
-    np.subtract(m[:, None], draws, out=draws, where=reflect)
-    draws %= m[:, None]
-    ys[live] = draws
+        ys[lane, slot[keep]] = np.mod(base[lane] + j[keep], mf[lane]).astype(np.int64)
+        filled += np.bincount(lane, minlength=ps.size)
     return ys
 
 
@@ -402,17 +394,20 @@ def sin2_frac(y, m) -> np.ndarray:
 def aest_sample(p: float, m: int, rng: RandomSource, counter: ExperimentCounter) -> AEOutcome:
     """One amplitude-estimation measurement with an M-point phase register.
 
-    Charges 2M walk applications and a measurement, 2M*WALK_COST +
-    MEASURE_COST = 4M+1 oracle experiments, and 3M amplification steps; the
-    estimation run itself is not interruptible mid-flight, so a budget
-    shortfall clamps the tally and flags the counter but the outcome is still
-    produced. The index is drawn exactly from the law of
-    :func:`ae_outcome_dist` by the draw :func:`aest_median` uses.
+    Charged by :func:`aest_charge` as one copy: 4M+1 oracle experiments and
+    3M amplification steps; the estimation run itself is not interruptible
+    mid-flight, so a budget shortfall clamps the tally and flags the counter
+    but the outcome is still produced. The index is drawn exactly from the
+    law of :func:`ae_outcome_dist`: a draw from the kernel on +omega, then,
+    for 0 < p < 1, where the eigenphases +-omega differ, a fair coin
+    reflects it onto the kernel on -omega.
     """
     if m < 1:
         raise ValueError(f"need at least one phase point, got M={m}")
     y = int(_phase_draws([p], [m], [1], rng.gen)[0, 0])
-    counter.charge(2 * m * WALK_COST + MEASURE_COST, 3 * m)
+    if 0.0 < p < 1.0 and rng.gen.random() < 0.5:
+        y = (m - y) % m
+    aest_charge(m, 1, counter)
     return AEOutcome(y=y, p_estimate=float(sin2_frac(y, m)))
 
 
@@ -462,14 +457,16 @@ def aest_charge(m: int, count: int, counter: ExperimentCounter) -> None:
 def aest_median(ps, ms, copies, rng: RandomSource) -> np.ndarray:
     """Lower medians of amplitude estimations, one per lane, in one pass.
 
-    Lane i draws copies[i] estimations of amplitude ps[i] on an ms[i] point
-    register, each exactly from the law of :func:`ae_outcome_dist`, and
-    reads its median sin^2(pi*y/M) off the lower median of its own phase
-    distances min(y, M - y), as sin^2 is nondecreasing in the distance.
-    Charges nothing: an estimator charges each windowed-mean ladder with
-    :func:`aest_charge` when its schedule reaches it, since no later stage
-    reads the draws, and draws every ladder of a top-level estimate in one
-    call at its end, from a stream derived once per estimate. Needs at
+    Lane i draws copies[i] phase distances min(y, M - y) of estimations of
+    amplitude ps[i] on an ms[i] point register, each exactly from the fold
+    of the law of :func:`ae_outcome_dist`, and reads its median
+    sin^2(pi*y/M) off the lower median of its own distances, as sin^2 is
+    nondecreasing in the distance. The fair coin that picks the eigenphase
+    leaves the distance as it is, so no coin is drawn. Charges nothing: an
+    estimator charges each windowed-mean ladder with :func:`aest_charge`
+    when its schedule reaches it, since no later stage reads the draws, and
+    draws the nonzero amplitudes of every ladder of a top-level estimate in
+    one call at its end, from a stream derived once per estimate. Needs at
     least one lane.
     """
     ms = np.asarray(ms, dtype=np.int64)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,6 +63,49 @@ def test_sweep_and_summarize_and_slope(tmp_path, capsys):
     assert code == 0
     slope = float(out.out.strip())
     assert -0.8 <= slope <= -0.2  # classical rate on a sampled sweep
+
+
+def _seq_relative_csv(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"estimator": "seq-relative", "distribution": "bernoulli:0.5",
+                                    "grid": {"epsilon": [0.4, 0.3, 0.2], "delta": [0.25]},
+                                    "trials": 2, "seed": 3}))
+    out_path = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out_path),
+                   capsys=capsys)[0] == 0
+    return out_path
+
+
+@pytest.mark.parametrize("command", ["summarize", "slope"])
+def test_malformed_csv_is_config_error(tmp_path, capsys, command):
+    csv_path = tmp_path / "other.csv"
+    csv_path.write_text("estimator,n\nempirical,100\n")
+    code, out = run_cli(command, "--in", str(csv_path), capsys=capsys)
+    assert code == 1
+    assert out.err.startswith("error: not a sweep CSV: missing columns distribution, epsilon")
+    assert out.out == ""
+    # a sweep CSV whose last row is cut short
+    rows = _seq_relative_csv(tmp_path, capsys)
+    rows.write_text(rows.read_text()[:-40])
+    code, out = run_cli(command, "--in", str(rows), capsys=capsys)
+    assert code == 1 and out.err.startswith("error:") and out.out == ""
+
+
+@pytest.mark.parametrize("axis, column, message", [
+    ("--x", "nosuch", "invalid choice: 'nosuch'"),
+    ("--x", "estimator", "invalid choice: 'estimator'"),
+    ("--y", "interrupted", "invalid choice: 'interrupted'"),
+    ("--x", "n", "column 'n' has empty cells"),
+], ids=["unknown", "text", "bool", "empty-cells"])
+def test_slope_bad_column_is_config_error(tmp_path, capsys, axis, column, message):
+    # slope fits numeric columns only; a seq-relative sweep leaves n empty
+    out_path = _seq_relative_csv(tmp_path, capsys)
+    code, out = run_cli("slope", "--in", str(out_path), axis, column, capsys=capsys)
+    assert code == 1
+    assert "error:" in out.err and message in out.err
+    assert out.out == ""
+    code, out = run_cli("slope", "--in", str(out_path), "--x", "epsilon", capsys=capsys)
+    assert code == 0 and math.isfinite(float(out.out))
 
 
 def test_sweep_reports_config_errors(tmp_path, capsys):

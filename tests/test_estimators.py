@@ -38,7 +38,7 @@ from qmeansim.estimators import (
     _subgauss,
     _tail_list,
 )
-from qmeansim.kernels import GROWTH, amplify_chain, lower_median
+from qmeansim.kernels import GROWTH, ae_register, amplify_chain, lower_median
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,15 @@ def test_theoretical_profile_couplings_hold():
     assert prof.refine_time_coeff == pytest.approx(
         4 * (1 + prof.seq_rel_err) / math.sqrt(1 - prof.seq_rel_err)
     )
+
+
+def test_default_profile_resolves_names_and_files(tmp_path):
+    path = tmp_path / "prof.json"
+    path.write_text(theoretical_profile().to_json())
+    assert default_profile(str(path)) == default_profile("theoretical")
+    assert default_profile() == default_profile("calibrated")
+    with pytest.raises(FileNotFoundError):
+        default_profile(str(tmp_path / "none.json"))
 
 
 def test_theoretical_profile_rejects_broken_coupling():
@@ -415,7 +424,8 @@ def test_every_ladder_of_an_estimate_is_drawn_in_one_call(profile):
     with mock.patch.object(estimators, "aest_median", counted):
         rep = seq_relative_est(qvar(named_dist("bernoulli:0.1")), 0.1, 0.1, profile,
                                RandomSource(1))
-        assert len(calls) == 1 and calls[0] >= 74
+        # exactly the one live window of each refinement's ladder
+        assert calls == [74]
         assert abs(rep.estimate - 0.1) <= 0.01
         for run in (lambda qv: subgauss_est(qv, 64, 0.1, profile, RandomSource(2)),
                     lambda qv: relative_est(qv, 1.0, 0.2, 0.1, profile, RandomSource(3)),
@@ -565,6 +575,26 @@ def test_bern_est_empty_window_is_free(profile):
         rep = bern_est(QVar(uniform(0, 1), counter), 50, 0.0, 0.0, 0.1, RandomSource(0))
         assert rep == EstimateReport(0.0, ExperimentCounter(0, 0, 100, interrupted), {}, [])
         assert counter == ExperimentCounter(pre, 0, 100, interrupted)
+
+
+def test_bern_est_window_without_atoms_is_charged_not_drawn(profile):
+    # (0.95, 0.99] holds no atom of uniform:0..1:11: its amplitude is 0 and
+    # reads exactly 0, so every copy is charged and none is drawn
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    draw = estimators.aest_median
+    m, copies = ae_register(64, 0.1)
+    with mock.patch.object(estimators, "aest_median", counted):
+        rep = bern_est(qvar(named_dist("uniform:0..1:11")), 64, 0.95, 0.99, 0.1,
+                       RandomSource(4))
+    assert rep.estimate == 0.0
+    assert rep.counter_snapshot == ExperimentCounter(copies * (4 * m + 1), copies * 3 * m)
+    assert rep.stage_costs == {"amplitude_estimation": copies * (4 * m + 1)}
+    assert calls == []
 
 
 def test_bern_est_on_grid_exact(profile):

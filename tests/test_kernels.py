@@ -325,31 +325,55 @@ def test_outcome_dist_matches_statevector(m):
         assert tv < 1e-11
 
 
+def _distance_law(p, m):
+    # the law of the phase distance min(y, M - y), 0..M//2, folded off the
+    # law of y
+    ys = np.arange(m)
+    return np.bincount(np.minimum(ys, m - ys), weights=ae_outcome_dist(p, m),
+                       minlength=m // 2 + 1)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 16, 37, 4096])
 @pytest.mark.parametrize("p", [1e-4, 0.3, 0.5, math.sin(math.pi / 8) ** 2, 0.9999, 1.0])
 def test_sampler_matches_law(p, m, chi_square_ok):
-    # aest_sample draws one outcome and aest_median a batch, both through
-    # _phase_draws. The law of p is checked on the draws of both paths
-    # together; the batch mixes p with amplitudes 0 and 1, one on the
-    # measurement grid and a generic one, and every lane is checked.
-    singles, n = 1000, 200_000
+    # _phase_draws leaves the eigenphase coin to aest_sample, so the phase
+    # distances min(y, M - y) of its draws, all aest_median reads, are
+    # checked against the folded law. Each call mixes p with amplitudes 0
+    # and 1, one on the measurement grid and a generic one, and every lane
+    # is checked.
+    n = 200_000
     rng = RandomSource(5)
-    counter = ExperimentCounter()
-    ys = [aest_sample(p, m, rng, counter).y for _ in range(singles)]
-    assert counter.oracle_experiments == singles * (m * 4 + 1)
-    assert counter.aa_applications == singles * 3 * m
     lanes = [p, 0.0, 1.0, math.sin(math.pi * (m // 3) / m) ** 2, 0.3]
     # ten calls keep the proposal arrays small
-    k, size = len(lanes), (n - singles) // 10
+    k, size = len(lanes), n // 10
     batch = np.concatenate([_phase_draws(lanes, [m] * k, [size] * k, rng.gen)
                             for _ in range(10)], axis=1)
-    assert batch.shape == (len(lanes), n - singles)
-    for lane, draws in zip(lanes, [ys + batch[0].tolist(), *batch[1:]]):
-        counts = np.bincount(draws, minlength=m).astype(float)
-        assert len(counts) == m
-        law = ae_outcome_dist(lane, m)
-        assert total_variation(counts / len(draws), law) < 0.01
+    assert batch.shape == (len(lanes), n)
+    for lane, draws in zip(lanes, batch):
+        assert np.all((0 <= draws) & (draws < m))
+        counts = np.bincount(np.minimum(draws, m - draws), minlength=m // 2 + 1).astype(float)
+        assert len(counts) == m // 2 + 1
+        law = _distance_law(lane, m)
+        assert total_variation(counts / n, law) < 0.01
         assert chi_square_ok(counts, law)
+
+
+@pytest.mark.parametrize("m", [3, 16])
+@pytest.mark.parametrize("p", [0.0, 0.3, math.sin(math.pi / 8) ** 2, 1.0])
+def test_aest_sample_matches_law(p, m, chi_square_ok):
+    # aest_sample's y itself, eigenphase coin included, against the
+    # two-kernel law; each draw is charged as one aest_charge copy
+    n = 20_000
+    rng = RandomSource(5)
+    counter = ExperimentCounter()
+    ys = [aest_sample(p, m, rng, counter).y for _ in range(n)]
+    assert counter.oracle_experiments == n * (m * 4 + 1)
+    assert counter.aa_applications == n * 3 * m
+    counts = np.bincount(ys, minlength=m).astype(float)
+    assert len(counts) == m
+    law = ae_outcome_dist(p, m)
+    assert total_variation(counts / n, law) < 0.01
+    assert chi_square_ok(counts, law)
 
 
 def test_sampler_huge_register_constant_memory():
@@ -389,7 +413,8 @@ def test_phase_draws_memory_bounded_per_pass():
 
 def test_phase_draws_mixed_registers_match_law(chi_square_ok):
     # one call whose lanes each have their own register size and copy count;
-    # every lane follows its own law, and its row is padded past its count
+    # every lane's phase distances follow its own folded law, and its row is
+    # padded past its count
     m = 64
     lanes = [(0.0, 16, 20_000), (1.0, 37, 30_000), (1.0, 16, 10_000),
              (math.sin(math.pi * 3 / m) ** 2, m, 40_000), (0.3, 37, 60_000),
@@ -398,17 +423,17 @@ def test_phase_draws_mixed_registers_match_law(chi_square_ok):
     ys = _phase_draws(ps, ms, copies, RandomSource(21).gen)
     assert ys.shape == (len(lanes), max(copies))
     for (p, m, k), row in zip(lanes, ys):
-        counts = np.bincount(row[:k], minlength=m).astype(float)
-        assert len(counts) == m
-        assert chi_square_ok(counts, ae_outcome_dist(p, m)), (p, m)
+        assert np.all((0 <= row[:k]) & (row[:k] < m))
+        dist = np.minimum(row[:k], m - row[:k])
+        counts = np.bincount(dist, minlength=m // 2 + 1).astype(float)
+        assert len(counts) == m // 2 + 1
+        assert chi_square_ok(counts, _distance_law(p, m)), (p, m)
 
 
 def _median_distance_law(p, m, k):
     # P(lower median of k distances min(y, M - y) <= d) is the chance that at
     # least (k - 1)//2 + 1 of the k copies land at distance <= d
-    law = ae_outcome_dist(p, m)
-    ys = np.arange(m)
-    cdf = np.cumsum(np.bincount(np.minimum(ys, m - ys), weights=law, minlength=m // 2 + 1))
+    cdf = np.cumsum(_distance_law(p, m))
     need = (k - 1) // 2 + 1
     below = [sum(math.comb(k, i) * f**i * (1 - f) ** (k - i) for i in range(need, k + 1))
              for f in np.minimum(cdf, 1.0)]
