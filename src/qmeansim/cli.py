@@ -87,7 +87,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_verify_ae(args) -> int:
-    report = verify_ae(args.max_m)
+    report = verify_ae()
     print(f"cases: {len(report['cases'])}")
     print(f"max total-variation distance: {report['max_tv']:.3e}")
     return 0 if report["max_tv"] <= 1e-9 else 2
@@ -148,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("verify-ae", help="validate the estimation kernel")
-    p.add_argument("--max-m", type=int, default=32)
     p.set_defaults(func=_cmd_verify_ae)
 
     p = sub.add_parser("bounds", help="distinguishability bounds for an instance pair")

@@ -96,6 +96,18 @@ class FiniteDist:
         # _tail[i] = P[X >= values[i]]
         return np.cumsum(self.probs[::-1])[::-1]
 
+    @cached_property
+    def _chain(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        # The laws a quantile chain walks, as tuples since the cache is
+        # shared: the cumulative law, and P[X >= values[k]] for k = 0..len,
+        # clipped at 1 against round-off and 0 past the top atom.
+        return tuple(self._cum.tolist()), tuple(np.minimum(self._tail, 1.0).tolist()) + (0.0,)
+
+    @cached_property
+    def _mirror(self) -> "FiniteDist":
+        # the law of -X
+        return FiniteDist._trusted(-self.values[::-1], self.probs[::-1])
+
 
 def make_dist(values, probs) -> FiniteDist:
     """Build a distribution, merging duplicate support values.
@@ -152,26 +164,27 @@ def shift_split(d: FiniteDist, eta: float) -> tuple[FiniteDist, FiniteDist]:
 
     Returns the distributions of max(X - eta, 0) and max(eta - X, 0). The
     identity mean(X) = eta + mean(up) - mean(down) holds exactly, and the
-    second moments of the parts add up to E[(X - eta)^2]. Each part is a
-    slice of the support plus an atom at 0 for the mass beyond eta.
+    second moments of the parts add up to E[(X - eta)^2]. Each part is read
+    off X's laws, the part below off those of -X: an atom at 0 holding the
+    mass up to eta, then the atoms beyond eta with X's masses, not
+    renormalised, and chain laws sliced from X's. A part with a massless
+    atom, or with atoms the shift rounds onto one value, is built by
+    :func:`make_dist` instead, which drops or merges them.
     """
-    v, p = d.values, d.probs
-    above = int(np.searchsorted(v, eta, side="right"))
-    below = int(np.searchsorted(v, eta, side="left"))
-    return (_part(v[above:] - eta, p[above:], p[:above].sum()),
-            _part(eta - v[:below][::-1], p[:below][::-1], p[below:].sum()))
+    return _above(d, eta), _above(d._mirror, -eta)
 
 
-def _part(values: np.ndarray, probs: np.ndarray, zero_mass: float) -> FiniteDist:
-    # Increasing positive atoms plus zero_mass at 0, as make_dist builds them,
-    # which also merges two far atoms that a shift rounded onto one value.
-    values = np.concatenate(([0.0], values))
-    probs = np.concatenate(([zero_mass], probs))
-    keep = probs > 0.0
-    values, probs = values[keep], probs[keep]
-    if values.size > 1 and not (values[1:] > values[:-1]).all():
+def _above(d: FiniteDist, eta: float) -> FiniteDist:
+    # max(X - eta, 0); the shift keeps the atoms above eta positive
+    i = int(np.searchsorted(d.values, eta, side="right"))
+    cum, tails = d._chain
+    values = np.concatenate(([0.0], d.values[i:] - eta))
+    probs = np.concatenate(([cum[i - 1] if i else 0.0], d.probs[i:]))
+    if not (probs > 0.0).all() or not (values[1:] > values[:-1]).all():
         return make_dist(values, probs)
-    return FiniteDist._trusted(values, probs / probs.sum())
+    part = FiniteDist._trusted(values, probs)
+    object.__setattr__(part, "_chain", (cum[i - 1:], (1.0,) + tails[i:]))
+    return part
 
 
 def pair_square_diff(d: FiniteDist) -> FiniteDist:

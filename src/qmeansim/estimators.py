@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
-from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -234,7 +233,7 @@ class _StageTracker:
             self.interrupted.append(name)
         self._mark = self.counter.oracle_experiments
 
-    def close_each(self, names: tuple[str, ...], costs: list[int]) -> None:
+    def close_each(self, names: list[str], costs: list[int]) -> None:
         """Close new stages, one per cost, that the counter ran through in turn."""
         self.costs.update(zip(names, costs))
         if self.counter.interrupted:
@@ -256,17 +255,6 @@ class _StageTracker:
         )
 
 
-@lru_cache(maxsize=16)
-def _repetition_names(reps: int) -> tuple[str, ...]:
-    return tuple(f"repetition_{i:02d}" for i in range(reps))
-
-
-def _tail_list(d) -> list[float]:
-    # P[X >= values[k]] for k = 0..len(d), 0 past the top atom; an exact tail
-    # sum may exceed 1 by round-off
-    return np.minimum(d._tail, 1.0).tolist() + [0.0]
-
-
 def cond_sample_above(
     qvar: QVar, x: float, rng: RandomSource
 ) -> tuple[float | None, int]:
@@ -274,16 +262,16 @@ def cond_sample_above(
 
     One step of a quantile chain: amplifies the tail event through the
     comparison-oracle walk (WALK_COST = 2 oracle experiments per application) in
-    :func:`~qmeansim.kernels.amplify_chain` and reads the value out with one
-    final measurement. Returns ``(value, oracle_cost)``; the value is
-    ``None`` when the counter's budget ran out first. An empty conditional
-    (zero tail) consumes the entire remaining budget. The draw follows the
-    law of :func:`~qmeansim.dist.conditional_above`.
+    :func:`~qmeansim.kernels.amplify_chain`, on the distribution's cached
+    chain laws, and reads the value out with one final measurement. Returns
+    ``(value, oracle_cost)``; the value is ``None`` when the counter's budget
+    ran out first. An empty conditional (zero tail) consumes the entire
+    remaining budget. The draw follows the law of
+    :func:`~qmeansim.dist.conditional_above`.
     """
     d, counter = qvar.dist, qvar.counter
     k = int(np.searchsorted(d.values, x, side="right"))
-    (end,), oracle, aa, _ = amplify_chain(d._cum.tolist(), _tail_list(d), k,
-                                          [counter.remaining()], rng.gen, [], 1)
+    (end,), oracle, aa, _ = amplify_chain(*d._chain, k, [counter.remaining()], rng.gen, [], 1)
     counter.charge(oracle, aa)
     return (None if end == k else float(d.values[end - 1])), oracle
 
@@ -301,8 +289,10 @@ def quantile_est(
     probability at least 1 - delta, c the profile's order factor. A
     repetition ends only when its budget is spent, so the caps are known
     before any runs: the per-repetition budget until the counter's remainder
-    runs out. All run in one :func:`~qmeansim.kernels.amplify_chain` call,
-    charged once; each cap is the cost of its stage ``repetition_ii``.
+    runs out. All run in one :func:`~qmeansim.kernels.amplify_chain` call on
+    the distribution's cached chain laws, charged once; each cap is the cost
+    of its stage ``repetition_ii``, and each end value is read off the
+    support.
 
     Under the calibrated profile the budget lets chains climb to the top atom
     of fine-grained laws, above Q(c*p): on uniform:1..100000:100000 at
@@ -324,11 +314,11 @@ def quantile_est(
                                                       per_rep_budget)
     caps = [per_rep_budget] * full + ([last] if last or not full else [])
     d = qvar.dist
-    ends, _, aa, _ = amplify_chain(d._cum.tolist(), _tail_list(d), 0, caps, rng.gen, [], math.inf)
+    ends, _, aa, _ = amplify_chain(*d._chain, 0, caps, rng.gen, [], math.inf)
     counter.charge(sum(caps), aa)
-    tracker.close_each(_repetition_names(len(caps)), caps)
-    values = [-math.inf] + d.values.tolist()  # a chain ending above k atoms reads values[k]
-    return tracker.report(lower_median([values[k] for k in ends]))
+    tracker.close_each([f"repetition_{i:02d}" for i in range(len(caps))], caps)
+    # a chain ending above k atoms reads atom k - 1, or -inf above none
+    return tracker.report(lower_median([d.values[k - 1] if k else -math.inf for k in ends]))
 
 
 class _Ladders:

@@ -417,22 +417,17 @@ VERIFY_AE_AMPLITUDES = tuple(
 )
 
 
-def verify_ae(max_m: int = 32) -> dict:
+def verify_ae() -> dict:
     """Compare the closed-form estimation law to the statevector reference.
 
-    Sweeps register sizes {2, 4, 8, 16, 32} up to ``max_m`` crossed with the
-    20-amplitude panel; returns the worst total-variation distance and the
-    per-case table.
+    Sweeps register sizes {2, 4, 8, 16, 32} crossed with the 20-amplitude
+    panel; returns the worst total-variation distance and the per-case table.
     """
-    if not 2 <= max_m <= 32:
-        raise ValueError(f"max_m must be in [2, 32], got {max_m}")
     from .kernels import ae_outcome_dist
 
     cases = []
     worst = 0.0
     for m in (2, 4, 8, 16, 32):
-        if m > max_m:
-            continue
         for p in VERIFY_AE_AMPLITUDES:
             tv = total_variation(ae_outcome_dist(p, m), qpe_statevector_dist(p, m))
             cases.append({"M": m, "p": p, "tv": tv})

@@ -60,7 +60,7 @@ def uniform_1_to_100():
 
 def test_c1_ae_kernel_oracle_equivalence():
     t0 = time.time()
-    rep = verify_ae(max_m=32)
+    rep = verify_ae()
     elapsed = time.time() - t0
     ok = rep["max_tv"] <= 1e-9 and elapsed < 60
     report("1", ok, f"max TV {rep['max_tv']:.2e} over {len(rep['cases'])} cases, "

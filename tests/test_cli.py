@@ -19,17 +19,15 @@ def run_cli(*argv, capsys=None):
 
 
 def test_verify_ae_command(capsys):
-    code, out = run_cli("verify-ae", "--max-m", "8", capsys=capsys)
+    code, out = run_cli("verify-ae", capsys=capsys)
     assert code == 0
+    assert "cases: 100" in out.out
     assert "max total-variation" in out.out
 
 
-@pytest.mark.parametrize("max_m", ["1", "0", "-4", "33"])
-def test_verify_ae_rejects_register_bound_outside_sweep(max_m, capsys):
-    # below the smallest register nothing would be validated
-    code, out = run_cli("verify-ae", "--max-m", max_m, capsys=capsys)
+def test_verify_ae_takes_no_register_bound(capsys):
+    code, out = run_cli("verify-ae", "--max-m", "8", capsys=capsys)
     assert code == 1
-    assert "max_m must be in [2, 32]" in out.err
     assert "cases" not in out.out
 
 
@@ -249,14 +247,40 @@ def test_sweep_skips_grid_point_with_huge_time_parameter(tmp_path, capsys, estim
         assert [row.n for row in harness.read_csv(f)] == [64, 64]
 
 
-def test_python_dash_m_runs_the_cli():
+def _cli_env(**extra):
     src = str(Path(qmeansim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "qmeansim", "verify-ae", "--max-m", "8"],
-                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "qmeansim", "verify-ae"],
+                          env=_cli_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert "cases: 100" in proc.stdout
     assert "max total-variation" in proc.stdout
+
+
+@pytest.mark.parametrize("cfg,rows", [
+    ({"estimator": "seq-relative", "distribution": "bernoulli:0.1",
+      "grid": {"epsilon": [0.3], "delta": [0.3]}, "trials": 3, "seed": 6}, 3),
+    ({"estimator": "subgauss", "distribution": "pareto:2.5:1:64",
+      "grid": {"n": [16, 64], "delta": [0.1]}, "trials": 3, "seed": 11}, 6),
+], ids=["seq-relative", "subgauss"])
+def test_sweep_csv_does_not_depend_on_hash_seed(cfg, rows, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    csvs = []
+    for hash_seed in ("0", "4242"):
+        out_path = tmp_path / f"rows-{hash_seed}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmeansim", "sweep", "--config", str(cfg_path),
+             "--out", str(out_path)],
+            env=_cli_env(PYTHONHASHSEED=hash_seed), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        csvs.append(out_path.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 1 + rows
 
 
 def test_calibrate_writes_profile(tmp_path, capsys):

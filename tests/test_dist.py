@@ -205,6 +205,35 @@ def test_shift_split_identities(values, weights, eta):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12, unique=True),
+    st.lists(st.integers(1, 1000), min_size=12, max_size=12),
+)
+def test_shift_split_part_chains_match_their_arrays(values, weights):
+    # each part's chain laws, sliced from the parent's, equal those
+    # recomputed from the part's own arrays; the tail law's first entry, the
+    # part's total mass clipped at 1, is set to 1
+    w = np.array(weights[: len(values)], dtype=float)
+    d = make_dist(values, w / w.sum())
+    for eta in d.values.tolist():
+        for part in shift_split(d, eta):
+            cum, tails = part._chain
+            assert list(cum) == np.cumsum(part.probs).tolist()
+            own = np.minimum(np.cumsum(part.probs[::-1])[::-1], 1.0).tolist() + [0.0]
+            assert list(tails[1:]) == own[1:]
+            assert abs(tails[0] - own[0]) <= 1e-15
+
+
+def test_shift_split_merges_atoms_the_shift_rounds_together():
+    # eta - (-1) and eta - (-0.5) both round to 2^53, so the lower part's two
+    # atoms merge into one
+    up, down = shift_split(make_dist([-1.0, -0.5, 2.0**53], [0.1, 0.1, 0.8]), 2.0**53)
+    assert down.values.tolist() == [0.0, 2.0**53]
+    assert down.probs.tolist() == pytest.approx([0.8, 0.2], abs=1e-15)
+    assert up.values.tolist() == [0.0]
+
+
 # -- pair_square_diff -------------------------------------------------------
 
 def test_pair_square_diff_bernoulli():

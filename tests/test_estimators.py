@@ -27,6 +27,7 @@ from qmeansim import (
     relative_est,
     seq_bern_est,
     seq_relative_est,
+    shift_split,
     subgauss_est,
     theoretical_profile,
 )
@@ -36,7 +37,6 @@ from qmeansim.estimators import (
     _Ladders,
     _StageTracker,
     _subgauss,
-    _tail_list,
 )
 from qmeansim.kernels import GROWTH, ae_register, amplify_chain, lower_median
 
@@ -242,26 +242,41 @@ def _chain_end_law(d, cap):
     return law
 
 
-@pytest.mark.parametrize("probs,cap", [
-    ([0.5, 0.5], 9),
-    ([0.8, 0.15, 0.04, 0.01], 30),
-    ([0.6, 0.3, 0.0, 0.08, 0.015, 0.005], 100),
-    ([0.95, 0.04, 0.0, 0.009, 0.001], 500),
-], ids=["2atoms-cap9", "4atoms-cap30", "6atoms-cap100", "5atoms-cap500"])
-def test_quantile_chain_end_law(profile, probs, cap, chi_square_ok):
-    # delta = 0.9 runs one repetition, and order p = 1/4 makes the profile's
-    # coefficient cap / 2 a cap of exactly `cap`
+def _on_integers(probs):
     d = FiniteDist(np.arange(len(probs), dtype=float), np.array(probs))
-    law = _chain_end_law(d, cap)
+    return d, d
+
+
+# The lower part of a split at a middle atom, read off the parent's laws, and
+# the same part built with make_dist
+_PARENT = make_dist(np.arange(7.0), [0.05, 0.1, 0.15, 0.3, 0.2, 0.12, 0.08])
+_SPLIT_BELOW = (shift_split(_PARENT, 3.0)[1],
+                make_dist(np.maximum(3.0 - _PARENT.values, 0.0), _PARENT.probs))
+
+
+@pytest.mark.parametrize("d,ref,cap", [
+    (*_on_integers([0.5, 0.5]), 9),
+    (*_on_integers([0.8, 0.15, 0.04, 0.01]), 30),
+    (*_on_integers([0.6, 0.3, 0.0, 0.08, 0.015, 0.005]), 100),
+    (*_on_integers([0.95, 0.04, 0.0, 0.009, 0.001]), 500),
+    (*_SPLIT_BELOW, 60),
+], ids=["2atoms-cap9", "4atoms-cap30", "6atoms-cap100", "5atoms-cap500", "split-below-cap60"])
+def test_quantile_chain_end_law(profile, d, ref, cap, chi_square_ok):
+    # delta = 0.9 runs one repetition, and order p = 1/4 makes the profile's
+    # coefficient cap / 2 a cap of exactly `cap`; the law is that of `ref`,
+    # which has the atoms of `d`
+    assert ref.values.tolist() == d.values.tolist()
+    law = _chain_end_law(ref, cap)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
     prof = replace(profile)
     prof.quantile_budget_coeff = cap / 2
     rng = RandomSource(cap)
-    counts = np.zeros(len(probs) + 1)
+    counts = np.zeros(len(d) + 1)
     for _ in range(20_000):
         rep = quantile_est(qvar(d), 0.25, 0.9, prof, rng)
         assert rep.stage_costs == {"repetition_00": cap}
-        counts[0 if rep.estimate == -math.inf else int(rep.estimate) + 1] += 1
+        counts[0 if rep.estimate == -math.inf
+               else int(np.searchsorted(d.values, rep.estimate)) + 1] += 1
     assert chi_square_ok(counts, law)
 
 
@@ -447,8 +462,7 @@ def _quantile_per_repetition(qv, p, delta, profile, rng):
     for i in range(reps):
         rem = counter.remaining()
         cap = per_rep if rem is None else min(per_rep, rem)
-        (k,), _, aa, _ = amplify_chain(d._cum.tolist(), _tail_list(d), 0, [cap], rng.gen, us,
-                                       math.inf)
+        (k,), _, aa, _ = amplify_chain(*d._chain, 0, [cap], rng.gen, us, math.inf)
         counter.charge(cap, aa)
         estimates.append(values[k])
         tracker.close(f"repetition_{i:02d}")

@@ -340,11 +340,6 @@ def test_fit_loglog_slope_validation():
 # -- kernel validation ----------------------------------------------------------------
 
 def test_verify_ae_small():
-    report = verify_ae(max_m=8)
+    report = verify_ae()
     assert report["max_tv"] <= 1e-9
-    assert len(report["cases"]) == 60  # 3 register sizes x 20 amplitudes
-
-
-def test_verify_ae_rejects_large_m():
-    with pytest.raises(ValueError):
-        verify_ae(max_m=64)
+    assert len(report["cases"]) == 100  # 5 register sizes x 20 amplitudes

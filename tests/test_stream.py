@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from qmeansim import FiniteDist, RandomSource, SweepConfig, run_sweep
-from qmeansim.estimators import _tail_list
 from qmeansim.kernels import amplify_chain
 
 
@@ -27,7 +26,7 @@ def chain(cum, tails, caps, draws, seed):
 def test_chain_stream_multi_cap_with_zero_atom():
     # six chains share the spares; most climb to the top atom and burn the rest
     d = FiniteDist(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
-    got = chain(d._cum.tolist(), _tail_list(d), [40, 40, 300, 25, 7, 0], math.inf, 11)
+    got = chain(*d._chain, [40, 40, 300, 25, 7, 0], math.inf, 11)
     assert got == (([5, 5, 5, 3, 0, 0], 412, 264, 34), 0.739246874033692)
 
 
