@@ -104,6 +104,13 @@ class FiniteDist:
         return tuple(self._cum.tolist()), tuple(np.minimum(self._tail, 1.0).tolist()) + (0.0,)
 
     @cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, int, float]:
+        # prefix sums of values*probs and of probs from 0, and the offset and
+        # shift at which a part of shift_split reads its parent's instead
+        vp = np.concatenate(([0.0], np.cumsum(self.values * self.probs)))
+        return vp, np.concatenate(([0.0], self._cum)), 0, 0.0
+
+    @cached_property
     def _mirror(self) -> "FiniteDist":
         # the law of -X
         return FiniteDist._trusted(-self.values[::-1], self.probs[::-1])
@@ -184,6 +191,8 @@ def _above(d: FiniteDist, eta: float) -> FiniteDist:
         return make_dist(values, probs)
     part = FiniteDist._trusted(values, probs)
     object.__setattr__(part, "_chain", (cum[i - 1:], (1.0,) + tails[i:]))
+    vp, ps, start, shift = d._sums
+    object.__setattr__(part, "_sums", (vp, ps, start + i - 1, shift + eta))
     return part
 
 

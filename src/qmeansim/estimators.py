@@ -317,8 +317,8 @@ def quantile_est(
     ends, _, aa, _ = amplify_chain(*d._chain, 0, caps, rng.gen, [], math.inf)
     counter.charge(sum(caps), aa)
     tracker.close_each([f"repetition_{i:02d}" for i in range(len(caps))], caps)
-    # a chain ending above k atoms reads atom k - 1, or -inf above none
-    return tracker.report(lower_median([d.values[k - 1] if k else -math.inf for k in ends]))
+    # the median end k, above k atoms, reads atom k - 1, or -inf above none
+    return tracker.report(d.values[k - 1] if (k := lower_median(ends)) else -math.inf)
 
 
 class _Ladders:
@@ -338,12 +338,13 @@ class _Ladders:
     def add(self, qvar: QVar, edges: np.ndarray, register: tuple[int, int], sign: float,
             term: int) -> None:
         # Windows (edges[i], edges[i+1]] for increasing edges >= 0: each
-        # window mean, read off one prefix sum of values*probs, is exposed as
-        # the amplitude mean/b, estimated on the (M, copies) register and
-        # scaled back by sign*b into the sum of term `term`.
+        # window mean, read off the prefix sums shared with the split law, is
+        # exposed as the amplitude mean/b, estimated on the (M, copies)
+        # register and scaled back by sign*b into the sum of term `term`.
         d = qvar.dist
-        prefix = np.concatenate(([0.0], np.cumsum(d.values * d.probs)))
-        means = np.diff(prefix[np.searchsorted(d.values, edges, side="right")])
+        vp, ps, start, shift = d._sums
+        idx = start + np.searchsorted(d.values, edges, side="right")
+        means = np.diff(vp[idx]) - shift * np.diff(ps[idx])
         amplitudes = np.clip(means / edges[1:], 0.0, 1.0)
         m, copies = register
         aest_charge(m, amplitudes.size * copies, qvar.counter)

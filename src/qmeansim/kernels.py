@@ -8,7 +8,8 @@ quantum primitives reduce to closed-form probability laws:
 * the sequential (restartable) variant draws its round count from a
   geometrically growing grid and stops at the first success;
   :func:`amplify_chain` runs it along chains of conditional draws, all the
-  repetitions of a quantile estimate in one call;
+  repetitions of a quantile estimate in one call, one threshold uniform
+  a draw and a uniform for n only on grids of more than one point;
 * M-point amplitude estimation measures an index y whose exact law is a
   half/half mixture of Fejer kernels centred on the two eigenphases
   +-asin(sqrt(p))/pi. Draws never build the M-point law: an offset from the
@@ -39,9 +40,10 @@ counter's ``interrupted`` flag.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -172,16 +174,9 @@ def _round_table() -> tuple[list[int], list[int], list[int], list[int]]:
     lo = np.ceil(GROWTH ** (ells - 1)).astype(np.int64)
     hi = np.ceil(GROWTH**ells).astype(np.int64) - 1
     los = lo.tolist()
-    burn_oracle: list[int] = []
-    burn_aa: list[int] = []
-    total = aa = 0
-    for n in los:
-        if total >= 1e18:
-            break
-        total += (2 * n + 1) * WALK_COST + MEASURE_COST
-        aa += 3 * n + 1
-        burn_oracle.append(total)
-        burn_aa.append(aa)
+    burn_oracle = list(accumulate((2 * n + 1) * WALK_COST + MEASURE_COST for n in los))
+    del burn_oracle[bisect_left(burn_oracle, 1e18) + 1:]
+    burn_aa = list(accumulate(3 * n + 1 for n in los[:len(burn_oracle)]))
     return los, (np.maximum(lo, hi) - lo + 1).tolist(), burn_oracle, burn_aa
 
 
@@ -192,10 +187,13 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
 
     Runs one chain per entry of ``caps``, each from atom ``k``. A draw
     amplifies the tail mass ``tails[k]`` (at most 1) in rounds: round ell
-    draws n uniformly from its grid, costs 2n+1 walk applications and a
+    takes n uniformly from its grid, costs 2n+1 walk applications and a
     measurement, (2n+1)*WALK_COST + MEASURE_COST oracle experiments, and
     3n+1 amplification steps, and succeeds with probability
-    sin^2((2n+1)*asin(sqrt(tail))). A readout measurement then picks the next
+    sin^2((2n+1)*asin(sqrt(tail))): a draw succeeds once the product of its
+    rounds' failure probabilities falls below 1 - u, u one uniform per draw,
+    and n takes a uniform only on multi-point grids (round 27 on). A
+    readout measurement then picks the next
     atom off the cumulative law ``cum`` and moves k above it; with ``cum``
     None a success just adds one to k. A chain stops after ``draws`` draws or
     once its oracle cap (None: no cap) is spent: inside a round, with
@@ -203,13 +201,13 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
     readout; or at an empty tail, which burns the rest on the static
     schedule of :func:`_round_table` without drawing. A chain that would
     run past the table's last round raises ``ValueError``. Uniforms are
-    popped off ``us``, refilled from ``gen`` in blocks of 64 whenever fewer
-    than 3 are left, so chains and calls can share the spares. Returns the
-    end atoms and the summed ``(oracle, aa, rounds)``, and charges nothing.
+    popped off ``us``, refilled from ``gen`` in blocks of 64 whenever it is
+    empty, so chains and calls can share the spares. Returns the end atoms
+    and the summed ``(oracle, aa, rounds)``, and charges nothing.
     """
     los, sizes, burn_oracle, burn_aa = _round_table()
     walk, measure = WALK_COST, MEASURE_COST
-    sin, pop = math.sin, us.pop
+    cos, pop = math.cos, us.pop
     ends: list[int] = []
     oracle_sum = aa = rounds = 0
     try:
@@ -234,11 +232,15 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
                     spent = cap
                     break
                 theta = math.asin(math.sqrt(tail))
-                r = 0
+                if not us:
+                    us.extend(gen.random(64).tolist())
+                threshold, surv, r = 1.0 - pop(), 1.0, 0
                 while True:
-                    if len(us) < 3:  # room for this round and a readout
-                        us.extend(gen.random(64).tolist())
-                    n = los[r] + int(pop() * sizes[r])
+                    n = los[r]
+                    if sizes[r] > 1:
+                        if not us:
+                            us.extend(gen.random(64).tolist())
+                        n += int(pop() * sizes[r])
                     m = 2 * n + 1
                     oracle = m * walk + measure
                     r += 1
@@ -252,8 +254,9 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
                         break
                     spent += oracle
                     aa += 3 * n + 1
-                    s = sin(m * theta)
-                    if pop() < s * s:
+                    c = cos(m * theta)
+                    surv *= c * c
+                    if surv < threshold:
                         break
                 rounds += r
                 if not left:
@@ -266,6 +269,8 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
                 else:
                     spent += measure
                     below = cum[at - 1] if at else 0.0
+                    if not us:
+                        us.extend(gen.random(64).tolist())
                     at = bisect_right(cum, below + pop() * tail, at, len(cum) - 1) + 1
                     if spent == limit:
                         break
@@ -280,11 +285,12 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
 def seq_aamp(p: float, rng: RandomSource, counter: ExperimentCounter) -> tuple[bool, int, int]:
     """Sequential amplitude amplification on a known amplitude.
 
-    Round ell draws an iteration count n uniformly from a geometrically
+    Round ell takes an iteration count n uniformly from a geometrically
     growing integer grid, charges 3n+1 amplification steps and
     (2n+1)*WALK_COST + MEASURE_COST = 4n+3 oracle experiments, and stops at
     the first successful ancilla measurement: one draw of
-    :func:`amplify_chain` without readout.
+    :func:`amplify_chain` without readout, whose one threshold uniform picks
+    the success round, with a uniform for n only on multi-point grids.
 
     Returns ``(succeeded, rounds, aa_charged)`` where ``aa_charged`` is the
     amplification work this call added to the counter. With p > 0 and no

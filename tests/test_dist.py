@@ -225,6 +225,26 @@ def test_shift_split_part_chains_match_their_arrays(values, weights):
             assert abs(tails[0] - own[0]) <= 1e-15
 
 
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.integers(-50, 50), min_size=1, max_size=12, unique=True),
+       weights=st.lists(st.floats(0.01, 1.0), min_size=12, max_size=12))
+def test_shift_split_part_window_sums_match_their_arrays(values, weights):
+    # every window sum of values*probs a part reads off its parent's prefix
+    # sums equals the sum over the part's own atoms, up to round-off: with
+    # at most 12 atoms within 101 of 0, float64 sums stay within 1e-12
+    w = np.array(weights[: len(values)], dtype=float)
+    d = make_dist(values, w / w.sum())
+    for eta in d.values.tolist() + [d.values[0] - 1.0, 0.5]:
+        for part in shift_split(d, eta):
+            vp, ps, start, shift = part._sums
+            for lo in range(1, len(part) + 1):
+                for hi in range(lo, len(part) + 1):
+                    a, b = start + lo, start + hi
+                    got = vp[b] - vp[a] - shift * (ps[b] - ps[a])
+                    want = float(np.dot(part.values[lo:hi], part.probs[lo:hi]))
+                    assert abs(got - want) <= 1e-12
+
+
 def test_shift_split_merges_atoms_the_shift_rounds_together():
     # eta - (-1) and eta - (-0.5) both round to 2^53, so the lower part's two
     # atoms merge into one

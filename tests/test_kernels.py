@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -17,11 +18,15 @@ from qmeansim import (
     seq_aamp,
     seq_aest,
 )
+from qmeansim.dist import FiniteDist
 from qmeansim.kernels import (
     GROWTH,
+    MEASURE_COST,
+    WALK_COST,
     _phase_draws,
     ae_register,
     aest_charge,
+    amplify_chain,
     _round_table,
     sin2_frac,
 )
@@ -256,6 +261,150 @@ def test_seq_aamp_budget_properties(p, budget, pre, seed):
         assert ok or counter.interrupted
     if before.interrupted:
         assert counter == before
+
+
+def _two_uniform_chain(cum, tails, k, caps, gen, us, draws):
+    # The loop amplify_chain ran before it drew one threshold uniform per
+    # draw, kept as the reference its law is checked against: each round
+    # pops one uniform for n off its grid (also on one-point grids, where it
+    # is spent on int(u * 1) = 0) and one for its success coin, and the
+    # spares are refilled in blocks of 64 whenever fewer than 3 are left.
+
+    los, sizes, burn_oracle, burn_aa = _round_table()
+    walk, measure = WALK_COST, MEASURE_COST
+    sin, pop = math.sin, us.pop
+    ends: list[int] = []
+    oracle_sum = aa = rounds = 0
+    try:
+        for cap in caps:
+            limit = math.inf if cap is None else cap
+            at, spent, left = k, 0, draws
+            while left:
+                tail = tails[at]
+                if not tail > 0.0:
+                    if cap is None:
+                        raise ValueError("zero amplitude never succeeds; a budget is required")
+                    # only the burn-down is observable, so every round fails
+                    # and costs its grid's lower end: `full` rounds fit, and
+                    # the next one is cut
+                    full = bisect_right(burn_oracle, cap - spent)
+                    done = burn_oracle[full - 1] if full else 0
+                    rem = cap - spent - done
+                    # the cut round's paid walk applications, credited as below
+                    f = min(rem, burn_oracle[full] - done - measure) // walk
+                    aa += (burn_aa[full - 1] if full else 0) + f + f // 2
+                    rounds += full + (rem > 0)
+                    spent = cap
+                    break
+                theta = math.asin(math.sqrt(tail))
+                r = 0
+                while True:
+                    if len(us) < 3:  # room for this round and a readout
+                        us.extend(gen.random(64).tolist())
+                    n = los[r] + int(pop() * sizes[r])
+                    m = 2 * n + 1
+                    oracle = m * walk + measure
+                    r += 1
+                    if spent + oracle > limit:
+                        # credit the steps paid before the stop: U, then n times
+                        # (reflection, U^-1, U), reflections free at the oracle level
+                        f = min((cap - spent) // walk, m)
+                        aa += f + f // 2
+                        r -= cap == spent
+                        spent, left = cap, 0
+                        break
+                    spent += oracle
+                    aa += 3 * n + 1
+                    s = sin(m * theta)
+                    if pop() < s * s:
+                        break
+                rounds += r
+                if not left:
+                    break
+                left -= 1
+                if cum is None:
+                    at += 1
+                elif spent + measure > limit or spent == limit:
+                    break
+                else:
+                    spent += measure
+                    below = cum[at - 1] if at else 0.0
+                    at = bisect_right(cum, below + pop() * tail, at, len(cum) - 1) + 1
+                    if spent == limit:
+                        break
+            ends.append(at)
+            oracle_sum += spent
+    except IndexError:  # a round or a burn past the end of _round_table
+        raise ValueError("sequential amplification past 1e18 oracle experiments "
+                         "is not simulated") from None
+    return ends, oracle_sum, aa, rounds
+
+
+def _chain_law_cases():
+    # (cum, tails, caps, draws) of one chain from atom 0 per call
+    d = FiniteDist(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
+    fine = FiniteDist(np.arange(1.0, 101.0), np.full(100, 0.01))
+    multi = [0.3, 0.05, 0.7, 0.0]
+    return {
+        # tail-1 first draw, readouts, a massless atom, and the zero-tail
+        # burn once a chain reaches the top atom
+        "tail1-readout-burn": (*d._chain, [300], math.inf),
+        "readout-fine": (*fine._chain, [2000], math.inf),
+        "tail0.1": (None, [0.1], [None], 1),
+        "tail0.01": (None, [0.01], [None], 1),
+        # tails whose draws run past round 26 onto grids of several points
+        "tail1e-3": (None, [1e-3], [None], 1),
+        "tail1e-4": (None, [1e-4], [None], 1),
+        # a cap inside the one-point rounds 1..26 (566 oracle experiments),
+        # and caps that cut rounds of one and of several points beyond them
+        "cap-one-point-rounds": (None, [1e-3], [300], 1),
+        "cap-past-round-26": (None, [1e-4], [1500], 1),
+        "cap-deep": (None, [1e-5], [6000], 1),
+        # multi-draw chains without readout, the last tail empty
+        "multi-draw-uncapped": (None, multi, [None], 3),
+        "multi-draw-capped": (None, multi, [500], math.inf),
+    }
+
+
+def _chain_outcomes(kernel, case, draws, seed):
+    # (end, oracle, aa, rounds) of `draws` one-chain calls sharing one list
+    # of spares
+    cum, tails, caps, depth = case
+    gen, us = RandomSource(seed).gen, []
+    out = []
+    for _ in range(draws):
+        (end,), oracle, aa, rounds = kernel(cum, tails, 0, caps, gen, us, depth)
+        out.append((end, oracle, aa, rounds))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_chain_law_cases()))
+def test_chain_law_matches_two_uniform_loop(name, two_sample_ok):
+    # amplify_chain draws the success round by inversion off one threshold
+    # uniform, the reference loop flips one coin per round: the joint law of
+    # (end atom, oracle, aa, rounds) must be the same. Each case runs
+    # 20,000 chains per side, and five Pearson homogeneity tests: the joint
+    # outcome and each coordinate, coordinates of many values binned at the
+    # pooled sample's quantiles. Each test false-alarms with probability
+    # about 1e-6, so the 55 tests together below 1e-4.
+    case = _chain_law_cases()[name]
+    new = _chain_outcomes(amplify_chain, case, 20_000, 161)
+    ref = _chain_outcomes(_two_uniform_chain, case, 20_000, 162)
+    assert two_sample_ok(new, ref)
+    for i in range(4):
+        assert two_sample_ok([o[i] for o in new], [o[i] for o in ref], bins=20)
+
+
+def test_chain_law_cases_reach_past_round_26():
+    # the cases draw n on grids of several points and cut rounds there
+    sizes = _round_table()[1]
+    assert sizes[:26] == [1] * 26 and sizes[26] == 2
+    cases = _chain_law_cases()
+    for name in ("tail1e-3", "tail1e-4", "cap-past-round-26", "cap-deep"):
+        rounds = [o[3] for o in _chain_outcomes(amplify_chain, cases[name], 200, 3)]
+        assert max(rounds) > 27, name
+    capped = _chain_outcomes(amplify_chain, cases["cap-deep"], 200, 3)
+    assert any(o[1] == 6000 and o[3] > 27 for o in capped)
 
 
 # -- counters -----------------------------------------------------------------

@@ -27,11 +27,17 @@ def test_chain_stream_multi_cap_with_zero_atom():
     # six chains share the spares; most climb to the top atom and burn the rest
     d = FiniteDist(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
     got = chain(*d._chain, [40, 40, 300, 25, 7, 0], math.inf, 11)
-    assert got == (([5, 5, 5, 3, 0, 0], 412, 264, 34), 0.739246874033692)
+    assert got == (([4, 5, 5, 1, 0, 0], 412, 262, 35), 0.739246874033692)
 
 
 def test_chain_stream_stopped_by_cap():
     assert chain(None, [0.001], [60], 1, 12) == (([0], 60, 38, 6), 0.6164768219402089)
+
+
+def test_chain_stream_past_one_point_grids():
+    # an uncapped draw at tail 1e-4 runs 36 rounds, so the rounds from 27 on
+    # draw n off grids of several points
+    assert chain(None, [1e-4], [None], 1, 14) == (([1], 1404, 1008, 36), 0.14431559434524766)
 
 
 def test_chain_stream_without_readout():
@@ -49,15 +55,15 @@ def test_quantile_sweep_stream():
     grid = {"p": [0.01, 0.1], "delta": [0.2]}
     rows = sweep("quantile", "uniform:1..100:100", grid, 3, 5)
     assert [(r.estimate, r.oracle_experiments, r.aa_applications) for r in rows] == [
-        (100.0, 255560, 190610), (100.0, 255560, 190672), (100.0, 255560, 190638),
-        (100.0, 80820, 59785), (100.0, 80820, 59744), (100.0, 80820, 59680)]
+        (100.0, 255560, 190686), (100.0, 255560, 190647), (100.0, 255560, 190639),
+        (100.0, 80820, 59736), (100.0, 80820, 59759), (100.0, 80820, 59718)]
     starved = sweep("quantile", "uniform:1..100:100", grid, 3, 5, budget=60)
     assert [(r.estimate, r.oracle_experiments, r.aa_applications) for r in starved] == [
-        (61.0, 60, 34), (98.0, 60, 34), (99.0, 60, 31),
-        (100.0, 60, 34), (99.0, 60, 34), (99.0, 60, 34)]
+        (100.0, 60, 31), (96.0, 60, 32), (98.0, 60, 32),
+        (99.0, 60, 34), (100.0, 60, 34), (99.0, 60, 34)]
 
 
 def test_seq_relative_sweep_stream():
     rows = sweep("seq-relative", "bernoulli:0.1", {"epsilon": [0.3], "delta": [0.3]}, 2, 6)
     assert [(r.oracle_experiments, r.aa_applications, r.interrupted) for r in rows] == [
-        (5250681697, 3937670528, False), (4212249934, 3158853511, False)]
+        (5276642626, 3957142467, False), (4305660433, 3228911008, False)]
