@@ -55,10 +55,8 @@ from .harness import (
     write_csv,
 )
 from .kernels import (
-    AEOutcome,
     ExperimentCounter,
     QVar,
-    aamp_success_prob,
     ae_outcome_dist,
     aest_median,
     aest_sample,

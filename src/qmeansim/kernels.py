@@ -16,15 +16,18 @@ quantum primitives reduce to closed-form probability laws:
   +omega kernel's peak is drawn exactly by rejection from an envelope
   decaying as 1/k^2, on one path for every amplitude, so a draw costs O(1)
   time and memory whatever M is. The -omega kernel is its mirror image
-  y -> M - y, so only :func:`aest_sample`, which returns y itself, flips
-  the fair coin that picks the eigenphase. A windowed-mean ladder is
-  charged when the estimator's schedule reaches it, by :func:`aest_charge`,
-  and drawn once at the end: :func:`aest_median` draws every copy of every
-  ladder of a top-level estimate in one vectorised pass, from a stream
-  derived once per estimate, each amplitude with its own register and copy
-  count, and reads each median off the phase distances min(y, M - y),
-  which the coin leaves as they are. :func:`ae_outcome_dist` materialises
-  the law as the reference the sampler is tested against.
+  y -> M - y, so only :func:`aest_sample`, which returns the indices y
+  themselves, flips the fair coins that pick the eigenphase: it draws
+  ``count`` indices in one vectorised rejection call, then one vector of
+  ``count`` coins, and charges them as ``count`` copies. A windowed-mean
+  ladder is charged when the estimator's schedule reaches it, by
+  :func:`aest_charge`, and drawn once at the end: :func:`aest_median` draws
+  every copy of every ladder of a top-level estimate in one vectorised
+  pass, from a stream derived once per estimate, each amplitude with its
+  own register and copy count, and reads each median off the phase
+  distances min(y, M - y), which the coin leaves as they are.
+  :func:`ae_outcome_dist` materialises the law as the reference the
+  sampler is tested against.
 
 Every routine but :func:`amplify_chain` and :func:`aest_median` charges an
 :class:`ExperimentCounter` under two parallel accountings: low-level oracle
@@ -53,9 +56,7 @@ from .rng import RandomSource
 __all__ = [
     "ExperimentCounter",
     "QVar",
-    "AEOutcome",
     "grover_angle",
-    "aamp_success_prob",
     "amplify_chain",
     "seq_aamp",
     "ae_outcome_dist",
@@ -140,26 +141,11 @@ class QVar:
     counter: ExperimentCounter
 
 
-@dataclass(frozen=True)
-class AEOutcome:
-    """Measured phase index y in [0, M) and its amplitude reading sin^2(pi*y/M)."""
-
-    y: int
-    p_estimate: float
-
-
 def grover_angle(p: float) -> float:
     """Rotation angle theta in [0, pi/2] with sin(theta) = sqrt(p)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"amplitude must be in [0, 1], got {p}")
     return math.asin(math.sqrt(p))
-
-
-def aamp_success_prob(p: float, n: int) -> float:
-    """Success probability sin^2((2n+1)*theta) after n amplification rounds."""
-    if n < 0:
-        raise ValueError(f"round count must be >= 0, got {n}")
-    return math.sin((2 * n + 1) * grover_angle(p)) ** 2
 
 
 @lru_cache(maxsize=1)
@@ -334,6 +320,15 @@ def ae_outcome_dist(p: float, m: int) -> np.ndarray:
     return 0.5 * _fejer(y / m - omega, m) + 0.5 * _fejer(y / m + omega, m)
 
 
+def _whole(values, lo: int, what: str) -> np.ndarray:
+    # values as an int64 vector, refused unless each is an integer in
+    # [lo, MAX_REGISTER)
+    arr = np.asarray(values).reshape(-1)
+    if arr.dtype.kind not in "iu" or not np.all((lo <= arr) & (arr < MAX_REGISTER)):
+        raise ValueError(f"{what} must be integers in [{lo}, 2^62), got {values}")
+    return arr.astype(np.int64)
+
+
 def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
     # copies[i] exact draws of the index y in [0, M_i) from the Fejer kernel
     # on the eigenphase +omega of amplitude ps[i] on an M_i = ms[i] point
@@ -342,8 +337,10 @@ def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
     # per draw whatever M is. Their phase distances min(y, M - y) follow the
     # two-kernel law, as the -omega kernel is the mirror image y -> M - y.
     # Through aest_median, one call draws every live window of every ladder
-    # of a top-level estimate, so lanes differ in M and count. With
-    # c = M*omega and f = c - floor(c), the kernel puts mass
+    # of a top-level estimate, so lanes differ in M and count; aest_sample
+    # draws one lane. Registers and counts are checked here, before any draw
+    # or charge: each an integer below MAX_REGISTER, M >= 1, counts >= 0.
+    # With c = M*omega and f = c - floor(c), the kernel puts mass
     #   K(j) = sin^2(pi f) / (M^2 sin^2(pi (j - f) / M)) <= min(1, 1/(4 (j - f)^2))
     # on y = floor(c) + j, for the M offsets with -M/2 < j - f <= M/2
     # (|sin(pi x)| >= 2|x| for |x| <= 1/2). Offsets are proposed as 0 or 1
@@ -353,8 +350,8 @@ def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
     # accepted. On the grid (f = 0: p = 0, and p = 1 with even M among
     # them) only j = 0 passes.
     ps = np.asarray(ps, dtype=float).reshape(-1)
-    ms = np.asarray(ms, dtype=np.int64).reshape(-1)
-    want = np.asarray(copies, dtype=np.int64).reshape(-1)
+    ms = _whole(ms, 1, "register sizes")
+    want = _whole(copies, 0, "copy counts")
     if not np.all((ps >= 0.0) & (ps <= 1.0)):
         raise ValueError(f"amplitudes must be in [0, 1], got {ps}")
     mf = ms.astype(float)
@@ -397,24 +394,26 @@ def sin2_frac(y, m) -> np.ndarray:
     return np.where(4 * y == m, 0.5, np.sin(np.pi * y / m) ** 2)
 
 
-def aest_sample(p: float, m: int, rng: RandomSource, counter: ExperimentCounter) -> AEOutcome:
-    """One amplitude-estimation measurement with an M-point phase register.
+def aest_sample(p: float, m: int, count: int, rng: RandomSource,
+                counter: ExperimentCounter) -> np.ndarray:
+    """``count`` amplitude-estimation measurements with an M-point register.
 
-    Charged by :func:`aest_charge` as one copy: 4M+1 oracle experiments and
-    3M amplification steps; the estimation run itself is not interruptible
+    Returns their phase indices y in [0, M) as an int64 array, which
+    :func:`sin2_frac` reads out as amplitudes sin^2(pi*y/M). Charged by
+    :func:`aest_charge` as ``count`` copies of 4M+1 oracle experiments and
+    3M amplification steps; an estimation run is not interruptible
     mid-flight, so a budget shortfall clamps the tally and flags the counter
-    but the outcome is still produced. The index is drawn exactly from the
-    law of :func:`ae_outcome_dist`: a draw from the kernel on +omega, then,
-    for 0 < p < 1, where the eigenphases +-omega differ, a fair coin
-    reflects it onto the kernel on -omega.
+    but every outcome is still produced. The indices are drawn exactly from
+    the law of :func:`ae_outcome_dist`: ``count`` draws from the kernel on
+    +omega in one vectorised rejection call, then, for 0 < p < 1, where the
+    eigenphases +-omega differ, one vector of ``count`` fair coins reflects
+    each onto the kernel on -omega.
     """
-    if m < 1:
-        raise ValueError(f"need at least one phase point, got M={m}")
-    y = int(_phase_draws([p], [m], [1], rng.gen)[0, 0])
-    if 0.0 < p < 1.0 and rng.gen.random() < 0.5:
-        y = (m - y) % m
-    aest_charge(m, 1, counter)
-    return AEOutcome(y=y, p_estimate=float(sin2_frac(y, m)))
+    ys = _phase_draws([p], [m], [count], rng.gen)[0]
+    if 0.0 < p < 1.0:
+        ys = np.where(rng.gen.random(count) < 0.5, (m - ys) % m, ys)
+    aest_charge(m, count, counter)
+    return ys
 
 
 def lower_median(values) -> float:
@@ -447,10 +446,11 @@ def ae_register(n: float, delta: float) -> tuple[int, int]:
 
 
 def aest_charge(m: int, count: int, counter: ExperimentCounter) -> None:
-    """Charge ``count`` M-point amplitude estimations as that many successive
-    :func:`aest_sample` calls would: 4M+1 oracle experiments and 3M
-    amplification steps each, for the copies that fit, then one that clamps
-    the tally. The charge never depends on what the copies draw."""
+    """Charge ``count`` M-point amplitude estimations copy by copy, each
+    4M+1 oracle experiments and 3M amplification steps: the copies that fit
+    under the budget in full, then, if any remain, one that clamps the tally
+    and trips the counter. The charge never depends on what the copies
+    draw."""
     cost = 2 * m * WALK_COST + MEASURE_COST
     rem = counter.remaining()
     fit = count if rem is None else min(count, rem // cost)
@@ -475,9 +475,9 @@ def aest_median(ps, ms, copies, rng: RandomSource) -> np.ndarray:
     one call at its end, from a stream derived once per estimate. Needs at
     least one lane.
     """
+    ys = _phase_draws(ps, ms, copies, rng.gen)
     ms = np.asarray(ms, dtype=np.int64)
     copies = np.asarray(copies, dtype=np.int64)
-    ys = _phase_draws(ps, ms, copies, rng.gen)
     dist = np.minimum(ys, ms[:, None] - ys)
     dist[np.arange(ys.shape[1]) >= copies[:, None]] = ms.max()  # padding sorts last
     mid = (copies - 1) // 2

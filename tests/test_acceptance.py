@@ -43,6 +43,7 @@ from qmeansim import (
     write_csv,
 )
 from qmeansim.generators import pareto_discretized
+from qmeansim.kernels import sin2_frac
 
 PROFILE = default_profile("calibrated")
 LN10 = math.log(10.0)
@@ -77,11 +78,9 @@ def test_c2_estimation_coverage():
     bound = 2 * math.pi * math.sqrt(p * (1 - p)) / m + math.pi**2 / m**2
     rng = RandomSource(202)
     counter = ExperimentCounter()
-    hits = sum(
-        abs(aest_sample(p, m, rng, counter).p_estimate - p) <= bound
-        for _ in range(samples)
-    )
-    frac = hits / samples
+    readings = sin2_frac(aest_sample(p, m, samples, rng, counter), m)
+    assert counter == ExperimentCounter(samples * (4 * m + 1), samples * 3 * m)
+    frac = float(np.mean(np.abs(readings - p) <= bound))
     floor = 8 / math.pi**2 - 0.02
     ok = frac >= floor
     report("2", ok, f"coverage {frac:.4f} >= {floor:.4f} ({time.time()-t0:.1f}s)")

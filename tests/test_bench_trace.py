@@ -14,6 +14,7 @@ import qmeansim.dist  # noqa: F401  (the tracer wraps names in every loaded modu
 import qmeansim.estimators  # noqa: F401
 import qmeansim.harness as harness
 import qmeansim.kernels as kernels
+from qmeansim import RandomSource
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -30,12 +31,15 @@ def test_bench_tracer_wraps_and_restores(monkeypatch):
     try:
         import run
 
-        tracer, counts, _ = run.trace_layers()
+        tracer, counts, laws = run.trace_layers()
         try:
             config = harness.SweepConfig.from_dict({
                 "estimator": "seq-relative", "distribution": "bernoulli:0.1",
                 "grid": {"epsilon": [0.3], "delta": [0.3]}, "trials": 1, "seed": 1})
             harness.write_csv(harness.run_sweep(config), io.StringIO())
+            # no sweep draws single estimations, so the observer of
+            # aest_sample's (p, M) arguments is run here
+            kernels.aest_sample(0.3, 16, 4, RandomSource(1), kernels.ExperimentCounter())
         finally:
             tracer.remove()
     finally:
@@ -46,6 +50,8 @@ def test_bench_tracer_wraps_and_restores(monkeypatch):
                  "kernels.seq_aamp", "kernels.aest_median", "dist.pair_square_diff"):
         assert tracer.spans[name].calls >= 1, name
     assert counts["seq_aamp.rounds"] >= 1 and counts["quantile_est.oracle"] >= 1
+    assert tracer.spans["kernels.aest_sample"].calls == 1
+    assert counts["aest_sample.points"] == 16 and (0.3, 16) in laws
     # and every original is back in place
     after = _program_bindings()
     for name, bindings in before.items():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qmeansim import (
     ExperimentCounter,
     RandomSource,
-    aamp_success_prob,
     ae_outcome_dist,
     aest_median,
     aest_sample,
@@ -45,15 +44,6 @@ def test_grover_angle_endpoints():
         grover_angle(1.1)
 
 
-def test_aamp_success_prob():
-    assert aamp_success_prob(1.0, 3) == pytest.approx(1.0)
-    assert aamp_success_prob(0.25, 1) == pytest.approx(1.0)
-    assert aamp_success_prob(0.5, 1) == pytest.approx(0.5)
-    # zero rounds leave the bare preparation untouched
-    for p in (0.0, 0.1, 0.37, 1.0):
-        assert aamp_success_prob(p, 0) == pytest.approx(p, abs=1e-12)
-
-
 # -- sequential amplification -------------------------------------------------
 
 def test_seq_aamp_certain_amplitude_one_round():
@@ -63,6 +53,16 @@ def test_seq_aamp_certain_amplitude_one_round():
     assert t == 4  # round 1 always draws n = 1: 3n+1 amplification steps
     assert counter.oracle_experiments == (2 * 1 + 1) * 2 + 1
     assert counter.aa_applications == 4
+
+
+def test_seq_aamp_quarter_amplitude_one_round():
+    # p = 1/4: round 1 always draws n = 1, and 3 * theta = pi/2 succeeds with
+    # certainty, so every draw stops there after 7 oracle experiments and 4
+    # amplification steps
+    for seed in range(2000):
+        counter = ExperimentCounter()
+        assert seq_aamp(0.25, RandomSource(seed), counter) == (True, 1, 4)
+        assert counter == ExperimentCounter(7, 4)
 
 
 def test_seq_aamp_zero_amplitude_burns_budget():
@@ -511,11 +511,13 @@ def test_sampler_matches_law(p, m, chi_square_ok):
 @pytest.mark.parametrize("p", [0.0, 0.3, math.sin(math.pi / 8) ** 2, 1.0])
 def test_aest_sample_matches_law(p, m, chi_square_ok):
     # aest_sample's y itself, eigenphase coin included, against the
-    # two-kernel law; each draw is charged as one aest_charge copy
+    # two-kernel law, all drawn in one call; each draw is charged as one
+    # aest_charge copy
     n = 20_000
     rng = RandomSource(5)
     counter = ExperimentCounter()
-    ys = [aest_sample(p, m, rng, counter).y for _ in range(n)]
+    ys = aest_sample(p, m, n, rng, counter)
+    assert ys.shape == (n,) and ys.dtype == np.int64
     assert counter.oracle_experiments == n * (m * 4 + 1)
     assert counter.aa_applications == n * 3 * m
     counts = np.bincount(ys, minlength=m).astype(float)
@@ -532,16 +534,16 @@ def test_sampler_huge_register_constant_memory():
     counter = ExperimentCounter()
     tracemalloc.start()
     try:
-        outs = [aest_sample(p, m, rng, counter) for _ in range(draws)]
+        ys = aest_sample(p, m, draws, rng, counter)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     assert counter.aa_applications == draws * 3 * m
-    assert all(0 <= out.y < m for out in outs)
+    assert np.all((0 <= ys) & (ys < m))
     # each readout meets the estimation bound with probability >= 8/pi^2
     bound = 2 * math.pi * math.sqrt(p * (1 - p)) / m + math.pi**2 / m**2
-    assert sum(abs(out.p_estimate - p) <= bound for out in outs) >= draws // 2
+    assert np.sum(np.abs(sin2_frac(ys, m) - p) <= bound) >= draws // 2
 
 
 def test_phase_draws_memory_bounded_per_pass():
@@ -662,8 +664,8 @@ def test_aest_median_fold_matches_sorted_readout(delta):
 def test_aest_sample_degenerate_amplitudes():
     rng = RandomSource(0)
     counter = ExperimentCounter()
-    assert aest_sample(0.0, 64, rng, counter).p_estimate == 0.0
-    assert aest_sample(1.0, 64, rng, counter).p_estimate == 1.0
+    assert sin2_frac(aest_sample(0.0, 64, 1, rng, counter), 64).tolist() == [0.0]
+    assert sin2_frac(aest_sample(1.0, 64, 1, rng, counter), 64).tolist() == [1.0]
 
 
 def test_aest_sample_on_grid_angle_is_exact():
@@ -671,9 +673,8 @@ def test_aest_sample_on_grid_angle_is_exact():
     p = math.sin(math.pi / 8) ** 2
     rng = RandomSource(11)
     counter = ExperimentCounter()
-    for _ in range(200):
-        out = aest_sample(p, 8, rng, counter)
-        assert out.p_estimate == pytest.approx(p, abs=1e-15)
+    readings = sin2_frac(aest_sample(p, 8, 200, rng, counter), 8)
+    assert np.all(np.abs(readings - p) <= 1e-15)
 
 
 def test_aest_median_exact_half():
@@ -696,20 +697,20 @@ def test_aest_charge_budget_stops_after_k_copies():
     assert counter.oracle_experiments == budget
     assert counter.aa_applications == k * 3 * m
     assert counter.interrupted
-    # charge for charge what 14 single measurements leave on a counter
+    # charge for charge what 14 single copies leave on a counter
     reference = ExperimentCounter(budget=budget)
     for _ in range(14):
-        aest_sample(0.3, m, RandomSource(4), reference)
+        reference.charge(per_copy, 3 * m)
     assert counter == reference
     # a three-amplitude ladder stopped inside its second amplitude's copies
-    # leaves what 3 * 14 single measurements leave
+    # leaves what 3 * 14 single copies leave
     budget = (14 + k) * per_copy + per_copy // 2
     counter = ExperimentCounter(budget=budget)
     aest_charge(m, 3 * 14, counter)
     assert counter.aa_applications == (14 + k) * 3 * m
     reference = ExperimentCounter(budget=budget)
     for _ in range(3 * 14):
-        aest_sample(0.3, m, RandomSource(4), reference)
+        reference.charge(per_copy, 3 * m)
     assert counter == reference
     # the draw charges nothing and reads p = 0 exactly
     ests = aest_median([0.0, 0.3, 1.0], [m] * 3, [14] * 3, RandomSource(4))
@@ -749,6 +750,35 @@ def test_ae_register_rejects_small_n_and_huge_registers():
     for n in (edge, 1e300, math.inf, math.nan):
         with pytest.raises(ValueError, match="past the 2\\^62"):
             ae_register(n, 0.1)
+
+
+@pytest.mark.parametrize("m, count", [
+    (2**62 + 5, 1), (2**62, 1), (2**63, 1), (2**64, 1), (0, 1), (2.5, 1),
+    (16, -1), (16, 2.5), (16, 1e3),
+], ids=["past-2^62", "2^62", "2^63", "2^64", "zero-points", "fractional-m",
+        "negative-count", "fractional-count", "float-count"])
+def test_draws_refuse_bad_registers_and_counts(m, count):
+    # both callers of _phase_draws refuse a register outside [1, 2^62) or a
+    # count that is not a whole number >= 0, before any draw or charge
+    rng, counter = RandomSource(3), ExperimentCounter()
+    with pytest.raises(ValueError, match="must be integers"):
+        aest_sample(0.3, m, count, rng, counter)
+    with pytest.raises(ValueError, match="must be integers"):
+        aest_median([0.3], [m], [count], rng)
+    assert counter == ExperimentCounter()
+    assert rng.gen.random() == RandomSource(3).gen.random()
+
+
+def test_draws_on_largest_register():
+    # M = 2^62 - 1 draws in range and reads out without int64 overflow
+    m = 2**62 - 1
+    counter = ExperimentCounter()
+    ys = aest_sample(0.3, m, 1000, RandomSource(8), counter)
+    assert np.all((0 <= ys) & (ys < m))
+    assert np.all(np.abs(sin2_frac(ys, m) - 0.3) < 1e-9)
+    assert counter == ExperimentCounter(1000 * (4 * m + 1), 1000 * 3 * m)
+    medians = aest_median([0.3, 0.0, 1.0], [m] * 3, [14] * 3, RandomSource(8))
+    assert np.allclose(medians, [0.3, 0.0, 1.0], rtol=0, atol=1e-9)
 
 
 # -- sequential estimation -----------------------------------------------------

@@ -12,37 +12,49 @@ import math
 
 import numpy as np
 
-from qmeansim import FiniteDist, RandomSource, SweepConfig, run_sweep
-from qmeansim.kernels import amplify_chain
+from qmeansim import ExperimentCounter, FiniteDist, RandomSource, SweepConfig, run_sweep
+from qmeansim.kernels import aest_sample, amplify_chain
 
 
 def chain(cum, tails, caps, draws, seed):
-    # one call from atom 0 on a fresh list of spares, and the next uniform
-    gen = RandomSource(seed).gen
-    ends, oracle, aa, rounds = amplify_chain(cum, tails, 0, caps, gen, [], draws)
-    return (ends, oracle, aa, rounds), gen.random()
+    # one call from atom 0 on a fresh list of spares, the number of spares it
+    # leaves, and the next uniform
+    gen, us = RandomSource(seed).gen, []
+    ends, oracle, aa, rounds = amplify_chain(cum, tails, 0, caps, gen, us, draws)
+    return (ends, oracle, aa, rounds), len(us), gen.random()
 
 
 def test_chain_stream_multi_cap_with_zero_atom():
     # six chains share the spares; most climb to the top atom and burn the rest
     d = FiniteDist(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
     got = chain(*d._chain, [40, 40, 300, 25, 7, 0], math.inf, 11)
-    assert got == (([4, 5, 5, 1, 0, 0], 412, 262, 35), 0.739246874033692)
+    assert got == (([4, 5, 5, 1, 0, 0], 412, 262, 35), 44, 0.739246874033692)
 
 
 def test_chain_stream_stopped_by_cap():
-    assert chain(None, [0.001], [60], 1, 12) == (([0], 60, 38, 6), 0.6164768219402089)
+    assert chain(None, [0.001], [60], 1, 12) == (([0], 60, 38, 6), 63, 0.6164768219402089)
 
 
 def test_chain_stream_past_one_point_grids():
     # an uncapped draw at tail 1e-4 runs 36 rounds, so the rounds from 27 on
     # draw n off grids of several points
-    assert chain(None, [1e-4], [None], 1, 14) == (([1], 1404, 1008, 36), 0.14431559434524766)
+    assert chain(None, [1e-4], [None], 1, 14) == (([1], 1404, 1008, 36), 55, 0.14431559434524766)
 
 
 def test_chain_stream_without_readout():
     got = chain(None, [0.3, 0.05, 0.7, 0.0], [None, 500], 3, 13)
-    assert got == (([3, 3], 86, 52, 10), 0.9285460335053835)
+    assert got == (([3, 3], 86, 52, 10), 58, 0.9285460335053835)
+
+
+def test_aest_sample_stream():
+    # eight indices from one rejection call, then, for 0 < p < 1, eight coins
+    # in one vector; p = 0 draws no coin
+    got = []
+    for p in (0.3, 0.0):
+        rng = RandomSource(17)
+        got.append((aest_sample(p, 16, 8, rng, ExperimentCounter()).tolist(), rng.gen.random()))
+    assert got == [([3, 13, 3, 3, 3, 13, 13, 13], 0.4070434118548033),
+                   ([0, 0, 0, 0, 0, 0, 0, 0], 0.7618762843168944)]
 
 
 def sweep(estimator, distribution, grid, trials, seed, budget=None):
