@@ -299,6 +299,16 @@ def quantile_est(
     p = 0.01 and 0.1 (delta = 0.1) all 200 trials did. Where Q(c*p) is the top
     atom, as on the coarse laws the acceptance tests use, this cannot show.
     """
+    tracker = _StageTracker(qvar.counter)
+    estimate, caps = _quantile(qvar, p, delta, profile, rng)
+    tracker.close_each([f"repetition_{i:02d}" for i in range(len(caps))], caps)
+    return tracker.report(estimate)
+
+
+def _quantile(qvar: QVar, p: float, delta: float, profile: ConstantProfile,
+              rng: RandomSource) -> tuple[float, list[int]]:
+    # quantile_est without its stage records: the estimate, and the caps its
+    # repetitions spent in turn
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile order must be in (0, 1), got {p}")
     if not 0.0 < delta < 1.0:
@@ -306,7 +316,6 @@ def quantile_est(
     reps = math.ceil(6 * math.log(1.0 / delta))
     per_rep_budget = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
     counter = qvar.counter
-    tracker = _StageTracker(counter)
     rem = counter.remaining()
     # the repetition that spends the remainder trips the counter and is the
     # last; with nothing left, one repetition runs at cap 0
@@ -316,9 +325,8 @@ def quantile_est(
     d = qvar.dist
     ends, _, aa, _ = amplify_chain(*d._chain, 0, caps, rng.gen, [], math.inf)
     counter.charge(sum(caps), aa)
-    tracker.close_each([f"repetition_{i:02d}" for i in range(len(caps))], caps)
     # the median end k, above k atoms, reads atom k - 1, or -inf above none
-    return tracker.report(d.values[k - 1] if (k := lower_median(ends)) else -math.inf)
+    return (float(d.values[k - 1]) if (k := lower_median(ends)) else -math.inf), caps
 
 
 class _Ladders:
@@ -437,9 +445,9 @@ def _subgauss(qvar: QVar, n: float, delta: float, profile: ConstantProfile, rng:
 
     for sign, part in zip(("pos", "neg"), shift_split(qvar.dist, eta)):
         part_var = QVar(part, qvar.counter)
-        qrep = quantile_est(part_var, quantile_order, delta / 8, profile, rng)
+        estimate, _ = _quantile(part_var, quantile_order, delta / 8, profile, rng)
         # budget-starved repetitions report -inf; the support is non-negative
-        q_top = max(qrep.estimate, 0.0)
+        q_top = max(estimate, 0.0)
         tracker.close(f"quantile_{sign}")
 
         if q_top > 0.0:
@@ -573,7 +581,7 @@ def seq_relative_est(
         rem = counter.remaining()
         if rem is not None:
             cap = min(cap, rem)
-        (k,), oracle, aa, _ = amplify_chain(None, [var], 0, [cap], rng.gen, [], 1)
+        (k,), oracle, aa, _ = amplify_chain(None, [var], {}, 0, [cap], rng.gen, [], 1)
         counter.charge(oracle, aa)
         tracker.close("variance_probe")
         var_probe = 1.0 / (aa * aa) if k == 1 and oracle < cap else 0.0

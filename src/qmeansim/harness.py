@@ -162,7 +162,10 @@ def _fmt(value) -> str:
 
 def _classical(qvar: QVar, n: float, rng: RandomSource, reduce) -> EstimateReport:
     # one random experiment is simulated by a state preparation plus a
-    # measurement, SAMPLE_COST oracle experiments per sample
+    # measurement, SAMPLE_COST oracle experiments per sample; n counts
+    # samples, so it must be a whole number >= 1 (100.0 is 100)
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"sample count n must be an integer >= 1, got {n}")
     n = int(n)
     samples = sample_n(qvar.dist, rng, n)
     qvar.counter.charge(n * SAMPLE_COST)

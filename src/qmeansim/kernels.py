@@ -9,7 +9,11 @@ quantum primitives reduce to closed-form probability laws:
   geometrically growing grid and stops at the first success;
   :func:`amplify_chain` runs it along chains of conditional draws, all the
   repetitions of a quantile estimate in one call, one threshold uniform
-  a draw and a uniform for n only on grids of more than one point;
+  a draw and a uniform for n only on grids of more than one point. Rounds
+  1..26 have one-point grids, so the products S_1..S_26 of their failure
+  probabilities depend only on the tail: a draw reads its success round
+  among them off one bisection of those prefixes, which a store owned by
+  the law keeps per tail value, each extended only as far as a draw needs;
 * M-point amplitude estimation measures an index y whose exact law is a
   half/half mixture of Fejer kernels centred on the two eigenphases
   +-asin(sqrt(p))/pi. Draws never build the M-point law: an offset from the
@@ -149,25 +153,47 @@ def grover_angle(p: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _round_table() -> tuple[list[int], list[int], list[int], list[int]]:
+def _round_table() -> tuple[list[int], list[int], list[int], list[int], int]:
     # Lower ends and sizes of the integer grids {ceil(G^(ell-1)), ...,
     # ceil(G^ell) - 1} of rounds ell = 1..436, each collapsed to its lower end
     # when empty. Round 436's grid starts past 1e18, beyond any budget. Then
     # the burn schedule of zero-amplitude runs (every round fails, so draws
     # are skipped and each round costs its grid's lower end): cumulative
     # oracle and amplification costs, up to a cumulative oracle cost of 1e18.
+    # Last, the number of leading one-point grids (26): the fixed rounds,
+    # whose n and costs take no uniform, so their costs are the burn's.
     ells = np.arange(1, 437, dtype=float)
     lo = np.ceil(GROWTH ** (ells - 1)).astype(np.int64)
     hi = np.ceil(GROWTH**ells).astype(np.int64) - 1
     los = lo.tolist()
+    sizes = (np.maximum(lo, hi) - lo + 1).tolist()
     burn_oracle = list(accumulate((2 * n + 1) * WALK_COST + MEASURE_COST for n in los))
     del burn_oracle[bisect_left(burn_oracle, 1e18) + 1:]
     burn_aa = list(accumulate(3 * n + 1 for n in los[:len(burn_oracle)]))
-    return los, (np.maximum(lo, hi) - lo + 1).tolist(), burn_oracle, burn_aa
+    return los, sizes, burn_oracle, burn_aa, next(r for r, s in enumerate(sizes) if s > 1)
 
 
-def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
-                  caps: list[int | None], gen: np.random.Generator,
+def _survival(neg: tuple[float, ...], tail: float, u: float) -> tuple[float, ...]:
+    # `neg` extended by -S_r, S_r the product of cos^2((2n+1)*theta) over the
+    # fixed rounds 1..r at tail sin^2(theta), computed in the order of the
+    # round loop so that each is bit-identical to its running product, up
+    # to the first fixed round whose S_r falls below 1 - u, or to the last
+    los, _, _, _, fixed = _round_table()
+    theta = math.asin(math.sqrt(tail))
+    ext = list(neg)
+    surv = -ext[-1] if ext else 1.0
+    threshold = 1.0 - u
+    while len(ext) < fixed:
+        c = math.cos((2 * los[len(ext)] + 1) * theta)
+        surv *= c * c
+        ext.append(-surv)
+        if surv < threshold:
+            break
+    return tuple(ext)
+
+
+def amplify_chain(cum: list[float] | None, tails: list[float], store: dict[float, tuple],
+                  k: int, caps: list[int | None], gen: np.random.Generator,
                   us: list[float], draws: float) -> tuple[list[int], int, int, int]:
     """Sequential amplitude amplification along chains of conditional draws.
 
@@ -176,9 +202,16 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
     takes n uniformly from its grid, costs 2n+1 walk applications and a
     measurement, (2n+1)*WALK_COST + MEASURE_COST oracle experiments, and
     3n+1 amplification steps, and succeeds with probability
-    sin^2((2n+1)*asin(sqrt(tail))): a draw succeeds once the product of its
+    sin^2((2n+1)*asin(sqrt(tail))): a draw succeeds once the product S of its
     rounds' failure probabilities falls below 1 - u, u one uniform per draw,
-    and n takes a uniform only on multi-point grids (round 27 on). A
+    and n takes a uniform only on multi-point grids (round 27 on). Rounds
+    1..26 have one-point grids, so their n, their costs (the burn
+    schedule's prefixes) and their products S_1..S_26 depend on the tail
+    alone: ``store`` maps a tail to its negated products -S_1, -S_2, ...,
+    extended only as far as a draw needs and replaced whole, and a draw reads
+    its success round off one bisection at u - 1 and its cap check off one
+    comparison; past round 26 it loops on from S_26. A law keeps one store
+    with its chain laws; a call without a law passes a fresh dict. A
     readout measurement then picks the next
     atom off the cumulative law ``cum`` and moves k above it; with ``cum``
     None a success just adds one to k. A chain stops after ``draws`` draws or
@@ -191,62 +224,83 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
     empty, so chains and calls can share the spares. Returns the end atoms
     and the summed ``(oracle, aa, rounds)``, and charges nothing.
     """
-    los, sizes, burn_oracle, burn_aa = _round_table()
-    walk, measure = WALK_COST, MEASURE_COST
-    cos, pop = math.cos, us.pop
+    los, sizes, burn_oracle, burn_aa, fixed = _round_table()
+    # the oracle cost of a draw's fixed rounds, by its success round or `fixed`
+    reach = burn_oracle[:fixed] + [burn_oracle[fixed - 1]]
+    walk, measure, inf = WALK_COST, MEASURE_COST, math.inf
+    cos, pop, get = math.cos, us.pop, store.get
+    top = len(cum) - 1 if cum is not None else 0
     ends: list[int] = []
     oracle_sum = aa = rounds = 0
     try:
         for cap in caps:
-            limit = math.inf if cap is None else cap
+            limit = inf if cap is None else cap
             at, spent, left = k, 0, draws
             while left:
                 tail = tails[at]
-                if not tail > 0.0:
-                    if cap is None:
-                        raise ValueError("zero amplitude never succeeds; a budget is required")
-                    # only the burn-down is observable, so every round fails
-                    # and costs its grid's lower end: `full` rounds fit, and
-                    # the next one is cut
+                if tail > 0.0:
+                    if not us:
+                        us.extend(gen.random(64).tolist())
+                    u = pop()
+                    neg = get(tail, ())
+                    # the first fixed round with S_r < 1 - u, or `fixed` for none
+                    i = bisect_right(neg, u - 1.0)
+                    if i == len(neg) < fixed:
+                        neg = store[tail] = _survival(neg, tail, u)
+                        i = bisect_right(neg, u - 1.0)
+                    cut = spent + reach[i] > limit
+                elif cap is None:
+                    raise ValueError("zero amplitude never succeeds; a budget is required")
+                else:
+                    cut = True  # only the burn-down is observable: every round fails
+                if cut:
+                    # every round up to the cap fails and costs its grid's
+                    # lower end, at an empty tail or inside the fixed rounds:
+                    # `full` rounds fit, and the next one is cut, crediting
+                    # its paid walk applications as below
                     full = bisect_right(burn_oracle, cap - spent)
                     done = burn_oracle[full - 1] if full else 0
                     rem = cap - spent - done
-                    # the cut round's paid walk applications, credited as below
                     f = min(rem, burn_oracle[full] - done - measure) // walk
                     aa += (burn_aa[full - 1] if full else 0) + f + f // 2
                     rounds += full + (rem > 0)
                     spent = cap
                     break
-                theta = math.asin(math.sqrt(tail))
-                if not us:
-                    us.extend(gen.random(64).tolist())
-                threshold, surv, r = 1.0 - pop(), 1.0, 0
-                while True:
-                    n = los[r]
-                    if sizes[r] > 1:
-                        if not us:
-                            us.extend(gen.random(64).tolist())
-                        n += int(pop() * sizes[r])
-                    m = 2 * n + 1
-                    oracle = m * walk + measure
-                    r += 1
-                    if spent + oracle > limit:
-                        # credit the steps paid before the stop: U, then n times
-                        # (reflection, U^-1, U), reflections free at the oracle level
-                        f = min((cap - spent) // walk, m)
-                        aa += f + f // 2
-                        r -= cap == spent
-                        spent, left = cap, 0
+                if i < fixed:
+                    spent += burn_oracle[i]
+                    aa += burn_aa[i]
+                    rounds += i + 1
+                else:
+                    spent += burn_oracle[fixed - 1]
+                    aa += burn_aa[fixed - 1]
+                    theta = math.asin(math.sqrt(tail))
+                    threshold, surv, r = 1.0 - u, -neg[-1], fixed
+                    while True:
+                        n = los[r]
+                        if sizes[r] > 1:
+                            if not us:
+                                us.extend(gen.random(64).tolist())
+                            n += int(pop() * sizes[r])
+                        m = 2 * n + 1
+                        oracle = m * walk + measure
+                        r += 1
+                        if spent + oracle > limit:
+                            # credit the steps paid before the stop: U, then n times
+                            # (reflection, U^-1, U), reflections free at the oracle level
+                            f = min((cap - spent) // walk, m)
+                            aa += f + f // 2
+                            r -= cap == spent
+                            spent, left = cap, 0
+                            break
+                        spent += oracle
+                        aa += 3 * n + 1
+                        c = cos(m * theta)
+                        surv *= c * c
+                        if surv < threshold:
+                            break
+                    rounds += r
+                    if not left:
                         break
-                    spent += oracle
-                    aa += 3 * n + 1
-                    c = cos(m * theta)
-                    surv *= c * c
-                    if surv < threshold:
-                        break
-                rounds += r
-                if not left:
-                    break
                 left -= 1
                 if cum is None:
                     at += 1
@@ -257,7 +311,7 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
                     below = cum[at - 1] if at else 0.0
                     if not us:
                         us.extend(gen.random(64).tolist())
-                    at = bisect_right(cum, below + pop() * tail, at, len(cum) - 1) + 1
+                    at = bisect_right(cum, below + pop() * tail, at, top) + 1
                     if spent == limit:
                         break
             ends.append(at)
@@ -287,7 +341,8 @@ def seq_aamp(p: float, rng: RandomSource, counter: ExperimentCounter) -> tuple[b
         raise ValueError(f"amplitude must be in [0, 1], got {p}")
     if counter.interrupted and p > 0.0:
         return False, 0, 0
-    (k,), oracle, aa, rounds = amplify_chain(None, [p], 0, [counter.remaining()], rng.gen, [], 1)
+    (k,), oracle, aa, rounds = amplify_chain(None, [p], {}, 0, [counter.remaining()], rng.gen,
+                                             [], 1)
     counter.charge(oracle, aa)
     return k == 1, rounds, aa
 
@@ -339,7 +394,8 @@ def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
     # Through aest_median, one call draws every live window of every ladder
     # of a top-level estimate, so lanes differ in M and count; aest_sample
     # draws one lane. Registers and counts are checked here, before any draw
-    # or charge: each an integer below MAX_REGISTER, M >= 1, counts >= 0.
+    # or charge: each an integer below MAX_REGISTER, M >= 1, counts >= 0
+    # (aest_median has checked its copy counts >= 1 before).
     # With c = M*omega and f = c - floor(c), the kernel puts mass
     #   K(j) = sin^2(pi f) / (M^2 sin^2(pi (j - f) / M)) <= min(1, 1/(4 (j - f)^2))
     # on y = floor(c) + j, for the M offsets with -M/2 < j - f <= M/2
@@ -473,11 +529,12 @@ def aest_median(ps, ms, copies, rng: RandomSource) -> np.ndarray:
     when its schedule reaches it, since no later stage reads the draws, and
     draws the nonzero amplitudes of every ladder of a top-level estimate in
     one call at its end, from a stream derived once per estimate. Needs at
-    least one lane.
+    least one lane, and at least one copy a lane: a median of no copies is
+    refused with ``ValueError`` before any draw.
     """
+    copies = _whole(copies, 1, "copy counts")
     ys = _phase_draws(ps, ms, copies, rng.gen)
     ms = np.asarray(ms, dtype=np.int64)
-    copies = np.asarray(copies, dtype=np.int64)
     dist = np.minimum(ys, ms[:, None] - ys)
     dist[np.arange(ys.shape[1]) >= copies[:, None]] = ms.max()  # padding sorts last
     mid = (copies - 1) // 2

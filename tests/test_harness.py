@@ -14,7 +14,10 @@ from qmeansim import (
     verify_ae,
     write_csv,
 )
+from qmeansim.generators import resolve_distribution
 from qmeansim.harness import CSV_FIELDS, ESTIMATORS, read_csv
+from qmeansim.kernels import ExperimentCounter, QVar
+from qmeansim.rng import RandomSource
 
 
 def config(**overrides):
@@ -236,6 +239,24 @@ def test_sweep_classical_baselines_cost():
         for row in run_sweep(cfg):
             assert row.oracle_experiments == 200  # two experiments per sample
             assert row.aa_applications == 0
+
+
+@pytest.mark.parametrize("est", ["empirical", "median-of-means", "classical-truncated"])
+def test_sweep_classical_refuses_fractional_and_small_n(est, capsys):
+    # n counts samples: 0.5 and 2.5 are skipped as precondition failures
+    # before any sample or charge, and 100.0 runs as 100
+    cfg = config(estimator=est, distribution="pareto:2.5:1:64",
+                 grid={"n": [0.5, 2.5, 100.0], "delta": [0.1]}, trials=2)
+    rows = list(run_sweep(cfg))
+    assert [(row.n, row.oracle_experiments) for row in rows] == [(100.0, 200)] * 2
+    assert capsys.readouterr().err.count("must be an integer >= 1") == 2
+    spec, rng = ESTIMATORS[est], RandomSource(1)
+    qvar = QVar(resolve_distribution("bernoulli:0.3"), ExperimentCounter())
+    for n in (0.5, 0, -2.0, 2.5):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            spec.run(qvar, {"n": n, "delta": 0.1}, None, rng)
+    assert qvar.counter == ExperimentCounter()
+    assert rng.gen.random() == RandomSource(1).gen.random()
 
 
 def test_sweep_without_grid_keys_is_one_grid_point():

@@ -106,7 +106,7 @@ def test_burn_schedule_matches_cumsums():
     # lower ends, which a Python ceil(GROWTH ** ell) misses from round 358 on;
     # a round costs 2n+1 walk applications of 2 oracle experiments and a
     # measurement
-    los, _, cum_oracle, cum_aa = _round_table()
+    los, _, cum_oracle, cum_aa, _ = _round_table()
     narr = np.array(los[:len(cum_oracle)], dtype=np.int64)
     assert len(narr) > 358
     assert cum_oracle == np.cumsum((2 * narr + 1) * 2 + 1).tolist()
@@ -263,14 +263,15 @@ def test_seq_aamp_budget_properties(p, budget, pre, seed):
         assert counter == before
 
 
-def _two_uniform_chain(cum, tails, k, caps, gen, us, draws):
+def _two_uniform_chain(cum, tails, store, k, caps, gen, us, draws):
     # The loop amplify_chain ran before it drew one threshold uniform per
     # draw, kept as the reference its law is checked against: each round
     # pops one uniform for n off its grid (also on one-point grids, where it
     # is spent on int(u * 1) = 0) and one for its success coin, and the
     # spares are refilled in blocks of 64 whenever fewer than 3 are left.
+    # It takes amplify_chain's arguments and leaves the survival store unused.
 
-    los, sizes, burn_oracle, burn_aa = _round_table()
+    los, sizes, burn_oracle, burn_aa, _ = _round_table()
     walk, measure = WALK_COST, MEASURE_COST
     sin, pop = math.sin, us.pop
     ends: list[int] = []
@@ -348,8 +349,8 @@ def _chain_law_cases():
     return {
         # tail-1 first draw, readouts, a massless atom, and the zero-tail
         # burn once a chain reaches the top atom
-        "tail1-readout-burn": (*d._chain, [300], math.inf),
-        "readout-fine": (*fine._chain, [2000], math.inf),
+        "tail1-readout-burn": (*d._chain[:2], [300], math.inf),
+        "readout-fine": (*fine._chain[:2], [2000], math.inf),
         "tail0.1": (None, [0.1], [None], 1),
         "tail0.01": (None, [0.01], [None], 1),
         # tails whose draws run past round 26 onto grids of several points
@@ -368,12 +369,12 @@ def _chain_law_cases():
 
 def _chain_outcomes(kernel, case, draws, seed):
     # (end, oracle, aa, rounds) of `draws` one-chain calls sharing one list
-    # of spares
+    # of spares and one survival store, as the calls on one law do
     cum, tails, caps, depth = case
-    gen, us = RandomSource(seed).gen, []
+    gen, us, store = RandomSource(seed).gen, [], {}
     out = []
     for _ in range(draws):
-        (end,), oracle, aa, rounds = kernel(cum, tails, 0, caps, gen, us, depth)
+        (end,), oracle, aa, rounds = kernel(cum, tails, store, 0, caps, gen, us, depth)
         out.append((end, oracle, aa, rounds))
     return out
 
@@ -405,6 +406,183 @@ def test_chain_law_cases_reach_past_round_26():
         assert max(rounds) > 27, name
     capped = _chain_outcomes(amplify_chain, cases["cap-deep"], 200, 3)
     assert any(o[1] == 6000 and o[3] > 27 for o in capped)
+
+
+def _one_threshold_chain(cum, tails, k, caps, gen, us, draws):
+    # amplify_chain as it ran before the survival store, kept verbatim as the
+    # reference the store must match bit for bit: one threshold uniform a
+    # draw, and the running product of the rounds' failure probabilities
+    # computed round by round, the fixed rounds 1..26 too.
+    los, sizes, burn_oracle, burn_aa, _ = _round_table()
+    walk, measure = WALK_COST, MEASURE_COST
+    cos, pop = math.cos, us.pop
+    ends: list[int] = []
+    oracle_sum = aa = rounds = 0
+    try:
+        for cap in caps:
+            limit = math.inf if cap is None else cap
+            at, spent, left = k, 0, draws
+            while left:
+                tail = tails[at]
+                if not tail > 0.0:
+                    if cap is None:
+                        raise ValueError("zero amplitude never succeeds; a budget is required")
+                    # only the burn-down is observable, so every round fails
+                    # and costs its grid's lower end: `full` rounds fit, and
+                    # the next one is cut
+                    full = bisect_right(burn_oracle, cap - spent)
+                    done = burn_oracle[full - 1] if full else 0
+                    rem = cap - spent - done
+                    # the cut round's paid walk applications, credited as below
+                    f = min(rem, burn_oracle[full] - done - measure) // walk
+                    aa += (burn_aa[full - 1] if full else 0) + f + f // 2
+                    rounds += full + (rem > 0)
+                    spent = cap
+                    break
+                theta = math.asin(math.sqrt(tail))
+                if not us:
+                    us.extend(gen.random(64).tolist())
+                threshold, surv, r = 1.0 - pop(), 1.0, 0
+                while True:
+                    n = los[r]
+                    if sizes[r] > 1:
+                        if not us:
+                            us.extend(gen.random(64).tolist())
+                        n += int(pop() * sizes[r])
+                    m = 2 * n + 1
+                    oracle = m * walk + measure
+                    r += 1
+                    if spent + oracle > limit:
+                        # credit the steps paid before the stop: U, then n times
+                        # (reflection, U^-1, U), reflections free at the oracle level
+                        f = min((cap - spent) // walk, m)
+                        aa += f + f // 2
+                        r -= cap == spent
+                        spent, left = cap, 0
+                        break
+                    spent += oracle
+                    aa += 3 * n + 1
+                    c = cos(m * theta)
+                    surv *= c * c
+                    if surv < threshold:
+                        break
+                rounds += r
+                if not left:
+                    break
+                left -= 1
+                if cum is None:
+                    at += 1
+                elif spent + measure > limit or spent == limit:
+                    break
+                else:
+                    spent += measure
+                    below = cum[at - 1] if at else 0.0
+                    if not us:
+                        us.extend(gen.random(64).tolist())
+                    at = bisect_right(cum, below + pop() * tail, at, len(cum) - 1) + 1
+                    if spent == limit:
+                        break
+            ends.append(at)
+            oracle_sum += spent
+    except IndexError:  # a round or a burn past the end of _round_table
+        raise ValueError("sequential amplification past 1e18 oracle experiments "
+                         "is not simulated") from None
+    return ends, oracle_sum, aa, rounds
+
+
+_CAPS = st.one_of(
+    st.none(), st.just(0),
+    # a cut inside the fixed rounds 1..26, of 566 oracle experiments, or at
+    # one of their ends, then a cut past them
+    st.integers(1, 566), st.sampled_from(_round_table()[2][:26]).flatmap(
+        lambda c: st.sampled_from([c, c + 1])),
+    st.integers(567, 10**6))
+
+
+@st.composite
+def _chain_call(draw):
+    # (cum, tails, caps, draws) of chains on a random law of 1..100 atoms,
+    # some massless, or of a multi-draw chain without readout on tails from
+    # 1e-12 to 1, which succeed in a fixed round or past them
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=100).filter(any)),
+                     dtype=float)
+        cum, tails, _ = FiniteDist(np.arange(w.size, dtype=float), w / w.sum())._chain
+        depth = draw(st.sampled_from([1, 2, 5, math.inf]))
+    else:
+        depth = draw(st.integers(1, 4))
+        tail = st.one_of(st.just(0.0), st.just(1.0), st.floats(-12.0, 0.0).map(lambda e: 10**e))
+        cum, tails = None, draw(st.lists(tail, min_size=depth, max_size=depth))
+    return cum, tails, draw(st.lists(_CAPS, min_size=1, max_size=4)), depth
+
+
+def _run_chain(kernel, args, gen, us, depth):
+    try:
+        return kernel(*args, gen, us, depth), list(us)
+    except ValueError as exc:
+        return str(exc), list(us)
+
+
+@settings(max_examples=300, deadline=None)
+@given(calls=st.lists(_chain_call(), min_size=1, max_size=2), seed=st.integers(0, 2**32 - 1))
+def test_chain_matches_one_threshold_loop(calls, seed):
+    # the same ends, (oracle, aa, rounds), spares and next uniform as the
+    # round-by-round loop, over multi-chain calls, capped and uncapped; the
+    # second of two calls on one law finds the store its first call warmed
+    store = {}
+    new_gen, new_us = RandomSource(seed).gen, []
+    ref_gen, ref_us = RandomSource(seed).gen, []
+    for cum, tails, caps, depth in calls * 2:
+        new = _run_chain(amplify_chain, (cum, tails, store, 0, caps), new_gen, new_us, depth)
+        ref = _run_chain(_one_threshold_chain, (cum, tails, 0, caps), ref_gen, ref_us, depth)
+        assert new == ref
+    assert new_gen.random() == ref_gen.random()
+    # each stored prefix holds the loop's running products, negated, bit for bit
+    los = _round_table()[0]
+    for tail, neg in store.items():
+        assert 0 < len(neg) <= 26
+        theta, surv = math.asin(math.sqrt(tail)), 1.0
+        for n, got in zip(los, neg):
+            c = math.cos((2 * n + 1) * theta)
+            surv *= c * c
+            assert got == -surv
+
+
+def test_chain_cap_on_a_fixed_round_end_matches_one_threshold_loop():
+    # a draw whose success round ends exactly on the cap succeeds and spends
+    # it, and a cap one short cuts that round: 60 one-draw chains per cap at
+    # the end of each fixed round, and 60 uncapped, on tails that succeed
+    # early, late and past the fixed rounds, each tail's calls on one store
+    ends = _round_table()[2][:26]
+    for tail in (0.3, 0.03, 3e-3, 1e-3, 3e-4):
+        store = {}
+        for cap in [None, *ends, *(end - 1 for end in ends)]:
+            args = (None, [tail, 0.5], 0, [cap] * 60)
+            new = amplify_chain(*args[:2], store, *args[2:], RandomSource(9).gen, [], 1)
+            assert new == _one_threshold_chain(*args, RandomSource(9).gen, [], 1)
+
+def test_chain_threshold_ties_match_one_threshold_loop():
+    # a draw whose product S_r equals its threshold 1 - u exactly fails in
+    # round r and goes on: u is set as the first spare. While S_r >= 1/2,
+    # u = 1 - S_r and 1 - u are exact, so every such round gets its tie.
+    # Each tail's calls share a store, which holds S_r from the call before.
+    los, ties = _round_table()[0], 0
+    for tail in (0.002, 0.02, 0.2):
+        theta, surv, store = math.asin(math.sqrt(tail)), 1.0, {}
+        for n in los[:26]:
+            c = math.cos((2 * n + 1) * theta)
+            surv *= c * c
+            if surv < 0.5:
+                break
+            u, ties = 1.0 - surv, ties + 1
+            assert 1.0 - u == surv
+            new = amplify_chain(None, [tail], store, 0, [None], RandomSource(4).gen, [u], 1)
+            assert new == _one_threshold_chain(None, [tail], 0, [None], RandomSource(4).gen,
+                                               [u], 1)
+    assert ties >= 10
+    # at tail 1e-20 every fixed round's cos^2 rounds to 1, so u = 0 ties all 26
+    new = amplify_chain(None, [1e-20], {}, 0, [None], RandomSource(4).gen, [0.0], 1)
+    assert new == _one_threshold_chain(None, [1e-20], 0, [None], RandomSource(4).gen, [0.0], 1)
 
 
 # -- counters -----------------------------------------------------------------
@@ -767,6 +945,19 @@ def test_draws_refuse_bad_registers_and_counts(m, count):
         aest_median([0.3], [m], [count], rng)
     assert counter == ExperimentCounter()
     assert rng.gen.random() == RandomSource(3).gen.random()
+
+
+def test_aest_median_refuses_lanes_without_copies():
+    # a median of no copies is refused before any draw, alone or beside
+    # other lanes; aest_sample still draws a count of 0
+    rng = RandomSource(1)
+    for ps, ms, copies in (([0.3, 0.2], [16, 16], [0, 3]), ([0.3], [16], [0])):
+        with pytest.raises(ValueError, match="copy counts must be integers in \\[1, "):
+            aest_median(ps, ms, copies, rng)
+    assert rng.gen.random() == RandomSource(1).gen.random()
+    counter = ExperimentCounter()
+    assert aest_sample(0.3, 16, 0, rng, counter).tolist() == []
+    assert counter == ExperimentCounter()
 
 
 def test_draws_on_largest_register():
