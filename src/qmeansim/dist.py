@@ -2,10 +2,7 @@
 
 All operations are exact weighted sums over the support; nothing here is
 sampled or approximated. Distributions are immutable values and safe to
-share across concurrent tasks. Their one mutable part, the store of
-survival prefixes that chains fill per tail value, only gains entries or
-replaces one whole, and each entry is an immutable tuple that depends on
-its key alone.
+share across concurrent tasks.
 """
 
 from __future__ import annotations
@@ -100,14 +97,11 @@ class FiniteDist:
         return np.cumsum(self.probs[::-1])[::-1]
 
     @cached_property
-    def _chain(self) -> tuple[tuple[float, ...], tuple[float, ...], dict[float, tuple]]:
+    def _chain(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         # The laws a quantile chain walks, as tuples since the cache is
         # shared: the cumulative law, and P[X >= values[k]] for k = 0..len,
-        # clipped at 1 against round-off and 0 past the top atom. Then the
-        # store of survival prefixes that amplify_chain fills per tail value,
-        # empty until a chain draws, and shared with the parts of shift_split.
-        return (tuple(self._cum.tolist()), tuple(np.minimum(self._tail, 1.0).tolist()) + (0.0,),
-                {})
+        # clipped at 1 against round-off and 0 past the top atom.
+        return tuple(self._cum.tolist()), tuple(np.minimum(self._tail, 1.0).tolist()) + (0.0,)
 
     @cached_property
     def _sums(self) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -190,13 +184,13 @@ def shift_split(d: FiniteDist, eta: float) -> tuple[FiniteDist, FiniteDist]:
 def _above(d: FiniteDist, eta: float) -> FiniteDist:
     # max(X - eta, 0); the shift keeps the atoms above eta positive
     i = int(np.searchsorted(d.values, eta, side="right"))
-    cum, tails, store = d._chain
+    cum, tails = d._chain
     values = np.concatenate(([0.0], d.values[i:] - eta))
     probs = np.concatenate(([cum[i - 1] if i else 0.0], d.probs[i:]))
     if not (probs > 0.0).all() or not (values[1:] > values[:-1]).all():
         return make_dist(values, probs)
     part = FiniteDist._trusted(values, probs)
-    object.__setattr__(part, "_chain", (cum[i - 1:], (1.0,) + tails[i:], store))
+    object.__setattr__(part, "_chain", (cum[i - 1:], (1.0,) + tails[i:]))
     vp, ps, start, shift = d._sums
     object.__setattr__(part, "_sums", (vp, ps, start + i - 1, shift + eta))
     return part

@@ -85,6 +85,10 @@ _DESK_REFINE_TIME_FACTOR = 8.0
 # accuracy the target tolerance needs.
 _MAX_REFINE_TIME = 65536.0
 
+# The stage names of quantile_est's repetitions, formatted once: enough for
+# any failure probability down to about 6e-8, ceil(6 log(1/delta)) <= 100.
+_REPETITIONS = tuple(f"repetition_{i:02d}" for i in range(100))
+
 
 @dataclass
 class ConstantProfile:
@@ -233,13 +237,6 @@ class _StageTracker:
             self.interrupted.append(name)
         self._mark = self.counter.oracle_experiments
 
-    def close_each(self, names: list[str], costs: list[int]) -> None:
-        """Close new stages, one per cost, that the counter ran through in turn."""
-        self.costs.update(zip(names, costs))
-        if self.counter.interrupted:
-            self.interrupted.append(names[len(costs) - 1])
-        self._mark = self.counter.oracle_experiments
-
     def report(self, estimate: float) -> EstimateReport:
         snap = ExperimentCounter(
             oracle_experiments=self.counter.oracle_experiments - self.base_oracle,
@@ -299,16 +296,6 @@ def quantile_est(
     p = 0.01 and 0.1 (delta = 0.1) all 200 trials did. Where Q(c*p) is the top
     atom, as on the coarse laws the acceptance tests use, this cannot show.
     """
-    tracker = _StageTracker(qvar.counter)
-    estimate, caps = _quantile(qvar, p, delta, profile, rng)
-    tracker.close_each([f"repetition_{i:02d}" for i in range(len(caps))], caps)
-    return tracker.report(estimate)
-
-
-def _quantile(qvar: QVar, p: float, delta: float, profile: ConstantProfile,
-              rng: RandomSource) -> tuple[float, list[int]]:
-    # quantile_est without its stage records: the estimate, and the caps its
-    # repetitions spent in turn
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile order must be in (0, 1), got {p}")
     if not 0.0 < delta < 1.0:
@@ -316,6 +303,7 @@ def _quantile(qvar: QVar, p: float, delta: float, profile: ConstantProfile,
     reps = math.ceil(6 * math.log(1.0 / delta))
     per_rep_budget = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
     counter = qvar.counter
+    base_oracle, base_aa = counter.oracle_experiments, counter.aa_applications
     rem = counter.remaining()
     # the repetition that spends the remainder trips the counter and is the
     # last; with nothing left, one repetition runs at cap 0
@@ -325,8 +313,15 @@ def _quantile(qvar: QVar, p: float, delta: float, profile: ConstantProfile,
     d = qvar.dist
     ends, _, aa, _ = amplify_chain(*d._chain, 0, caps, rng.gen, [], math.inf)
     counter.charge(sum(caps), aa)
-    # the median end k, above k atoms, reads atom k - 1, or -inf above none
-    return (float(d.values[k - 1]) if (k := lower_median(ends)) else -math.inf), caps
+    names = (_REPETITIONS if len(caps) <= len(_REPETITIONS)
+             else [f"repetition_{i:02d}" for i in range(len(caps))])
+    # the median end k, above k atoms, reads atom k - 1, or -inf above none;
+    # the stage records as a _StageTracker would close them, built at once
+    return EstimateReport(
+        float(d.values[k - 1]) if (k := lower_median(ends)) else -math.inf,
+        ExperimentCounter(counter.oracle_experiments - base_oracle,
+                          counter.aa_applications - base_aa, counter.budget, counter.interrupted),
+        dict(zip(names, caps)), [names[len(caps) - 1]] if counter.interrupted else [])
 
 
 class _Ladders:
@@ -445,9 +440,9 @@ def _subgauss(qvar: QVar, n: float, delta: float, profile: ConstantProfile, rng:
 
     for sign, part in zip(("pos", "neg"), shift_split(qvar.dist, eta)):
         part_var = QVar(part, qvar.counter)
-        estimate, _ = _quantile(part_var, quantile_order, delta / 8, profile, rng)
+        qrep = quantile_est(part_var, quantile_order, delta / 8, profile, rng)
         # budget-starved repetitions report -inf; the support is non-negative
-        q_top = max(estimate, 0.0)
+        q_top = max(qrep.estimate, 0.0)
         tracker.close(f"quantile_{sign}")
 
         if q_top > 0.0:
@@ -581,7 +576,7 @@ def seq_relative_est(
         rem = counter.remaining()
         if rem is not None:
             cap = min(cap, rem)
-        (k,), oracle, aa, _ = amplify_chain(None, [var], {}, 0, [cap], rng.gen, [], 1)
+        (k,), oracle, aa, _ = amplify_chain(None, [var], 0, [cap], rng.gen, [], 1)
         counter.charge(oracle, aa)
         tracker.close("variance_probe")
         var_probe = 1.0 / (aa * aa) if k == 1 and oracle < cap else 0.0

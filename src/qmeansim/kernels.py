@@ -10,10 +10,9 @@ quantum primitives reduce to closed-form probability laws:
   :func:`amplify_chain` runs it along chains of conditional draws, all the
   repetitions of a quantile estimate in one call, one threshold uniform
   a draw and a uniform for n only on grids of more than one point. Rounds
-  1..26 have one-point grids, so the products S_1..S_26 of their failure
-  probabilities depend only on the tail: a draw reads its success round
-  among them off one bisection of those prefixes, which a store owned by
-  the law keeps per tail value, each extended only as far as a draw needs;
+  1..26 have one-point grids, so a draw multiplies their failure
+  probabilities alone, and reads their costs and its cap check off the
+  burn schedule's prefixes;
 * M-point amplitude estimation measures an index y whose exact law is a
   half/half mixture of Fejer kernels centred on the two eigenphases
   +-asin(sqrt(p))/pi. Draws never build the M-point law: an offset from the
@@ -153,15 +152,17 @@ def grover_angle(p: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _round_table() -> tuple[list[int], list[int], list[int], list[int], int]:
+def _round_table() -> tuple[list[int], list[int], list[int], list[int],
+                            tuple[tuple[int, int], ...]]:
     # Lower ends and sizes of the integer grids {ceil(G^(ell-1)), ...,
     # ceil(G^ell) - 1} of rounds ell = 1..436, each collapsed to its lower end
     # when empty. Round 436's grid starts past 1e18, beyond any budget. Then
     # the burn schedule of zero-amplitude runs (every round fails, so draws
     # are skipped and each round costs its grid's lower end): cumulative
     # oracle and amplification costs, up to a cumulative oracle cost of 1e18.
-    # Last, the number of leading one-point grids (26): the fixed rounds,
-    # whose n and costs take no uniform, so their costs are the burn's.
+    # Last, the fixed rounds, the leading one-point grids (rounds 1..26):
+    # their indices and multipliers 2n+1, whose n take no uniform, so their
+    # costs are the burn's.
     ells = np.arange(1, 437, dtype=float)
     lo = np.ceil(GROWTH ** (ells - 1)).astype(np.int64)
     hi = np.ceil(GROWTH**ells).astype(np.int64) - 1
@@ -170,30 +171,12 @@ def _round_table() -> tuple[list[int], list[int], list[int], list[int], int]:
     burn_oracle = list(accumulate((2 * n + 1) * WALK_COST + MEASURE_COST for n in los))
     del burn_oracle[bisect_left(burn_oracle, 1e18) + 1:]
     burn_aa = list(accumulate(3 * n + 1 for n in los[:len(burn_oracle)]))
-    return los, sizes, burn_oracle, burn_aa, next(r for r, s in enumerate(sizes) if s > 1)
+    fixed = next(r for r, s in enumerate(sizes) if s > 1)
+    return los, sizes, burn_oracle, burn_aa, tuple((r, 2 * los[r] + 1) for r in range(fixed))
 
 
-def _survival(neg: tuple[float, ...], tail: float, u: float) -> tuple[float, ...]:
-    # `neg` extended by -S_r, S_r the product of cos^2((2n+1)*theta) over the
-    # fixed rounds 1..r at tail sin^2(theta), computed in the order of the
-    # round loop so that each is bit-identical to its running product, up
-    # to the first fixed round whose S_r falls below 1 - u, or to the last
-    los, _, _, _, fixed = _round_table()
-    theta = math.asin(math.sqrt(tail))
-    ext = list(neg)
-    surv = -ext[-1] if ext else 1.0
-    threshold = 1.0 - u
-    while len(ext) < fixed:
-        c = math.cos((2 * los[len(ext)] + 1) * theta)
-        surv *= c * c
-        ext.append(-surv)
-        if surv < threshold:
-            break
-    return tuple(ext)
-
-
-def amplify_chain(cum: list[float] | None, tails: list[float], store: dict[float, tuple],
-                  k: int, caps: list[int | None], gen: np.random.Generator,
+def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
+                  caps: list[int | None], gen: np.random.Generator,
                   us: list[float], draws: float) -> tuple[list[int], int, int, int]:
     """Sequential amplitude amplification along chains of conditional draws.
 
@@ -202,19 +185,16 @@ def amplify_chain(cum: list[float] | None, tails: list[float], store: dict[float
     takes n uniformly from its grid, costs 2n+1 walk applications and a
     measurement, (2n+1)*WALK_COST + MEASURE_COST oracle experiments, and
     3n+1 amplification steps, and succeeds with probability
-    sin^2((2n+1)*asin(sqrt(tail))): a draw succeeds once the product S of its
+    sin^2((2n+1)*asin(sqrt(tail))): a draw succeeds once the product of its
     rounds' failure probabilities falls below 1 - u, u one uniform per draw,
     and n takes a uniform only on multi-point grids (round 27 on). Rounds
-    1..26 have one-point grids, so their n, their costs (the burn
-    schedule's prefixes) and their products S_1..S_26 depend on the tail
-    alone: ``store`` maps a tail to its negated products -S_1, -S_2, ...,
-    extended only as far as a draw needs and replaced whole, and a draw reads
-    its success round off one bisection at u - 1 and its cap check off one
-    comparison; past round 26 it loops on from S_26. A law keeps one store
-    with its chain laws; a call without a law passes a fresh dict. A
-    readout measurement then picks the next
-    atom off the cumulative law ``cum`` and moves k above it; with ``cum``
-    None a success just adds one to k. A chain stops after ``draws`` draws or
+    1..26 have one-point grids, so a draw runs the product through them
+    alone, in the round loop's order, then takes their costs off the burn
+    schedule's prefixes and checks its cap with one comparison (a cut among
+    them is located as a burn's is); past round 26 it loops on round by
+    round. A readout measurement then picks the next atom off the cumulative
+    law ``cum`` and moves k above it; with ``cum`` None a success just adds
+    one to k. A chain stops after ``draws`` draws or
     once its oracle cap (None: no cap) is spent: inside a round, with
     partial-round credit; at a success that leaves no budget for its
     readout; or at an empty tail, which burns the rest on the static
@@ -225,10 +205,8 @@ def amplify_chain(cum: list[float] | None, tails: list[float], store: dict[float
     and the summed ``(oracle, aa, rounds)``, and charges nothing.
     """
     los, sizes, burn_oracle, burn_aa, fixed = _round_table()
-    # the oracle cost of a draw's fixed rounds, by its success round or `fixed`
-    reach = burn_oracle[:fixed] + [burn_oracle[fixed - 1]]
     walk, measure, inf = WALK_COST, MEASURE_COST, math.inf
-    cos, pop, get = math.cos, us.pop, store.get
+    asin, sqrt, cos, pop = math.asin, math.sqrt, math.cos, us.pop
     top = len(cum) - 1 if cum is not None else 0
     ends: list[int] = []
     oracle_sum = aa = rounds = 0
@@ -239,16 +217,18 @@ def amplify_chain(cum: list[float] | None, tails: list[float], store: dict[float
             while left:
                 tail = tails[at]
                 if tail > 0.0:
+                    theta = asin(sqrt(tail))
                     if not us:
                         us.extend(gen.random(64).tolist())
-                    u = pop()
-                    neg = get(tail, ())
-                    # the first fixed round with S_r < 1 - u, or `fixed` for none
-                    i = bisect_right(neg, u - 1.0)
-                    if i == len(neg) < fixed:
-                        neg = store[tail] = _survival(neg, tail, u)
-                        i = bisect_right(neg, u - 1.0)
-                    cut = spent + reach[i] > limit
+                    threshold, surv = 1.0 - pop(), 1.0
+                    # the product through the fixed rounds, in the round
+                    # loop's order: i is the success round, or the last
+                    for i, m in fixed:
+                        c = cos(m * theta)
+                        surv *= c * c
+                        if surv < threshold:
+                            break
+                    cut = spent + burn_oracle[i] > limit
                 elif cap is None:
                     raise ValueError("zero amplitude never succeeds; a budget is required")
                 else:
@@ -261,20 +241,16 @@ def amplify_chain(cum: list[float] | None, tails: list[float], store: dict[float
                     full = bisect_right(burn_oracle, cap - spent)
                     done = burn_oracle[full - 1] if full else 0
                     rem = cap - spent - done
-                    f = min(rem, burn_oracle[full] - done - measure) // walk
+                    f = burn_oracle[full] - done - measure
+                    f = (rem if rem < f else f) // walk
                     aa += (burn_aa[full - 1] if full else 0) + f + f // 2
                     rounds += full + (rem > 0)
                     spent = cap
                     break
-                if i < fixed:
-                    spent += burn_oracle[i]
-                    aa += burn_aa[i]
-                    rounds += i + 1
-                else:
-                    spent += burn_oracle[fixed - 1]
-                    aa += burn_aa[fixed - 1]
-                    theta = math.asin(math.sqrt(tail))
-                    threshold, surv, r = 1.0 - u, -neg[-1], fixed
+                spent += burn_oracle[i]
+                aa += burn_aa[i]
+                r = i + 1
+                if surv >= threshold:
                     while True:
                         n = los[r]
                         if sizes[r] > 1:
@@ -298,9 +274,9 @@ def amplify_chain(cum: list[float] | None, tails: list[float], store: dict[float
                         surv *= c * c
                         if surv < threshold:
                             break
-                    rounds += r
-                    if not left:
-                        break
+                rounds += r
+                if not left:
+                    break
                 left -= 1
                 if cum is None:
                     at += 1
@@ -341,8 +317,7 @@ def seq_aamp(p: float, rng: RandomSource, counter: ExperimentCounter) -> tuple[b
         raise ValueError(f"amplitude must be in [0, 1], got {p}")
     if counter.interrupted and p > 0.0:
         return False, 0, 0
-    (k,), oracle, aa, rounds = amplify_chain(None, [p], {}, 0, [counter.remaining()], rng.gen,
-                                             [], 1)
+    (k,), oracle, aa, rounds = amplify_chain(None, [p], 0, [counter.remaining()], rng.gen, [], 1)
     counter.charge(oracle, aa)
     return k == 1, rounds, aa
 

@@ -11,10 +11,10 @@ import sys
 from pathlib import Path
 
 import qmeansim.dist  # noqa: F401  (the tracer wraps names in every loaded module)
-import qmeansim.estimators as estimators
+import qmeansim.estimators  # noqa: F401
 import qmeansim.harness as harness
 import qmeansim.kernels as kernels
-from qmeansim import RandomSource, default_profile, make_dist
+from qmeansim import RandomSource
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -40,10 +40,6 @@ def test_bench_tracer_wraps_and_restores(monkeypatch):
             # no sweep draws single estimations, so the observer of
             # aest_sample's (p, M) arguments is run here
             kernels.aest_sample(0.3, 16, 4, RandomSource(1), kernels.ExperimentCounter())
-            # a refinement takes its quantiles without stage records, so the
-            # observer of quantile_est's records is run here
-            qvar = kernels.QVar(make_dist([1.0, 2.0], [0.5, 0.5]), kernels.ExperimentCounter())
-            estimators.quantile_est(qvar, 0.1, 0.1, default_profile(), RandomSource(1))
         finally:
             tracer.remove()
     finally:

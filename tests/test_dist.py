@@ -218,20 +218,11 @@ def test_shift_split_part_chains_match_their_arrays(values, weights):
     d = make_dist(values, w / w.sum())
     for eta in d.values.tolist():
         for part in shift_split(d, eta):
-            cum, tails, _ = part._chain
+            cum, tails = part._chain
             assert list(cum) == np.cumsum(part.probs).tolist()
             own = np.minimum(np.cumsum(part.probs[::-1])[::-1], 1.0).tolist() + [0.0]
             assert list(tails[1:]) == own[1:]
             assert abs(tails[0] - own[0]) <= 1e-15
-
-
-def test_shift_split_parts_share_their_parents_survival_store():
-    # a part's chains fill the survival store of the law it was cut from, the
-    # part below that of -X, so prefixes outlive the parts of one split
-    d = make_dist([1.0, 2.0, 3.0], [0.2, 0.5, 0.3])
-    up, down = shift_split(d, 2.0)
-    assert up._chain[2] is d._chain[2] and down._chain[2] is d._mirror._chain[2]
-    assert shift_split(d, 1.5)[0]._chain[2] is d._chain[2]
 
 
 @settings(max_examples=100, deadline=None)

@@ -488,6 +488,27 @@ def test_quantile_matches_per_repetition_loop(profile, probs, p, delta, budget, 
     assert fused_rng.gen.random() == looped_rng.gen.random()
 
 
+
+@pytest.mark.parametrize("reps", [100, 101, 125])
+@pytest.mark.parametrize("stop", [None, 60, 110])
+def test_quantile_matches_per_repetition_loop_past_stored_names(profile, reps, stop):
+    # stage names are formatted once for up to 100 repetitions and on the
+    # fly beyond: ceil(6 log(1/delta)) = reps, and budgets that interrupt
+    # repetition `stop`, below 100 and past it
+    delta = math.exp(-(reps - 0.5) / 6)
+    assert math.ceil(6 * math.log(1.0 / delta)) == reps
+    per_rep = math.ceil(profile.quantile_budget_coeff / math.sqrt(0.01))
+    budget = None if stop is None else stop * per_rep + 7
+    args = ([1.0, 2.0, 3.0], [1, 2, 1], budget, 0)
+    fused, looped = budgeted_qvar(*args), budgeted_qvar(*args)
+    got = quantile_est(fused, 0.01, delta, profile, RandomSource(reps))
+    want = _quantile_per_repetition(looped, 0.01, delta, profile, RandomSource(reps))
+    assert got == want
+    assert fused.counter == looped.counter
+    assert len(got.stage_costs) == (reps if stop is None or stop >= reps else stop + 1)
+    assert got.interrupted_stages == ([] if stop is None or stop >= reps
+                                      else [f"repetition_{stop:02d}"])
+
 def _seq_relative_nested(qv, eps, delta, profile, rng):
     # The loop seq_relative_est flattens: the rough and probe stages go
     # through the seq_bern_est entry point, the probe on a fresh counter

@@ -263,13 +263,12 @@ def test_seq_aamp_budget_properties(p, budget, pre, seed):
         assert counter == before
 
 
-def _two_uniform_chain(cum, tails, store, k, caps, gen, us, draws):
+def _two_uniform_chain(cum, tails, k, caps, gen, us, draws):
     # The loop amplify_chain ran before it drew one threshold uniform per
     # draw, kept as the reference its law is checked against: each round
     # pops one uniform for n off its grid (also on one-point grids, where it
     # is spent on int(u * 1) = 0) and one for its success coin, and the
     # spares are refilled in blocks of 64 whenever fewer than 3 are left.
-    # It takes amplify_chain's arguments and leaves the survival store unused.
 
     los, sizes, burn_oracle, burn_aa, _ = _round_table()
     walk, measure = WALK_COST, MEASURE_COST
@@ -349,8 +348,8 @@ def _chain_law_cases():
     return {
         # tail-1 first draw, readouts, a massless atom, and the zero-tail
         # burn once a chain reaches the top atom
-        "tail1-readout-burn": (*d._chain[:2], [300], math.inf),
-        "readout-fine": (*fine._chain[:2], [2000], math.inf),
+        "tail1-readout-burn": (*d._chain, [300], math.inf),
+        "readout-fine": (*fine._chain, [2000], math.inf),
         "tail0.1": (None, [0.1], [None], 1),
         "tail0.01": (None, [0.01], [None], 1),
         # tails whose draws run past round 26 onto grids of several points
@@ -369,12 +368,12 @@ def _chain_law_cases():
 
 def _chain_outcomes(kernel, case, draws, seed):
     # (end, oracle, aa, rounds) of `draws` one-chain calls sharing one list
-    # of spares and one survival store, as the calls on one law do
+    # of spares
     cum, tails, caps, depth = case
-    gen, us, store = RandomSource(seed).gen, [], {}
+    gen, us = RandomSource(seed).gen, []
     out = []
     for _ in range(draws):
-        (end,), oracle, aa, rounds = kernel(cum, tails, store, 0, caps, gen, us, depth)
+        (end,), oracle, aa, rounds = kernel(cum, tails, 0, caps, gen, us, depth)
         out.append((end, oracle, aa, rounds))
     return out
 
@@ -409,10 +408,11 @@ def test_chain_law_cases_reach_past_round_26():
 
 
 def _one_threshold_chain(cum, tails, k, caps, gen, us, draws):
-    # amplify_chain as it ran before the survival store, kept verbatim as the
-    # reference the store must match bit for bit: one threshold uniform a
-    # draw, and the running product of the rounds' failure probabilities
-    # computed round by round, the fixed rounds 1..26 too.
+    # amplify_chain as it ran before the fixed rounds were hoisted out of
+    # the round loop, kept verbatim as the reference it must match bit for
+    # bit: one threshold uniform a draw, and the running product of the
+    # rounds' failure probabilities computed round by round, with each
+    # round's cost and cap check, the fixed rounds 1..26 too.
     los, sizes, burn_oracle, burn_aa, _ = _round_table()
     walk, measure = WALK_COST, MEASURE_COST
     cos, pop = math.cos, us.pop
@@ -507,7 +507,7 @@ def _chain_call(draw):
     if draw(st.booleans()):
         w = np.array(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=100).filter(any)),
                      dtype=float)
-        cum, tails, _ = FiniteDist(np.arange(w.size, dtype=float), w / w.sum())._chain
+        cum, tails = FiniteDist(np.arange(w.size, dtype=float), w / w.sum())._chain
         depth = draw(st.sampled_from([1, 2, 5, math.inf]))
     else:
         depth = draw(st.integers(1, 4))
@@ -527,48 +527,37 @@ def _run_chain(kernel, args, gen, us, depth):
 @given(calls=st.lists(_chain_call(), min_size=1, max_size=2), seed=st.integers(0, 2**32 - 1))
 def test_chain_matches_one_threshold_loop(calls, seed):
     # the same ends, (oracle, aa, rounds), spares and next uniform as the
-    # round-by-round loop, over multi-chain calls, capped and uncapped; the
-    # second of two calls on one law finds the store its first call warmed
-    store = {}
+    # round-by-round loop, over multi-chain calls, capped and uncapped, each
+    # call list run twice on one stream
     new_gen, new_us = RandomSource(seed).gen, []
     ref_gen, ref_us = RandomSource(seed).gen, []
     for cum, tails, caps, depth in calls * 2:
-        new = _run_chain(amplify_chain, (cum, tails, store, 0, caps), new_gen, new_us, depth)
+        new = _run_chain(amplify_chain, (cum, tails, 0, caps), new_gen, new_us, depth)
         ref = _run_chain(_one_threshold_chain, (cum, tails, 0, caps), ref_gen, ref_us, depth)
         assert new == ref
     assert new_gen.random() == ref_gen.random()
-    # each stored prefix holds the loop's running products, negated, bit for bit
-    los = _round_table()[0]
-    for tail, neg in store.items():
-        assert 0 < len(neg) <= 26
-        theta, surv = math.asin(math.sqrt(tail)), 1.0
-        for n, got in zip(los, neg):
-            c = math.cos((2 * n + 1) * theta)
-            surv *= c * c
-            assert got == -surv
 
 
 def test_chain_cap_on_a_fixed_round_end_matches_one_threshold_loop():
     # a draw whose success round ends exactly on the cap succeeds and spends
     # it, and a cap one short cuts that round: 60 one-draw chains per cap at
     # the end of each fixed round, and 60 uncapped, on tails that succeed
-    # early, late and past the fixed rounds, each tail's calls on one store
+    # early, late and past the fixed rounds
     ends = _round_table()[2][:26]
     for tail in (0.3, 0.03, 3e-3, 1e-3, 3e-4):
-        store = {}
         for cap in [None, *ends, *(end - 1 for end in ends)]:
             args = (None, [tail, 0.5], 0, [cap] * 60)
-            new = amplify_chain(*args[:2], store, *args[2:], RandomSource(9).gen, [], 1)
+            new = amplify_chain(*args, RandomSource(9).gen, [], 1)
             assert new == _one_threshold_chain(*args, RandomSource(9).gen, [], 1)
+
 
 def test_chain_threshold_ties_match_one_threshold_loop():
     # a draw whose product S_r equals its threshold 1 - u exactly fails in
     # round r and goes on: u is set as the first spare. While S_r >= 1/2,
     # u = 1 - S_r and 1 - u are exact, so every such round gets its tie.
-    # Each tail's calls share a store, which holds S_r from the call before.
     los, ties = _round_table()[0], 0
     for tail in (0.002, 0.02, 0.2):
-        theta, surv, store = math.asin(math.sqrt(tail)), 1.0, {}
+        theta, surv = math.asin(math.sqrt(tail)), 1.0
         for n in los[:26]:
             c = math.cos((2 * n + 1) * theta)
             surv *= c * c
@@ -576,12 +565,12 @@ def test_chain_threshold_ties_match_one_threshold_loop():
                 break
             u, ties = 1.0 - surv, ties + 1
             assert 1.0 - u == surv
-            new = amplify_chain(None, [tail], store, 0, [None], RandomSource(4).gen, [u], 1)
+            new = amplify_chain(None, [tail], 0, [None], RandomSource(4).gen, [u], 1)
             assert new == _one_threshold_chain(None, [tail], 0, [None], RandomSource(4).gen,
                                                [u], 1)
     assert ties >= 10
     # at tail 1e-20 every fixed round's cos^2 rounds to 1, so u = 0 ties all 26
-    new = amplify_chain(None, [1e-20], {}, 0, [None], RandomSource(4).gen, [0.0], 1)
+    new = amplify_chain(None, [1e-20], 0, [None], RandomSource(4).gen, [0.0], 1)
     assert new == _one_threshold_chain(None, [1e-20], 0, [None], RandomSource(4).gen, [0.0], 1)
 
 

@@ -17,11 +17,11 @@ from qmeansim import ExperimentCounter, FiniteDist, RandomSource, SweepConfig, r
 from qmeansim.kernels import aest_sample, amplify_chain
 
 
-def chain(cum, tails, store, caps, draws, seed):
+def chain(cum, tails, caps, draws, seed):
     # one call from atom 0 on a fresh list of spares, the number of spares it
     # leaves, and the next uniform
     gen, us = RandomSource(seed).gen, []
-    ends, oracle, aa, rounds = amplify_chain(cum, tails, store, 0, caps, gen, us, draws)
+    ends, oracle, aa, rounds = amplify_chain(cum, tails, 0, caps, gen, us, draws)
     return (ends, oracle, aa, rounds), len(us), gen.random()
 
 
@@ -33,18 +33,17 @@ def test_chain_stream_multi_cap_with_zero_atom():
 
 
 def test_chain_stream_stopped_by_cap():
-    assert chain(None, [0.001], {}, [60], 1, 12) == (([0], 60, 38, 6), 63, 0.6164768219402089)
+    assert chain(None, [0.001], [60], 1, 12) == (([0], 60, 38, 6), 63, 0.6164768219402089)
 
 
 def test_chain_stream_past_one_point_grids():
     # an uncapped draw at tail 1e-4 runs 36 rounds, so the rounds from 27 on
     # draw n off grids of several points
-    got = chain(None, [1e-4], {}, [None], 1, 14)
-    assert got == (([1], 1404, 1008, 36), 55, 0.14431559434524766)
+    assert chain(None, [1e-4], [None], 1, 14) == (([1], 1404, 1008, 36), 55, 0.14431559434524766)
 
 
 def test_chain_stream_without_readout():
-    got = chain(None, [0.3, 0.05, 0.7, 0.0], {}, [None, 500], 3, 13)
+    got = chain(None, [0.3, 0.05, 0.7, 0.0], [None, 500], 3, 13)
     assert got == (([3, 3], 86, 52, 10), 58, 0.9285460335053835)
 
 
