@@ -27,6 +27,7 @@ __all__ = [
     "conditional_above",
     "sample",
     "sample_n",
+    "sample_idx",
     "hard_instance_subgaussian",
     "hard_instance_statebased",
 ]
@@ -185,8 +186,12 @@ def _above(d: FiniteDist, eta: float) -> FiniteDist:
     # max(X - eta, 0); the shift keeps the atoms above eta positive
     i = int(np.searchsorted(d.values, eta, side="right"))
     cum, tails = d._chain
-    values = np.concatenate(([0.0], d.values[i:] - eta))
-    probs = np.concatenate(([cum[i - 1] if i else 0.0], d.probs[i:]))
+    values = np.empty(len(d) - i + 1)
+    values[0] = 0.0
+    np.subtract(d.values[i:], eta, out=values[1:])
+    probs = np.empty_like(values)
+    probs[0] = cum[i - 1] if i else 0.0
+    probs[1:] = d.probs[i:]
     if not (probs > 0.0).all() or not (values[1:] > values[:-1]).all():
         return make_dist(values, probs)
     part = FiniteDist._trusted(values, probs)
@@ -232,9 +237,13 @@ def sample(d: FiniteDist, rng: RandomSource) -> float:
 
 def sample_n(d: FiniteDist, rng: RandomSource, n: int) -> np.ndarray:
     """``n`` i.i.d. draws from ``d`` as an array."""
-    u = rng.gen.random(n)
-    idx = np.minimum(np.searchsorted(d._cum, u, side="right"), len(d) - 1)
-    return d.values[idx]
+    return d.values[sample_idx(d, rng, n)]
+
+
+def sample_idx(d: FiniteDist, rng: RandomSource, n: int) -> np.ndarray:
+    """The support indices of ``n`` i.i.d. draws from ``d``, as
+    :func:`sample_n` draws them."""
+    return np.minimum(np.searchsorted(d._cum, rng.gen.random(n), side="right"), len(d) - 1)
 
 
 def hard_instance_subgaussian(m: float, sigma: float) -> tuple[FiniteDist, FiniteDist]:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dist import (
     pair_square_diff,
-    sample_n,
+    sample_idx,
     shift_split,
     truncated_mean,
 )
@@ -88,6 +88,10 @@ _MAX_REFINE_TIME = 65536.0
 # The stage names of quantile_est's repetitions, formatted once: enough for
 # any failure probability down to about 6e-8, ceil(6 log(1/delta)) <= 100.
 _REPETITIONS = tuple(f"repetition_{i:02d}" for i in range(100))
+
+# The two parts of the sub-Gaussian split, above and below the shift: the
+# stage names of their quantile and ladder, and the sign of their ladder sum.
+_PARTS = (("quantile_pos", "layers_pos", 1.0), ("quantile_neg", "layers_neg", -1.0))
 
 
 @dataclass
@@ -347,8 +351,9 @@ class _Ladders:
         d = qvar.dist
         vp, ps, start, shift = d._sums
         idx = start + np.searchsorted(d.values, edges, side="right")
-        means = np.diff(vp[idx]) - shift * np.diff(ps[idx])
-        amplitudes = np.clip(means / edges[1:], 0.0, 1.0)
+        v, q = vp[idx], ps[idx]
+        means = (v[1:] - v[:-1]) - shift * (q[1:] - q[:-1])
+        amplitudes = np.minimum(np.maximum(means / edges[1:], 0.0), 1.0)
         m, copies = register
         aest_charge(m, amplitudes.size * copies, qvar.counter)
         self._ladders.append((amplitudes, m, copies, sign * edges[1:], term))
@@ -429,25 +434,28 @@ def _subgauss(qvar: QVar, n: float, delta: float, profile: ConstantProfile, rng:
     )
     register = ae_register(layer_time, layer_delta)
     quantile_order = (log_term / (6 * n2)) ** 2
-    steps = np.concatenate(([0.0], 2.0 ** np.arange(k + 1) / n2))
+    steps = np.ldexp(1.0, np.arange(-k - 1, 1))  # 0, then 2^l / n2 for l = 0..k
+    steps[0] = 0.0
 
     tracker = _StageTracker(qvar.counter)
 
     shots = math.ceil(30 * math.log(2.0 / delta))
     qvar.counter.charge(shots * SAMPLE_COST)
-    eta = lower_median(sample_n(qvar.dist, rng, shots).tolist())
+    # the lower median of the samples, read off that of their support indices
+    mid = (shots - 1) // 2
+    eta = float(qvar.dist.values[np.partition(sample_idx(qvar.dist, rng, shots), mid)[mid]])
     tracker.close("classical_median")
 
-    for sign, part in zip(("pos", "neg"), shift_split(qvar.dist, eta)):
+    for (quantile_stage, layers_stage, sign), part in zip(_PARTS, shift_split(qvar.dist, eta)):
         part_var = QVar(part, qvar.counter)
         qrep = quantile_est(part_var, quantile_order, delta / 8, profile, rng)
         # budget-starved repetitions report -inf; the support is non-negative
         q_top = max(qrep.estimate, 0.0)
-        tracker.close(f"quantile_{sign}")
+        tracker.close(quantile_stage)
 
         if q_top > 0.0:
-            ladders.add(part_var, q_top * steps, register, 1.0 if sign == "pos" else -1.0, term)
-        tracker.close(f"layers_{sign}")
+            ladders.add(part_var, q_top * steps, register, sign, term)
+        tracker.close(layers_stage)
         if qvar.counter.interrupted:
             break
     return tracker, eta
