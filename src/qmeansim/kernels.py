@@ -16,12 +16,15 @@ quantum primitives reduce to closed-form probability laws:
 * M-point amplitude estimation measures an index y whose exact law is a
   half/half mixture of Fejer kernels centred on the two eigenphases
   +-asin(sqrt(p))/pi. Draws never build the M-point law: an offset from the
-  +omega kernel's peak is drawn exactly by rejection from an envelope
-  decaying as 1/k^2, on one path for every amplitude, so a draw costs O(1)
-  time and memory whatever M is. The -omega kernel is its mirror image
-  y -> M - y, so only :func:`aest_sample`, which returns the indices y
-  themselves, flips the fair coins that pick the eigenphase: it draws
-  ``count`` indices in one vectorised rejection call, then one vector of
+  +omega kernel's peak is drawn exactly, on one path for every amplitude,
+  so a draw costs O(1) time and memory whatever M is. One uniform lands it
+  on offset 0 or 1 from the peak, whose exact masses hold about 90% of the
+  law, or in the tail; a tail draw is proposed off an envelope decaying as
+  1/(x^2 - 1/4), inverted exactly on each side, and kept with the ratio of
+  the kernel to it, about 40% of proposals. The -omega kernel is its
+  mirror image y -> M - y, so only :func:`aest_sample`, which returns the
+  indices y themselves, flips the fair coins that pick the eigenphase: it
+  draws ``count`` indices in one vectorised call, then one vector of
   ``count`` coins, and charges them as ``count`` copies. A windowed-mean
   ladder is charged when the estimator's schedule reaches it, by
   :func:`aest_charge`, and drawn once at the end: :func:`aest_median` draws
@@ -84,6 +87,13 @@ SAMPLE_COST = 2
 # Phase registers are simulated below this size, so that the int64
 # arithmetic of a draw and of its readout (4 * y == M) cannot overflow.
 MAX_REGISTER = 1 << 62
+
+# Phase draws are made in blocks of at most _BLOCK, so that memory stays
+# bounded, and each draw that lands in the kernel's tail makes _TAIL_TRIES
+# proposals a pass: about 40% are accepted, so a pass nearly always places
+# every tail draw.
+_BLOCK = 1 << 16
+_TAIL_TRIES = 16
 
 
 @dataclass
@@ -354,16 +364,36 @@ def _whole(values, lo: int, what: str) -> np.ndarray:
     # values as an int64 vector, refused unless each is an integer in
     # [lo, MAX_REGISTER)
     arr = np.asarray(values).reshape(-1)
-    if arr.dtype.kind not in "iu" or not np.all((lo <= arr) & (arr < MAX_REGISTER)):
+    if arr.dtype.kind not in "iu" or not lo <= arr.min(initial=lo) <= arr.max(initial=lo) < MAX_REGISTER:
         raise ValueError(f"{what} must be integers in [{lo}, 2^62), got {values}")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
+
+
+def _kernel_core(ps: np.ndarray, mf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Per lane of amplitudes ps on M = mf point registers (floats), the peak
+    # floor(c) of the Fejer kernel on the eigenphase +omega, c = M*omega, the
+    # fraction f = c - floor(c), and, as a (2, lanes) array, the exact masses
+    # K(0) and K(1) of the offsets 0 and 1 from the peak, at x = -f and
+    # 1 - f (see _phase_draws). For M >= 2 both lie in the window; at M = 1
+    # every offset reads y = 0. At f = 0 offset 0 holds all the mass.
+    # sin(pi f) / (M sin(pi x / M)) is squared last, so that no factor
+    # underflows.
+    c = mf * np.arcsin(np.sqrt(ps)) / np.pi
+    base = np.floor(c)
+    f = c - base
+    edge = f == 0.0
+    g = 1.0 - f
+    core = (np.sin(np.pi * np.minimum(f, g))
+            / (mf * np.sin(np.pi / mf * np.where(edge, 1.0, np.stack((f, g)))))) ** 2
+    core[0, edge] = 1.0
+    return base, f, core
 
 
 def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
     # copies[i] exact draws of the index y in [0, M_i) from the Fejer kernel
     # on the eigenphase +omega of amplitude ps[i] on an M_i = ms[i] point
     # register, one lane per amplitude, as a (lanes, max(copies)) array
-    # whose entries past a lane's count are padding; O(1) time and memory
+    # whose entries past a lane's count hold M_i // 2; O(1) time and memory
     # per draw whatever M is. Their phase distances min(y, M - y) follow the
     # two-kernel law, as the -omega kernel is the mirror image y -> M - y.
     # Through aest_median, one call draws every live window of every ladder
@@ -372,47 +402,67 @@ def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
     # or charge: each an integer below MAX_REGISTER, M >= 1, counts >= 0
     # (aest_median has checked its copy counts >= 1 before).
     # With c = M*omega and f = c - floor(c), the kernel puts mass
-    #   K(j) = sin^2(pi f) / (M^2 sin^2(pi (j - f) / M)) <= min(1, 1/(4 (j - f)^2))
-    # on y = floor(c) + j, for the M offsets with -M/2 < j - f <= M/2
-    # (|sin(pi x)| >= 2|x| for |x| <= 1/2). Offsets are proposed as 0 or 1
-    # with probability 1/3 each, else as 1 + k or -k with probability
-    # 1/(6 k (k + 1)) each, k = floor(1/U) >= 1, and accepted with
-    # probability K(j) / (3 * proposal) <= 1: a third of the proposals are
-    # accepted. On the grid (f = 0: p = 0, and p = 1 with even M among
-    # them) only j = 0 passes.
+    #   K(j) = sin^2(pi f) / (M sin(pi x / M))^2,  x = j - f,
+    # on y = floor(c) + j, for the M offsets j in the window -M/2 < x <= M/2.
+    # The core, offsets 0 and 1, holds most of it (81% at f = 1/2, more
+    # elsewhere): a draw takes one uniform u and lands on offset 0 if
+    # u < K(0), on offset 1 if u < K(0) + K(1), and in the tail otherwise.
+    # Tail draws are proposed from the envelope
+    #   K(j) <= sin^2(pi f) / (4 (x^2 - 1/4)),
+    # as M |sin(pi x / M)| >= 2 |x| on the window, whose sums telescope: a
+    # side is picked, j >= 2 with probability (1/2 + f)/2, else j <= -1, and
+    # inverted exactly from V in (0, 1], j = floor(f + 1/2 + (3/2 - f)/V) or
+    # j = -floor(1/2 - f + (1/2 + f)/V); one uniform w gives both the side
+    # and V. The left side is the right side's mirror at phase 1 - f: its
+    # offset j stands for j' = 1 - j >= 2, at |x| = j' - (1 - f). A proposal
+    # in the window is accepted with probability
+    # 4 (x^2 - 1/4) / (M sin(pi x / M))^2 <= 1, about 40% of them. A lane
+    # whose window holds no tail offset (M <= 2, or f = 0) gets no tail, so
+    # that a core summing to one ulp below 1 cannot leave a draw there.
     ps = np.asarray(ps, dtype=float).reshape(-1)
     ms = _whole(ms, 1, "register sizes")
     want = _whole(copies, 0, "copy counts")
-    if not np.all((ps >= 0.0) & (ps <= 1.0)):
+    if not 0.0 <= ps.min(initial=0.0) <= ps.max(initial=0.0) <= 1.0:
         raise ValueError(f"amplitudes must be in [0, 1], got {ps}")
     mf = ms.astype(float)
-    c = mf * np.arcsin(np.sqrt(ps)) / np.pi
-    base = np.floor(c)
-    f = c - base
-    s2 = np.sin(np.pi * np.minimum(f, 1.0 - f)) ** 2
-    ys = np.zeros((ps.size, want.max(initial=0)), dtype=np.int64)
-    filled = np.zeros(ps.size, dtype=np.int64)
-    while (need := want - filled).any():
-        # four proposals per missing draw and eight spare, so refills are
-        # rare, but about 2^16 at most a pass, so memory stays bounded
-        share = max((1 << 16) // np.count_nonzero(need), 1)
-        lane = np.repeat(np.arange(ps.size), np.minimum(4 * need + 8 * (need > 0), share))
-        choice, u, accept = gen.random((3, lane.size))
-        k = np.floor(1.0 / (1.0 - u))
-        far = choice >= 2.0 / 3.0
-        j = np.where(far, np.where(choice < 5.0 / 6.0, 1.0 + k, -k), choice >= 1.0 / 3.0)
-        weight = np.where(far, 2.0 * k * (k + 1.0), 1.0)
-        x = j - f[lane]
-        ml = mf[lane]
-        hit = ((-0.5 * ml < x) & (x <= 0.5 * ml)
-               & ((1.0 - accept) * (ml * np.sin(np.pi * x / ml)) ** 2 <= s2[lane] * weight))
-        lane, j = lane[hit], j[hit]
-        # each lane keeps its first `need` accepted offsets, in proposal order
-        slot = filled[lane] + np.arange(lane.size) - np.searchsorted(lane, lane)
-        keep = slot < want[lane]
-        lane = lane[keep]
-        ys[lane, slot[keep]] = np.mod(base[lane] + j[keep], mf[lane]).astype(np.int64)
-        filled += np.bincount(lane, minlength=ps.size)
+    base, f, (k0, k1) = _kernel_core(ps, mf)
+    # the uniform's thresholds for offset 1 and for the tail
+    k1 = np.where((f == 0.0) | (ms <= 2), 2.0, k0 + k1)
+    # per lane, for the tail: the right side's probability pr, the numerator
+    # q that (3/2 - f)/V and (1/2 + f)/V share once V is read off w, the
+    # phases f and 1 - f of the two sides, pi/M and M, and the window's ends
+    # on the right and on the left
+    pr = 0.5 * (0.5 + f)
+    half = 0.5 * mf
+    tail_law = np.stack((pr, pr * (1.5 - f), f, 1.0 - f, np.pi / mf, mf,
+                         half, np.nextafter(half, 0.0)))
+    base = base.astype(np.int64)
+    ys = np.repeat(ms[:, None] // 2, want.max(initial=0), axis=1)
+    ends = np.concatenate(([0], np.cumsum(want)))
+    for lo in range(0, int(ends[-1]), _BLOCK):
+        # a block of at most _BLOCK draws, in lane order
+        hi = min(lo + _BLOCK, int(ends[-1]))
+        cut = np.minimum(np.maximum(ends, lo), hi)
+        lane = np.repeat(np.arange(ps.size), cut[1:] - cut[:-1])
+        u = gen.random(hi - lo)
+        j = (u >= k0[lane]).astype(np.int64)
+        tail = np.flatnonzero(u >= k1[lane])
+        while tail.size:
+            side_p, q, phase_r, phase_l, pim, m, end_r, end_l = tail_law[:, lane[tail], None]
+            w, a = gen.random((2, tail.size, _TAIL_TRIES))
+            right = w < side_p
+            phase = np.where(right, phase_r, phase_l)
+            k = np.floor(q / (np.where(right, side_p, 1.0) - w) + (phase + 0.5))  # j or j'
+            ax = k - phase  # |x|
+            s = m * np.sin(ax * pim)
+            hit = (a * (s * s) < 4.0 * ax * ax - 1.0) & (ax <= np.where(right, end_r, end_l))
+            # each slot keeps its first accepted proposal; a slot with none
+            # is written over on the next pass
+            rows, first = np.arange(tail.size), hit.argmax(axis=1)
+            kept = k[rows, first]
+            j[tail] = np.where(right[rows, first], kept, 1.0 - kept)
+            tail = tail[~hit[rows, first]]
+        ys[lane, np.arange(lo, hi) - ends[lane]] = (base[lane] + j) % ms[lane]
     return ys
 
 
@@ -436,7 +486,8 @@ def aest_sample(p: float, m: int, count: int, rng: RandomSource,
     mid-flight, so a budget shortfall clamps the tally and flags the counter
     but every outcome is still produced. The indices are drawn exactly from
     the law of :func:`ae_outcome_dist`: ``count`` draws from the kernel on
-    +omega in one vectorised rejection call, then, for 0 < p < 1, where the
+    +omega in one vectorised call, one uniform each, and more only for the
+    draws that land in the kernel's tail, then, for 0 < p < 1, where the
     eigenphases +-omega differ, one vector of ``count`` fair coins reflects
     each onto the kernel on -omega.
     """
@@ -496,25 +547,27 @@ def aest_median(ps, ms, copies, rng: RandomSource) -> np.ndarray:
 
     Lane i draws copies[i] phase distances min(y, M - y) of estimations of
     amplitude ps[i] on an ms[i] point register, each exactly from the fold
-    of the law of :func:`ae_outcome_dist`, and reads its median
-    sin^2(pi*y/M) off the lower median of its own distances, as sin^2 is
-    nondecreasing in the distance. The fair coin that picks the eigenphase
-    leaves the distance as it is, so no coin is drawn. Charges nothing: an
-    estimator charges each windowed-mean ladder with :func:`aest_charge`
-    when its schedule reaches it, since no later stage reads the draws, and
-    draws the nonzero amplitudes of every ladder of a top-level estimate in
-    one call at its end, from a stream derived once per estimate. Needs at
-    least one lane, and at least one copy a lane: a median of no copies is
-    refused with ``ValueError`` before any draw.
+    of the law of :func:`ae_outcome_dist`, by the sampler of
+    :func:`aest_sample`, and reads its median sin^2(pi*y/M) off the lower
+    median of its own distances, as sin^2 is nondecreasing in the distance.
+    One sort orders every lane's distances; the entries past a lane's copies
+    hold M // 2, the farthest distance, so they sort last. The fair coin
+    that picks the eigenphase leaves the distance as it is, so no coin is
+    drawn. Charges nothing: an estimator charges each windowed-mean ladder
+    with :func:`aest_charge` when its schedule reaches it, since no later
+    stage reads the draws, and draws the nonzero amplitudes of every ladder
+    of a top-level estimate in one call at its end, from a stream derived
+    once per estimate. Needs at least one lane, and at least one copy a
+    lane: a median of no copies is refused with ``ValueError`` before any
+    draw.
     """
     copies = _whole(copies, 1, "copy counts")
     ys = _phase_draws(ps, ms, copies, rng.gen)
     ms = np.asarray(ms, dtype=np.int64)
-    dist = np.minimum(ys, ms[:, None] - ys)
-    dist[np.arange(ys.shape[1]) >= copies[:, None]] = ms.max()  # padding sorts last
-    mid = (copies - 1) // 2
-    dist = np.partition(dist, np.unique(mid), axis=1)
-    return sin2_frac(dist[np.arange(mid.size), mid], ms)
+    # padding holds the farthest distance, so each lane's first copies[i]
+    # sorted distances are its own
+    dist = np.sort(np.minimum(ys, ms[:, None] - ys), axis=1)
+    return sin2_frac(dist[np.arange(copies.size), (copies - 1) // 2], ms)
 
 
 def seq_aest(p: float, rng: RandomSource, counter: ExperimentCounter) -> tuple[float, int]:

@@ -22,7 +22,10 @@ from qmeansim.kernels import (
     GROWTH,
     MEASURE_COST,
     WALK_COST,
+    _fejer,
+    _kernel_core,
     _phase_draws,
+    _whole,
     ae_register,
     aest_charge,
     amplify_chain,
@@ -746,6 +749,199 @@ def test_phase_draws_mixed_registers_match_law(chi_square_ok):
         counts = np.bincount(dist, minlength=m // 2 + 1).astype(float)
         assert len(counts) == m // 2 + 1
         assert chi_square_ok(counts, _distance_law(p, m)), (p, m)
+
+
+# The rejection sampler that _phase_draws replaced, kept verbatim as a
+# reference: every offset proposed off a 1/k^2 envelope, a third of the
+# proposals accepted.
+def _rejection_phase_draws(ps, ms, copies, gen):
+    # copies[i] exact draws of the index y in [0, M_i) from the Fejer kernel
+    # on the eigenphase +omega of amplitude ps[i] on an M_i = ms[i] point
+    # register, one lane per amplitude, as a (lanes, max(copies)) array
+    # whose entries past a lane's count are padding; O(1) time and memory
+    # per draw whatever M is. Their phase distances min(y, M - y) follow the
+    # two-kernel law, as the -omega kernel is the mirror image y -> M - y.
+    # Through aest_median, one call draws every live window of every ladder
+    # of a top-level estimate, so lanes differ in M and count; aest_sample
+    # draws one lane. Registers and counts are checked here, before any draw
+    # or charge: each an integer below MAX_REGISTER, M >= 1, counts >= 0
+    # (aest_median has checked its copy counts >= 1 before).
+    # With c = M*omega and f = c - floor(c), the kernel puts mass
+    #   K(j) = sin^2(pi f) / (M^2 sin^2(pi (j - f) / M)) <= min(1, 1/(4 (j - f)^2))
+    # on y = floor(c) + j, for the M offsets with -M/2 < j - f <= M/2
+    # (|sin(pi x)| >= 2|x| for |x| <= 1/2). Offsets are proposed as 0 or 1
+    # with probability 1/3 each, else as 1 + k or -k with probability
+    # 1/(6 k (k + 1)) each, k = floor(1/U) >= 1, and accepted with
+    # probability K(j) / (3 * proposal) <= 1: a third of the proposals are
+    # accepted. On the grid (f = 0: p = 0, and p = 1 with even M among
+    # them) only j = 0 passes.
+    ps = np.asarray(ps, dtype=float).reshape(-1)
+    ms = _whole(ms, 1, "register sizes")
+    want = _whole(copies, 0, "copy counts")
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):
+        raise ValueError(f"amplitudes must be in [0, 1], got {ps}")
+    mf = ms.astype(float)
+    c = mf * np.arcsin(np.sqrt(ps)) / np.pi
+    base = np.floor(c)
+    f = c - base
+    s2 = np.sin(np.pi * np.minimum(f, 1.0 - f)) ** 2
+    ys = np.zeros((ps.size, want.max(initial=0)), dtype=np.int64)
+    filled = np.zeros(ps.size, dtype=np.int64)
+    while (need := want - filled).any():
+        # four proposals per missing draw and eight spare, so refills are
+        # rare, but about 2^16 at most a pass, so memory stays bounded
+        share = max((1 << 16) // np.count_nonzero(need), 1)
+        lane = np.repeat(np.arange(ps.size), np.minimum(4 * need + 8 * (need > 0), share))
+        choice, u, accept = gen.random((3, lane.size))
+        k = np.floor(1.0 / (1.0 - u))
+        far = choice >= 2.0 / 3.0
+        j = np.where(far, np.where(choice < 5.0 / 6.0, 1.0 + k, -k), choice >= 1.0 / 3.0)
+        weight = np.where(far, 2.0 * k * (k + 1.0), 1.0)
+        x = j - f[lane]
+        ml = mf[lane]
+        hit = ((-0.5 * ml < x) & (x <= 0.5 * ml)
+               & ((1.0 - accept) * (ml * np.sin(np.pi * x / ml)) ** 2 <= s2[lane] * weight))
+        lane, j = lane[hit], j[hit]
+        # each lane keeps its first `need` accepted offsets, in proposal order
+        slot = filled[lane] + np.arange(lane.size) - np.searchsorted(lane, lane)
+        keep = slot < want[lane]
+        lane = lane[keep]
+        ys[lane, slot[keep]] = np.mod(base[lane] + j[keep], mf[lane]).astype(np.int64)
+        filled += np.bincount(lane, minlength=ps.size)
+    return ys
+
+
+def test_phase_draws_match_rejection_sampler(two_sample_ok):
+    # the core and tail sampler against the rejection sampler it replaced,
+    # on the phase distances of lanes with no tail (M <= 2, f = 0), a tail of
+    # one offset (M = 3), small windows and wide ones
+    lanes = [(0.3, 1), (0.9, 1), (0.3, 2), (0.9999, 2), (1.0, 2), (0.3, 3), (0.5, 3),
+             (1.0, 3), (0.7, 5), (0.0, 37), (0.3, 37), (0.9999, 37), (0.5, 4096), (1e-4, 1001)]
+    ps, ms = zip(*lanes)
+    counts = [100_000] * len(lanes)
+    new = _phase_draws(ps, ms, counts, RandomSource(31).gen)
+    old = _rejection_phase_draws(ps, ms, counts, RandomSource(32).gen)
+    for (p, m), a, b in zip(lanes, new, old):
+        assert two_sample_ok(np.minimum(a, m - a).tolist(), np.minimum(b, m - b).tolist()), (p, m)
+
+
+def _window_tail(m, f):
+    # offsets j of the tail (j >= 2 or j <= -1) whose x = j - f lies in the
+    # window -M/2 < x <= M/2: all of them for small M, else those near the
+    # peak, log-spaced ones and those at the window's ends
+    if m <= 64:
+        js = np.arange(-m, m + 2)
+    else:
+        far = np.unique(np.round(np.geomspace(2, m / 2, 300)))
+        ends = m // 2 + np.arange(-3, 4)
+        js = np.concatenate([np.arange(-64, 66), far, 1 - far, ends, -ends])
+    js = np.unique(js)
+    x = js - f
+    return x[((js >= 2) | (js <= -1)) & (-m / 2 < x) & (x <= m / 2)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 37, 2**40])
+def test_tail_envelope_bounds_kernel(m):
+    # on every tail offset of the window, the kernel mass
+    # K = sin^2(pi f) / (M sin(pi x / M))^2 lies below the envelope
+    # sin^2(pi f) / (4 (x^2 - 1/4)), and the acceptance ratio, their quotient,
+    # is at most 1; M <= 2 leaves no tail offset in the window
+    for f in (0.0, 1e-12, 0.5, 1 - 1e-12):
+        x = _window_tail(m, f)
+        assert (x.size == 0) == (m <= 2)
+        s2 = math.sin(math.pi * min(f, 1 - f)) ** 2
+        fold = (m * np.sin(np.pi * x / m)) ** 2
+        envelope = s2 / (4 * (x * x - 0.25))
+        assert np.all(s2 / fold <= envelope * (1 + 1e-12)), (m, f)
+        ratio = 4 * (x * x - 0.25) / fold
+        assert np.all((0 < ratio) & (ratio <= 1 + 1e-12)), (m, f)
+        if f == 0.5 and m <= 37:  # the kernel itself, where its sines are exact enough
+            assert np.allclose(_fejer(x / m, m), s2 / fold, rtol=1e-9, atol=0.0)
+        # the envelope sums of the two sides telescope to the masses the
+        # tail's side coin and inversions are built on
+        if m == 37:
+            k = np.arange(2, 10**6)
+            right = np.sum(1 / (4 * ((k - f) ** 2 - 0.25)))
+            left = np.sum(1 / (4 * ((k - 1 + f) ** 2 - 0.25)))
+            assert right == pytest.approx(1 / (4 * (1.5 - f)), abs=1e-6)
+            assert left == pytest.approx(1 / (4 * (0.5 + f)), abs=1e-6)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 16, 37, 4096])
+def test_core_and_tail_masses_match_folded_law(m):
+    # the core masses K(0) and K(1) are the +omega kernel's masses at the
+    # peak and one past it, and with the rest of the window, the tail, they
+    # sum to 1; the kernel folds onto the two-kernel law of ae_outcome_dist
+    # and onto the statevector law. The last amplitude puts the peak 1e-9
+    # past offset 1, where ae_outcome_dist's -omega kernel loses digits (its
+    # sine is taken near pi), so only the statevector law is its reference.
+    near = math.sin(math.pi * (1 + 1e-9) / m) ** 2
+    ps = [0.0, 1e-12, 1e-4, 0.3, 0.5, math.sin(math.pi / 8) ** 2, 0.9999, 1.0,
+          math.sin(math.pi * (m // 3) / m) ** 2, near]
+    base, f, core = _kernel_core(np.array(ps), np.full(len(ps), float(m)))
+    ys = np.arange(m)
+    dist = np.minimum(ys, m - ys)
+    for i, p in enumerate(ps):
+        law = _fejer(ys / m - math.asin(math.sqrt(p)) / math.pi, m)
+        folded = np.bincount(dist, weights=law, minlength=m // 2 + 1)
+        statevector = np.bincount(dist, weights=qpe_statevector_dist(p, m), minlength=m // 2 + 1)
+        assert np.allclose(folded, statevector, rtol=0, atol=1e-11), p
+        if p != near:
+            assert np.allclose(folded, _distance_law(p, m), rtol=0, atol=1e-12), p
+        y0, y1 = int(base[i]) % m, (int(base[i]) + 1) % m
+        assert core[:, i] == pytest.approx([law[y0], law[y1]], abs=1e-12), p
+        tail = law.sum() - law[y0] - law[y1]
+        assert core[:, i].sum() + tail == pytest.approx(1.0, abs=1e-12), p
+        if m == 2 or f[i] == 0.0:
+            assert tail == pytest.approx(0.0, abs=1e-12), p
+
+
+def test_lanes_without_tail_take_one_uniform_a_draw():
+    # 10^6 draws at M = 2 and at f = 0 each take one uniform and never reach
+    # the tail, whose proposals would take more: offsets 0 and 1 hold all
+    # the mass there, and a core summing to one ulp below 1 must not leave
+    # the tail a draw it could never place
+    n = 10**6
+    for p, m in ((0.3, 2), (0.9999, 2), (1e-12, 2), (0.0, 37), (1.0, 4096), (0.0, 2**40),
+                 (1.0, 2)):
+        gen, ref = RandomSource(41).gen, RandomSource(41).gen
+        ys = _phase_draws([p], [m], [n], gen)[0]
+        ref.random(n)
+        assert gen.random() == ref.random(), (p, m)
+        if m == 2:
+            counts = np.bincount(ys, minlength=2)
+            law = ae_outcome_dist(p, 2)  # both kernels fold onto one law at M = 2
+            assert counts.sum() == n and np.all(np.abs(counts / n - law) < 5e-3), (p, m)
+        else:
+            assert np.all(ys == round(m * math.asin(math.sqrt(p)) / math.pi)), (p, m)
+
+
+class _TopUniforms:
+    # a generator whose core uniforms are all the largest double below 1, and
+    # which refuses to make tail proposals
+    def random(self, size):
+        assert np.ndim(size) == 0, "a tail proposal was drawn"
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_lanes_without_tail_never_draw_a_tail():
+    # at M = 2 and p = 0.04097352393619469, K(0) + K(1) rounds to two ulps
+    # below 1, so the top uniform lies past the core; such a lane has no tail
+    # offset in its window, and its draw lands on offset 1 instead of a tail
+    # whose proposals could never be accepted
+    p = 0.04097352393619469
+    base, f, core = _kernel_core(np.array([p]), np.array([2.0]))
+    assert core.sum() < np.nextafter(1.0, 0.0)
+    ys = _phase_draws([p, 0.0, 1.0, 0.3], [2, 37, 4096, 1], [3, 2, 2, 2], _TopUniforms())
+    assert ys.tolist() == [[1, 1, 1], [0, 0, 18], [2048, 2048, 2048], [0, 0, 0]]
+
+
+def test_phase_draws_padding_is_farthest_distance():
+    # entries past a lane's count hold M // 2, which sorts last among the
+    # lane's phase distances
+    ys = _phase_draws([0.3, 0.7, 0.2], [16, 37, 1], [5, 2, 0], RandomSource(9).gen)
+    assert ys.shape == (3, 5)
+    assert ys[1, 2:].tolist() == [18] * 3 and ys[2].tolist() == [0] * 5
 
 
 def _median_distance_law(p, m, k):

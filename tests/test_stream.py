@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from qmeansim import ExperimentCounter, FiniteDist, RandomSource, SweepConfig, run_sweep
-from qmeansim.kernels import aest_sample, amplify_chain
+from qmeansim.kernels import _phase_draws, aest_sample, amplify_chain
 
 
 def chain(cum, tails, caps, draws, seed):
@@ -48,14 +48,29 @@ def test_chain_stream_without_readout():
 
 
 def test_aest_sample_stream():
-    # eight indices from one rejection call, then, for 0 < p < 1, eight coins
-    # in one vector; p = 0 draws no coin
+    # eight indices from one call of the core and tail sampler, one uniform
+    # each as none reaches the tail here, then, for 0 < p < 1, eight coins in
+    # one vector; p = 0 draws no coin
     got = []
     for p in (0.3, 0.0):
         rng = RandomSource(17)
         got.append((aest_sample(p, 16, 8, rng, ExperimentCounter()).tolist(), rng.gen.random()))
-    assert got == [([3, 13, 3, 3, 3, 13, 13, 13], 0.4070434118548033),
-                   ([0, 0, 0, 0, 0, 0, 0, 0], 0.7618762843168944)]
+    assert got == [([3, 13, 13, 3, 13, 3, 3, 13], 0.5675398131484446),
+                   ([0, 0, 0, 0, 0, 0, 0, 0], 0.7363858705132865)]
+
+
+def test_phase_draws_tail_stream():
+    # one uniform a draw, then 2 x 16 a pass for the draws that land in the
+    # kernel's tail: two lanes of 40 draws, and the next uniform
+    gen = RandomSource(18).gen
+    ys = _phase_draws([0.5, 0.3], [37, 4096], [40, 40], gen)
+    assert ys.tolist() == [
+        [9, 9, 9, 9, 20, 9, 9, 9, 9, 9, 9, 9, 12, 10, 8, 9, 9, 9, 9, 9,
+         9, 9, 9, 9, 11, 9, 9, 9, 9, 9, 9, 10, 9, 10, 9, 9, 10, 9, 9, 9],
+        [756, 755, 756, 756, 756, 756, 756, 756, 755, 755, 756, 756, 756, 756, 756, 756, 760,
+         647, 757, 756, 756, 756, 756, 756, 756, 756, 756, 756, 756, 756, 756, 756, 756, 756,
+         756, 756, 756, 756, 762, 755]]
+    assert gen.random() == 0.5423274839097094
 
 
 def sweep(estimator, distribution, grid, trials, seed, budget=None):
