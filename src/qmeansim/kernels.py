@@ -364,7 +364,8 @@ def _whole(values, lo: int, what: str) -> np.ndarray:
     # values as an int64 vector, refused unless each is an integer in
     # [lo, MAX_REGISTER)
     arr = np.asarray(values).reshape(-1)
-    if arr.dtype.kind not in "iu" or not lo <= arr.min(initial=lo) <= arr.max(initial=lo) < MAX_REGISTER:
+    if (arr.dtype.kind not in "iu"
+            or not lo <= arr.min(initial=lo) <= arr.max(initial=lo) < MAX_REGISTER):
         raise ValueError(f"{what} must be integers in [{lo}, 2^62), got {values}")
     return arr.astype(np.int64, copy=False)
 
@@ -409,16 +410,17 @@ def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
     # u < K(0), on offset 1 if u < K(0) + K(1), and in the tail otherwise.
     # Tail draws are proposed from the envelope
     #   K(j) <= sin^2(pi f) / (4 (x^2 - 1/4)),
-    # as M |sin(pi x / M)| >= 2 |x| on the window, whose sums telescope: a
-    # side is picked, j >= 2 with probability (1/2 + f)/2, else j <= -1, and
-    # inverted exactly from V in (0, 1], j = floor(f + 1/2 + (3/2 - f)/V) or
-    # j = -floor(1/2 - f + (1/2 + f)/V); one uniform w gives both the side
-    # and V. The left side is the right side's mirror at phase 1 - f: its
-    # offset j stands for j' = 1 - j >= 2, at |x| = j' - (1 - f). A proposal
-    # in the window is accepted with probability
-    # 4 (x^2 - 1/4) / (M sin(pi x / M))^2 <= 1, about 40% of them. A lane
-    # whose window holds no tail offset (M <= 2, or f = 0) gets no tail, so
-    # that a core summing to one ulp below 1 cannot leave a draw there.
+    # as M |sin(pi x / M)| >= 2 |x| on the window. Its sums over the two
+    # sides telescope, so a side is picked, j >= 2 with probability
+    # (1/2 + f)/2, else j <= -1, and inverted exactly from V in (0, 1],
+    # j = floor(f + 1/2 + (3/2 - f)/V) or j = -floor(1/2 - f + (1/2 + f)/V);
+    # one uniform w gives both the side and V. The left side is the right
+    # side's mirror at phase 1 - f: its offset j stands for j' = 1 - j >= 2,
+    # at |x| = j' - (1 - f). A proposal in the window is accepted with
+    # probability 4 (x^2 - 1/4) / (M sin(pi x / M))^2 <= 1, about 40% of
+    # them. A lane whose window holds no tail offset (M <= 2, or f = 0) gets
+    # no tail, so that a core summing to one ulp below 1 cannot leave a draw
+    # there.
     ps = np.asarray(ps, dtype=float).reshape(-1)
     ms = _whole(ms, 1, "register sizes")
     want = _whole(copies, 0, "copy counts")
@@ -426,8 +428,9 @@ def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
         raise ValueError(f"amplitudes must be in [0, 1], got {ps}")
     mf = ms.astype(float)
     base, f, (k0, k1) = _kernel_core(ps, mf)
-    # the uniform's thresholds for offset 1 and for the tail
-    k1 = np.where((f == 0.0) | (ms <= 2), 2.0, k0 + k1)
+    # a draw's uniform picks offset 1 from K(0) on and the tail from
+    # K(0) + K(1) on, which lanes without a tail offset never reach
+    tail_from = np.where((f == 0.0) | (ms <= 2), 2.0, k0 + k1)
     # per lane, for the tail: the right side's probability pr, the numerator
     # q that (3/2 - f)/V and (1/2 + f)/V share once V is read off w, the
     # phases f and 1 - f of the two sides, pi/M and M, and the window's ends
@@ -446,7 +449,7 @@ def _phase_draws(ps, ms, copies, gen: np.random.Generator) -> np.ndarray:
         lane = np.repeat(np.arange(ps.size), cut[1:] - cut[:-1])
         u = gen.random(hi - lo)
         j = (u >= k0[lane]).astype(np.int64)
-        tail = np.flatnonzero(u >= k1[lane])
+        tail = np.flatnonzero(u >= tail_from[lane])
         while tail.size:
             side_p, q, phase_r, phase_l, pim, m, end_r, end_l = tail_law[:, lane[tail], None]
             w, a = gen.random((2, tail.size, _TAIL_TRIES))
