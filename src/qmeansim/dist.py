@@ -120,9 +120,9 @@ class FiniteDist:
 def make_dist(values, probs) -> FiniteDist:
     """Build a distribution, merging duplicate support values.
 
-    Raises ``ValueError`` on empty input, negative probabilities, or a total
-    probability off from one by more than 1e-9. The result is normalized and
-    zero-probability atoms are dropped.
+    Raises ``ValueError`` on empty input, non-finite or negative
+    probabilities, or a total probability off from one by more than 1e-9.
+    The result is normalized and zero-probability atoms are dropped.
     """
     v = np.asarray(values, dtype=float)
     p = np.asarray(probs, dtype=float)
@@ -130,6 +130,8 @@ def make_dist(values, probs) -> FiniteDist:
         raise ValueError("need equally long, non-empty value and probability lists")
     if not np.all(np.isfinite(v)):
         raise ValueError("support values must be finite")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"non-finite probability: {p[~np.isfinite(p)][0]}")
     if np.any(p < 0):
         raise ValueError(f"negative probability: {p.min()}")
     total = float(p.sum())

@@ -33,12 +33,7 @@ from importlib import resources
 
 import numpy as np
 
-from .dist import (
-    pair_square_diff,
-    sample_idx,
-    shift_split,
-    truncated_mean,
-)
+from .dist import sample_idx, shift_split, truncated_mean
 from .kernels import (
     MEASURE_COST,
     SAMPLE_COST,
@@ -543,12 +538,14 @@ def seq_relative_est(
     """Parameter-free (eps, delta) relative-error estimator on [0, 1].
 
     Runs ceil(32*log(1/delta)) repetitions of: a rough sequential mean
-    estimate; a sequential estimate of the half squared difference of an
-    independent pair (mean = variance), stopped after
+    estimate; a sequential estimate of the mean of the half squared
+    difference (X - X')^2/2 of an independent pair, stopped after
     ceil(probe_budget_coeff/sqrt(eps*mu_rough)) experiments; a sub-Gaussian
     refinement with time parameter
     refine_time_coeff * max(sqrt(var_probe), sqrt(eps*mu_rough)) / (eps*mu_rough)
     and fixed failure 1/16. The output is the median of the refinements.
+    The probe amplifies the pair's half squared difference, whose mean,
+    Var(X), is read off the law in one pass; the pair law is never built.
     A repetition whose rough stage was interrupted contributes 0. Every
     stage charges the caller's counter. The probe's cap is the smaller of
     its stop budget and the counter's remainder; a probe that spends its
@@ -563,7 +560,7 @@ def seq_relative_est(
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
     mu = _unit_mean(qvar)
-    var = truncated_mean(pair_square_diff(qvar.dist), 0.0, 1.0)
+    var = float(np.dot(qvar.dist.probs, np.square(qvar.dist.values - mu)))
     reps = math.ceil(32 * math.log(1.0 / delta))
     counter = qvar.counter
     tracker = _StageTracker(counter)
@@ -578,8 +575,8 @@ def seq_relative_est(
             outputs.append(0.0)
             continue
 
-        # the probe: one sequential amplification of the pair's mean, read as
-        # 1/T^2 off its T amplification steps, as seq_aest reads it
+        # the probe: one sequential amplification of the pair's mean Var(X),
+        # read as 1/T^2 off its T amplification steps, as seq_aest reads it
         cap = math.ceil(profile.probe_budget_coeff / math.sqrt(eps * mu_rough))
         rem = counter.remaining()
         if rem is not None:

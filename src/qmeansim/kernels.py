@@ -332,32 +332,31 @@ def seq_aamp(p: float, rng: RandomSource, counter: ExperimentCounter) -> tuple[b
     return k == 1, rounds, aa
 
 
-def _fejer(x: np.ndarray, m: int) -> np.ndarray:
-    # sin^2(M pi x) / (M sin(pi x))^2, continued by 1 at integer x.
-    s = np.sin(np.pi * x)
-    num = np.sin(np.pi * m * x)
-    tiny = np.abs(s) < 1e-14
-    safe = np.where(tiny, 1.0, s)
-    out = (num / (m * safe)) ** 2
-    return np.where(tiny, 1.0, out)
-
-
 def ae_outcome_dist(p: float, m: int) -> np.ndarray:
     """Exact outcome law of M-point amplitude estimation at amplitude p.
 
     The measured index y in [0, M) follows a half/half mixture of Fejer
     kernels centred on the two eigenphases +-omega of the amplification
-    operator, omega = asin(sqrt(p))/pi. Degenerate amplitudes (p = 0 or 1)
-    have a single eigenphase and use one kernel. The returned vector sums to
-    one within 1e-12.
+    operator, omega = asin(sqrt(p))/pi. With c = M*omega and
+    f = c - floor(c), the +omega kernel puts mass
+    sin^2(pi f) / (M sin(pi x / M))^2 on y = floor(c) + j mod M, at the
+    offset x = j - f in the window -M/2 < x <= M/2, and mass 1 on the peak
+    when f = 0; the -omega kernel is its mirror y -> M - y. Each sine is
+    taken at an argument of at most pi/2, so no digits are lost near the
+    grid, and the returned vector sums to one within 1e-12. ``m`` must be
+    an integer in [1, 2^62).
     """
-    if m < 1:
-        raise ValueError(f"need at least one phase point, got M={m}")
-    omega = grover_angle(p) / math.pi
-    y = np.arange(m, dtype=float)
-    if p == 0.0 or p == 1.0:
-        return _fejer(y / m - omega, m)
-    return 0.5 * _fejer(y / m - omega, m) + 0.5 * _fejer(y / m + omega, m)
+    m = int(_whole(m, 1, "register sizes")[0])
+    c = m * grover_angle(p) / math.pi
+    base = math.floor(c)
+    f = c - base
+    j = (np.arange(m) - base) % m  # the offset of y from the peak, wrapped
+    x = np.where(j - f > m / 2, j - m, j) - f
+    peak = x == 0.0
+    kernel = (math.sin(math.pi * min(f, 1.0 - f))
+              / np.where(peak, 1.0, m * np.sin(np.pi / m * x))) ** 2
+    kernel[peak] = 1.0
+    return 0.5 * (kernel + kernel[-np.arange(m) % m])
 
 
 def _whole(values, lo: int, what: str) -> np.ndarray:

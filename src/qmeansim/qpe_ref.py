@@ -8,8 +8,8 @@ read out through an inverse discrete Fourier transform. No closed-form
 kernel enters anywhere, which makes this an independent oracle for
 ``ae_outcome_dist``.
 
-Intended for small registers (M <= 32 in the validation suite); cost grows
-as O(M^2) through the dense transform.
+The register is read out with ``np.fft.fft``, so the cost grows as
+O(M log M), after a loop of M two-by-two products in Python.
 """
 
 from __future__ import annotations

@@ -4,9 +4,12 @@ Each test pins its tolerance from the statement it implements and prints
 ``ACCEPTANCE <id> <PASS|FAIL> <details>``. Two clauses (3b and 6b) assert a
 x3 uniformity that the amplification arithmetic provably cannot deliver on
 the stated grids; they are implemented verbatim and marked as strict expected
-failures (README.md explains why each cannot hold).
+failures (README.md explains why each cannot hold). Clause 4b's calibrated
+cases are strict expected failures too, until ROADMAP item 2 measures the
+quantile order factor.
 """
 
+import functools
 import io
 import math
 import multiprocessing
@@ -39,6 +42,7 @@ from qmeansim import (
     seq_aamp,
     seq_relative_est,
     subgauss_est,
+    summarize,
     verify_ae,
     write_csv,
 )
@@ -185,6 +189,41 @@ def test_c4_quantile_coverage_and_budget():
     elapsed = time.time() - t0
     report("4", all_ok, "; ".join(details) + f" ({elapsed:.0f}s)")
     assert elapsed < 300
+
+
+@functools.cache
+def _fine_quantile_failure_rates(profile):
+    # one quantile sweep per profile on a law of 10^5 atoms, fine enough to
+    # resolve c*p under the calibrated profile; the failure rate of the
+    # harness's bound [Q(p), Q(c*p)] at each order p
+    rows = list(run_sweep(SweepConfig.from_dict({
+        "estimator": "quantile", "distribution": "uniform:1..100000:100000",
+        "grid": {"p": [0.1, 0.01], "delta": [0.1]}, "trials": 200, "seed": 91,
+        "profile": profile})))
+    return {rec["p"]: (rec["trials"], rec["failure_rate"])
+            for rec in summarize(rows, profile=default_profile(profile))}
+
+
+@pytest.mark.parametrize("p", [0.1, 0.01])
+@pytest.mark.parametrize("profile", [
+    pytest.param("calibrated", marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the calibrated order factor c = 1.08e-3 is derived, not "
+        "measured; chains at the calibrated cap climb to a tail mass near 4e-5*p, so on a "
+        "law that resolves c*p the estimates land above Q(c*p)")),
+    "theoretical",
+])
+def test_c4b_quantile_bracket_on_fine_law(profile, p):
+    # The bracket [Q(p), Q(c*p)] that quantile_est promises with probability
+    # 1 - delta, on a law fine enough to resolve c*p under the calibrated
+    # profile. The theoretical profile's c = 1.8e-6 puts c*p below this law's
+    # resolution of 1e-5, so there Q(c*p) is the top atom and only the lower
+    # end is tested. The failure rate is gated at delta plus c5a's binomial
+    # allowance (0.03 at 1000 trials) scaled to 200 trials.
+    trials, rate = _fine_quantile_failure_rates(profile)[p]
+    ok = trials == 200 and rate <= 0.1 + 0.03 * math.sqrt(1000 / trials)
+    report("4b", ok, f"{profile} p={p:g}: bracket failure rate {rate:.3f} over {trials} trials")
+    assert ok
 
 
 # -- criterion 5: sub-Gaussian coverage and quadratic speedup ----------------------

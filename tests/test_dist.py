@@ -46,6 +46,13 @@ def test_make_dist_rejects_bad_total():
         make_dist([0, 1], [0.3, 0.6])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_dist_rejects_non_finite_probability(bad):
+    # NaN compares false, so it would pass the sum check unnamed
+    with pytest.raises(ValueError, match=f"non-finite probability: {bad}"):
+        make_dist([1, 2], [bad, 1.0])
+
+
 def test_make_dist_rejects_negative_and_empty():
     with pytest.raises(ValueError):
         make_dist([0, 1], [1.5, -0.5])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -843,6 +844,20 @@ def test_seq_relative_stage_costs(profile):
     rep = seq_relative_est(qvar(uniform(0, 1)), 0.2, 0.2, profile, RandomSource(1))
     assert set(rep.stage_costs) == {"rough_mean", "variance_probe", "refinement"}
     assert sum(rep.stage_costs.values()) == rep.counter_snapshot.oracle_experiments
+
+
+def test_seq_relative_memory_stays_linear_in_support(profile):
+    # the probe's amplitude is read off the 3,000-atom law in one pass; the
+    # pair law of 9 * 10^6 atoms is never built
+    qv = qvar(named_dist("uniform:0..1:3000"), budget=10**6)
+    tracemalloc.start()
+    try:
+        seq_relative_est(qv, 0.1, 0.1, profile, RandomSource(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert qv.counter.interrupted
+    assert peak < 4 * 2**20
 
 
 # -- calibration --------------------------------------------------------------------

@@ -80,6 +80,14 @@ def test_load_dist_file_validation(tmp_path):
         load_dist_file(str(path))
 
 
+def test_load_dist_file_refuses_nan_prob(tmp_path):
+    # json writes and reads NaN, and make_dist names it
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps([{"value": 1.0, "prob": math.nan}, {"value": 2.0, "prob": 1.0}]))
+    with pytest.raises(ValueError, match="non-finite probability: nan"):
+        load_dist_file(str(path))
+
+
 def test_resolve_falls_back_to_generator():
     d = resolve_distribution("bernoulli:0.5")
     assert make_dist([0, 1], [0.5, 0.5]).values.tolist() == d.values.tolist()

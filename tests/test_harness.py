@@ -228,6 +228,17 @@ def test_sweep_keeps_large_register_grid_points(capsys):
     assert "skipping" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("profile", ["calibrated", "theoretical"])
+def test_sweep_seq_relative_keeps_large_supports(profile, capsys):
+    # the variance probe reads Var(X) off the law, so a support past the
+    # 20,000 atoms of the pairwise-difference transform still yields rows
+    cfg = config(estimator="seq-relative", distribution="uniform:0..1:30000",
+                 grid={"epsilon": [0.3], "delta": [0.3]}, trials=1, profile=profile)
+    rows = list(run_sweep(cfg))
+    assert [(row.epsilon, row.trial, row.interrupted) for row in rows] == [(0.3, 0, False)]
+    assert "skipping" not in capsys.readouterr().err
+
+
 def test_sweep_classical_baselines_cost():
     for est in ("empirical", "median-of-means", "classical-truncated"):
         cfg = config(

@@ -22,7 +22,6 @@ from qmeansim.kernels import (
     GROWTH,
     MEASURE_COST,
     WALK_COST,
-    _fejer,
     _kernel_core,
     _phase_draws,
     _whole,
@@ -599,12 +598,36 @@ def test_counter_overshoot_clamps():
 
 # -- estimation outcome law ----------------------------------------------------
 
-@pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32, 64])
+# The Fejer kernel as ae_outcome_dist computed it before it took the offset
+# form, kept verbatim as the tests' own formula for the kernel on the
+# eigenphase +omega, at x = y/M - omega.
+def _fejer(x: np.ndarray, m: int) -> np.ndarray:
+    # sin^2(M pi x) / (M sin(pi x))^2, continued by 1 at integer x.
+    s = np.sin(np.pi * x)
+    num = np.sin(np.pi * m * x)
+    tiny = np.abs(s) < 1e-14
+    safe = np.where(tiny, 1.0, s)
+    out = (num / (m * safe)) ** 2
+    return np.where(tiny, 1.0, out)
+
+
+def _past_grid(m):
+    # amplitudes whose eigenphase lies 1e-12 and 1e-9 past the grid point 1/M
+    return [math.sin(math.pi * (1 + e) / m) ** 2 for e in (1e-12, 1e-9)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16, 32, 37, 64])
 def test_outcome_dist_normalized(m):
-    for p in np.linspace(0.0, 1.0, 101):
+    for p in [*np.linspace(0.0, 1.0, 101), *_past_grid(m)]:
         probs = ae_outcome_dist(float(p), m)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert np.all(probs >= -1e-15)
+
+
+@pytest.mark.parametrize("m", [2.5, 0, 2**62, np.float64(3.0), True])
+def test_outcome_dist_refuses_bad_register(m):
+    with pytest.raises(ValueError, match="register sizes must be integers"):
+        ae_outcome_dist(0.3, m)
 
 
 @pytest.mark.parametrize("m", [4, 8, 16, 32])
@@ -637,9 +660,10 @@ def test_outcome_dist_on_grid_concentrates():
     assert probs[k] + probs[m - k] == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16, 31, 32])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 16, 31, 32, 37])
 def test_outcome_dist_matches_statevector(m):
-    for p in (0.0, 1.0, 0.5, 0.3, 0.25, 1e-3, 0.999, math.sin(math.pi / 8) ** 2):
+    for p in (0.0, 1.0, 0.5, 0.3, 0.25, 1e-3, 0.999, math.sin(math.pi / 8) ** 2,
+              *_past_grid(m)):
         tv = total_variation(ae_outcome_dist(p, m), qpe_statevector_dist(p, m))
         assert tv < 1e-11
 
@@ -873,8 +897,7 @@ def test_core_and_tail_masses_match_folded_law(m):
     # peak and one past it, and with the rest of the window, the tail, they
     # sum to 1; the kernel folds onto the two-kernel law of ae_outcome_dist
     # and onto the statevector law. The last amplitude puts the peak 1e-9
-    # past offset 1, where ae_outcome_dist's -omega kernel loses digits (its
-    # sine is taken near pi), so only the statevector law is its reference.
+    # past offset 1.
     near = math.sin(math.pi * (1 + 1e-9) / m) ** 2
     ps = [0.0, 1e-12, 1e-4, 0.3, 0.5, math.sin(math.pi / 8) ** 2, 0.9999, 1.0,
           math.sin(math.pi * (m // 3) / m) ** 2, near]
@@ -886,8 +909,7 @@ def test_core_and_tail_masses_match_folded_law(m):
         folded = np.bincount(dist, weights=law, minlength=m // 2 + 1)
         statevector = np.bincount(dist, weights=qpe_statevector_dist(p, m), minlength=m // 2 + 1)
         assert np.allclose(folded, statevector, rtol=0, atol=1e-11), p
-        if p != near:
-            assert np.allclose(folded, _distance_law(p, m), rtol=0, atol=1e-12), p
+        assert np.allclose(folded, _distance_law(p, m), rtol=0, atol=1e-12), p
         y0, y1 = int(base[i]) % m, (int(base[i]) + 1) % m
         assert core[:, i] == pytest.approx([law[y0], law[y1]], abs=1e-12), p
         tail = law.sum() - law[y0] - law[y1]
