@@ -62,6 +62,7 @@ from .kernels import (
     aest_sample,
     grover_angle,
     seq_aamp,
+    seq_aamp_law,
     seq_aest,
 )
 from .qpe_ref import qpe_statevector_dist, total_variation

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bounds import bound_report
 from .estimators import calibrate_constants, default_profile
+from .generators import hard_pair
 from .harness import (
     ConfigError,
     EstimatorError,
@@ -30,7 +31,6 @@ from .harness import (
     verify_ae,
     write_csv,
 )
-from .rng import RandomSource
 
 _DEFAULT_CAL_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 0.5)
 
@@ -78,7 +78,7 @@ def _cmd_slope(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     grid = [float(g) for g in args.grid.split(",")] if args.grid else list(_DEFAULT_CAL_GRID)
-    profile = calibrate_constants(grid, args.trials, RandomSource(args.seed))
+    profile = calibrate_constants(grid)
     with open(args.out, "w") as fh:
         fh.write(profile.to_json())
         fh.write("\n")
@@ -94,19 +94,10 @@ def _cmd_verify_ae(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    parts = args.instance.split(":")
-    kind, params = parts[0], parts[1:]
-    if kind == "hard-statebased" and len(params) == 2:
-        from .dist import hard_instance_statebased
-
-        p0, p1, _ = hard_instance_statebased(float(params[0]), float(params[1]))
-    elif kind == "hard-subgaussian" and len(params) == 2:
-        from .dist import hard_instance_subgaussian
-
-        p0, p1 = hard_instance_subgaussian(float(params[0]), float(params[1]))
-    else:
+    pair = hard_pair(args.instance)
+    if pair is None:
         raise ConfigError(f"unknown instance {args.instance!r}")
-    rep = bound_report(p0, p1, args.delta, args.t)
+    rep = bound_report(*pair, args.delta, args.t)
     print(f"kl\t{rep.kl:.6f}")
     print(f"fidelity\t{rep.fidelity:.6f}")
     print(f"helstrom_success\t{rep.helstrom_success:.6f}")
@@ -140,9 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentile", type=float, default=90.0)
     p.set_defaults(func=_cmd_slope)
 
-    p = sub.add_parser("calibrate", help="measure constants, write a profile")
-    p.add_argument("--trials", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=20240601)
+    p = sub.add_parser("calibrate", help="read constants off the exact law, write a profile")
     p.add_argument("--out", required=True)
     p.add_argument("--grid", default=None, help="comma-separated tail probabilities")
     p.set_defaults(func=_cmd_calibrate)

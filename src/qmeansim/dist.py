@@ -65,16 +65,9 @@ class FiniteDist:
         p = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
-        if v.ndim != 1 or p.shape != v.shape or v.size == 0:
-            raise ValueError("support and probabilities must be aligned, non-empty 1-d arrays")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("support values must be finite")
+        _check_law(v, p, 1e-12)
         if np.any(np.diff(v) <= 0):
             raise ValueError("support values must be strictly increasing")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to one")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -126,6 +119,17 @@ def make_dist(values, probs) -> FiniteDist:
     """
     v = np.asarray(values, dtype=float)
     p = np.asarray(probs, dtype=float)
+    _check_law(v, p, _SUM_TOL)
+    uniq, inverse = np.unique(v, return_inverse=True)
+    merged = np.zeros(uniq.size)
+    np.add.at(merged, inverse, p)
+    merged /= merged.sum()
+    keep = merged > 0.0
+    return FiniteDist._trusted(uniq[keep], merged[keep])
+
+
+def _check_law(v: np.ndarray, p: np.ndarray, tol: float) -> None:
+    # the checks a law passes before make_dist merges it and as a FiniteDist
     if v.ndim != 1 or v.size == 0 or p.shape != v.shape:
         raise ValueError("need equally long, non-empty value and probability lists")
     if not np.all(np.isfinite(v)):
@@ -135,14 +139,8 @@ def make_dist(values, probs) -> FiniteDist:
     if np.any(p < 0):
         raise ValueError(f"negative probability: {p.min()}")
     total = float(p.sum())
-    if abs(total - 1.0) > _SUM_TOL:
+    if abs(total - 1.0) > tol:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    uniq, inverse = np.unique(v, return_inverse=True)
-    merged = np.zeros(uniq.size)
-    np.add.at(merged, inverse, p)
-    merged /= merged.sum()
-    keep = merged > 0.0
-    return FiniteDist(uniq[keep], merged[keep])
 
 
 def moments(d: FiniteDist) -> Moments:

@@ -44,7 +44,7 @@ from .kernels import (
     aest_median,
     amplify_chain,
     lower_median,
-    seq_aamp,
+    seq_aamp_law,
     seq_aest,
 )
 from .rng import RandomSource
@@ -93,12 +93,12 @@ _PARTS = (("quantile_pos", "layers_pos", 1.0), ("quantile_neg", "layers_neg", -1
 class ConstantProfile:
     """Universal constants steering budgets and time parameters.
 
-    A profile is set by five measured constants and its mode. The five
+    A profile is set by five base constants and its mode. The five
     schedule constants are derived at construction from their couplings,
     except that ``mode = "calibrated"`` profiles take fixed desk-scale
     layer and refinement time factors.
 
-    Measured:
+    Base, as calibrate_constants reads them off the exact law of a draw:
       sampler_low_coeff / sampler_mean_coeff: lower/upper coefficients for
         the conditional sampler's experiment count T: the 10th percentile of
         T stays above low/sqrt(tail) while E[T] <= mean/sqrt(tail).
@@ -600,61 +600,44 @@ def seq_relative_est(
     return tracker.report(lower_median(estimates.tolist()))
 
 
-def calibrate_constants(
-    grid,
-    trials: int,
-    rng: RandomSource,
-) -> ConstantProfile:
-    """Measure the sequential-amplification constants by Monte Carlo.
+def calibrate_constants(grid) -> ConstantProfile:
+    """Read the sequential-amplification constants off the exact law of a draw.
 
-    For every tail probability p in ``grid`` the conditional sampler's cost
-    footprint is simulated ``trials`` times, in oracle experiments at the
-    fixed unit costs of :mod:`~qmeansim.kernels`: sequential amplification
-    at WALK_COST per walk application and MEASURE_COST per measurement, plus
-    the closing readout. The profile records:
+    For every tail probability p in ``grid``, each in [1e-9, 1], the law of
+    one uncapped draw, :func:`~qmeansim.kernels.seq_aamp_law`, gives the
+    conditional sampler's cost T in oracle experiments, the closing readout
+    included, and its T_aa amplification steps. The profile records:
 
-    * sampler_mean_coeff: max over the grid of sqrt(p) * mean(T_oracle);
-    * sampler_low_coeff: min over the grid of sqrt(p) * 10th-percentile(T);
-    * the sequential-estimation envelopes seq_rel_err (worst 7/8-quantile of
-      the relative error of 1/T_aa^2, at most 0.999), seq_cost_sq_coeff
+    * sampler_mean_coeff: max over the grid of sqrt(p) * E[T];
+    * sampler_low_coeff: min over the grid of sqrt(p) * lower 10% quantile of T;
+    * the sequential-estimation envelopes seq_rel_err (worst lower
+      7/8-quantile of |1/T_aa^2 - p|/p, at most 0.999), seq_cost_sq_coeff
       (worst p*E[T_aa^2]) and seq_sqrt_coeff (worst E[1/T_aa]/sqrt(p)).
 
     The profile derives its schedule constants from these (see
-    :class:`ConstantProfile`).
-
-    Deterministic for a fixed ``rng``.
+    :class:`ConstantProfile`). The result is exact and depends on the grid
+    alone.
     """
     grid = [float(p) for p in grid]
-    if not grid or any(not 0.0 < p <= 1.0 for p in grid):
-        raise ValueError("grid must contain tail probabilities in (0, 1]")
-    if trials < 1000:
-        raise ValueError(f"need at least 1000 trials per grid point, got {trials}")
+    if not grid or any(not 1e-9 <= p <= 1.0 for p in grid):
+        raise ValueError("grid must contain tail probabilities in [1e-9, 1]")
 
-    mean_coeffs, low_coeffs = [], []
-    seq_errs, seq_sqs, seq_sqrts = [], [], []
-    for gi, p in enumerate(sorted(grid)):
-        stream = rng.derive(gi)
-        t_oracle = np.empty(trials)
-        t_aa = np.empty(trials)
-        for t in range(trials):
-            counter = ExperimentCounter()
-            _, _, aa = seq_aamp(p, stream, counter)
-            t_oracle[t] = counter.oracle_experiments + MEASURE_COST  # closing readout
-            t_aa[t] = aa
-        sq = math.sqrt(p)
-        mean_coeffs.append(sq * float(t_oracle.mean()))
-        low_coeffs.append(sq * float(np.percentile(t_oracle, 10, method="lower")))
-        rel_err = np.abs(1.0 / t_aa**2 - p) / p
-        seq_errs.append(float(np.quantile(rel_err, 7 / 8, method="lower")))
-        seq_sqs.append(p * float(np.mean(t_aa**2)))
-        seq_sqrts.append(float(np.mean(1.0 / t_aa)) / sq)
+    def lower(x, mass, q):  # the least atom whose cumulative mass reaches q
+        order = np.argsort(x, kind="stable")
+        return float(x[order][np.searchsorted(np.cumsum(mass[order]), q)])
 
-    c1 = max(mean_coeffs)
-    c0 = min(low_coeffs)
-    if not c0 < c1:
-        c0 = 0.9 * c1
+    stats = []
+    for p in grid:
+        oracle, aa, mass = seq_aamp_law(p)
+        t, sq = oracle + MEASURE_COST, math.sqrt(p)  # with the closing readout
+        stats.append((sq * float(mass @ t), sq * lower(t, mass, 0.1),
+                      lower(np.abs(1.0 / aa**2 - p) / p, mass, 7 / 8),
+                      p * float(mass @ aa**2), float(mass @ (1.0 / aa)) / sq))
+    mean_coeffs, low_coeffs, seq_errs, seq_sqs, seq_sqrts = zip(*stats)
+
+    c1, c0 = max(mean_coeffs), min(low_coeffs)
     return ConstantProfile(
-        sampler_low_coeff=c0,
+        sampler_low_coeff=c0 if c0 < c1 else 0.9 * c1,
         sampler_mean_coeff=c1,
         seq_rel_err=min(max(seq_errs), 0.999),
         seq_cost_sq_coeff=max(seq_sqs),

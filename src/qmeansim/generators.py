@@ -29,7 +29,8 @@ from .dist import (
     make_dist,
 )
 
-__all__ = ["named_dist", "load_dist_file", "resolve_distribution", "pareto_discretized"]
+__all__ = ["hard_pair", "named_dist", "load_dist_file", "resolve_distribution",
+           "pareto_discretized"]
 
 
 def pareto_discretized(alpha: float, xmin: float, atoms: int) -> FiniteDist:
@@ -39,6 +40,15 @@ def pareto_discretized(alpha: float, xmin: float, atoms: int) -> FiniteDist:
     u = (np.arange(atoms) + 0.5) / atoms
     values = xmin * (1.0 - u) ** (-1.0 / alpha)
     return make_dist(values, np.full(atoms, 1.0 / atoms))
+
+
+def hard_pair(spec: str) -> tuple[FiniteDist, FiniteDist] | None:
+    """The pair ``hard-subgaussian:m:sigma`` or ``hard-statebased:m:sigma``
+    names, or None for any other spec."""
+    kind, *args = spec.split(":")
+    make = {"hard-subgaussian": hard_instance_subgaussian,
+            "hard-statebased": hard_instance_statebased}.get(kind)
+    return make(float(args[0]), float(args[1]))[:2] if make and len(args) == 2 else None
 
 
 def named_dist(spec: str) -> FiniteDist:
@@ -60,10 +70,8 @@ def named_dist(spec: str) -> FiniteDist:
         return make_dist(values, np.full(k, 1.0 / k))
     if kind == "pareto" and len(args) == 3:
         return pareto_discretized(float(args[0]), float(args[1]), int(args[2]))
-    if kind == "hard-subgaussian" and len(args) == 2:
-        return hard_instance_subgaussian(float(args[0]), float(args[1]))[0]
-    if kind == "hard-statebased" and len(args) == 2:
-        return hard_instance_statebased(float(args[0]), float(args[1]))[0]
+    if pair := hard_pair(spec):
+        return pair[0]
     raise ValueError(f"unknown distribution spec {spec!r}")
 
 

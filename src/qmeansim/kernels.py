@@ -65,6 +65,7 @@ __all__ = [
     "grover_angle",
     "amplify_chain",
     "seq_aamp",
+    "seq_aamp_law",
     "ae_outcome_dist",
     "ae_register",
     "aest_charge",
@@ -330,6 +331,35 @@ def seq_aamp(p: float, rng: RandomSource, counter: ExperimentCounter) -> tuple[b
     (k,), oracle, aa, rounds = amplify_chain(None, [p], 0, [counter.remaining()], rng.gen, [], 1)
     counter.charge(oracle, aa)
     return k == 1, rounds, aa
+
+
+def seq_aamp_law(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact law of one uncapped :func:`seq_aamp` draw: the int64 atoms
+    ``(oracle, aa)`` and their masses, which sum to 1 within 1e-12.
+
+    Round ell takes n uniformly from {ceil(G^(ell-1)), ..., ceil(G^ell) - 1},
+    or its lower end when that is empty, and succeeds with probability
+    sin^2((2n+1)*theta). The survivors' law of S, the sum of their n, is
+    convolved round by round with the failure and success weights until at
+    most 1e-15 of it survives; a success in round R costs 4S + 3R oracle
+    experiments and 3S + R amplification steps. The support grows as
+    1/sqrt(p) atoms and the cost as 1/p, so p must lie in [1e-9, 1].
+    """
+    if not 1e-9 <= p <= 1.0:
+        raise ValueError(f"amplitude must be in [1e-9, 1], got {p}")
+    theta = grover_angle(p)
+    surv, s0, ell = np.ones(1), 0, 1  # the survivors' law of S, from s0 on
+    oracle, aa, mass = [], [], []
+    while surv.sum() > 1e-15:
+        lo = math.ceil(GROWTH ** (ell - 1))
+        m = 2 * np.arange(lo, max(lo, math.ceil(GROWTH**ell) - 1) + 1) + 1
+        s = s0 + lo + np.arange(surv.size + m.size - 1)
+        oracle.append(2 * WALK_COST * s + (WALK_COST + MEASURE_COST) * ell)
+        aa.append(3 * s + ell)
+        mass.append(np.convolve(surv, np.sin(m * theta) ** 2 / m.size))
+        surv = np.convolve(surv, np.cos(m * theta) ** 2 / m.size)
+        s0, ell = s0 + lo, ell + 1
+    return np.concatenate(oracle), np.concatenate(aa), np.concatenate(mass)
 
 
 def ae_outcome_dist(p: float, m: int) -> np.ndarray:

@@ -6,7 +6,9 @@ x3 uniformity that the amplification arithmetic provably cannot deliver on
 the stated grids; they are implemented verbatim and marked as strict expected
 failures (README.md explains why each cannot hold). Clause 4b's calibrated
 cases are strict expected failures too, until ROADMAP item 2 measures the
-quantile order factor.
+quantile order factor, and so are clauses 3d and 3e under both profiles, the
+rough sequential bound on a dense grid of means, until ROADMAP item 12 mends
+the resonance of the one-point rounds.
 """
 
 import functools
@@ -40,6 +42,7 @@ from qmeansim import (
     run_sweep,
     sample_n,
     seq_aamp,
+    seq_aamp_law,
     seq_relative_est,
     subgauss_est,
     summarize,
@@ -114,6 +117,18 @@ def _moment_row(p: float) -> tuple[float, float, float, bool]:
     )
 
 
+def _exact_moment_row(p: float) -> tuple[float, float, float]:
+    # the same three moments read off the exact law of a draw
+    _, aa, mass = seq_aamp_law(p)
+    sq = math.sqrt(p)
+    return sq * float(mass @ aa), p * float(mass @ aa**2), float(mass @ (1.0 / aa)) / sq
+
+
+def _exact_spread(col: int) -> float:
+    vals = [_exact_moment_row(p)[col] for p in GRID3]
+    return max(vals) / min(vals)
+
+
 @pytest.fixture(scope="module")
 def moment_table():
     t0 = time.time()
@@ -133,7 +148,7 @@ def test_c3_inverse_work_moment_uniform(moment_table):
     vals = [row[2] for row in moment_table.values()]
     ratio = max(vals) / min(vals)
     ok = ratio <= 3.0
-    report("3c", ok, f"E[1/T]/sqrt(p) spread x{ratio:.2f} (<= x3)")
+    report("3c", ok, f"E[1/T]/sqrt(p) spread x{ratio:.2f} (<= x3; exact x{_exact_spread(2):.2f})")
     assert ratio <= 3.0
 
 
@@ -149,13 +164,73 @@ def test_c3_work_moment_uniform(moment_table):
     r1 = max(mean_vals) / min(mean_vals)
     r2 = max(sq_vals) / min(sq_vals)
     detail = ", ".join(
-        f"p={p:g}: sqrtp*E[T]={row[0]:.2f}, p*E[T^2]={row[1]:.1f}"
-        for p, row in moment_table.items()
+        f"p={p:g}: sqrtp*E[T]={row[0]:.2f} (exact {exact[0]:.2f}), "
+        f"p*E[T^2]={row[1]:.1f} (exact {exact[1]:.1f})"
+        for p, row in moment_table.items() for exact in [_exact_moment_row(p)]
     )
     ok = r1 <= 3.0 and r2 <= 3.0
-    report("3b", ok, f"spreads x{r1:.2f} and x{r2:.2f} ({detail})")
+    report("3b", ok, f"spreads x{r1:.2f} and x{r2:.2f}, exact x{_exact_spread(0):.2f} and "
+                     f"x{_exact_spread(1):.1f} ({detail})")
     assert r1 <= 3.0
     assert r2 <= 3.0
+
+
+# -- clauses 3d and 3e: the rough sequential bound on a dense grid of means ------
+
+MU_GRID3D = tuple(k / 20 for k in range(1, 20))
+_ITEM12 = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: the one-point rounds 1..26 resonate, so on large parts of "
+    "(0, 1) seq-bern misses its seq_rel_err*mu bound with probability above 1/8: at 8 of "
+    "these 19 means under the calibrated profile and 12 under the theoretical one")
+
+
+@functools.cache
+def _seq_bern_failure_rates(profile):
+    # one seq-bern sweep per mean, 400 trials at seed 23; the failure rate of
+    # the harness bound seq_rel_err*mu, which the rough stage promises with
+    # probability 7/8
+    rates = {}
+    for mu in MU_GRID3D:
+        rows = list(run_sweep(SweepConfig.from_dict({
+            "estimator": "seq-bern", "distribution": f"bernoulli:{mu}", "grid": {},
+            "trials": 400, "seed": 23, "profile": profile})))
+        (rec,) = summarize(rows, profile=default_profile(profile))
+        rates[mu] = (rec["trials"], rec["failure_rate"])
+    return rates
+
+
+@pytest.mark.parametrize("profile", [pytest.param("calibrated", marks=_ITEM12),
+                                     pytest.param("theoretical", marks=_ITEM12)])
+def test_c3d_seq_bern_bound_on_dense_means(profile):
+    # each mean's failure rate is gated at 1/8 plus c5a's binomial allowance
+    # (0.03 at 1000 trials) scaled to 400 trials
+    limit = 1 / 8 + 0.03 * math.sqrt(1000 / 400)
+    rates = _seq_bern_failure_rates(profile)
+    bad = {mu: rate for mu, (trials, rate) in rates.items() if trials != 400 or rate > limit}
+    worst = max(rates, key=lambda mu: rates[mu][1])
+    report("3d", not bad, f"{profile}: {len(bad)} of {len(rates)} means above {limit:.3f} "
+                          f"({', '.join(f'{mu:g}' for mu in bad)}), worst "
+                          f"{rates[worst][1]:.3f} at mu={worst:g}")
+    assert not bad
+
+
+@pytest.mark.parametrize("profile", [pytest.param("calibrated", marks=_ITEM12),
+                                     pytest.param("theoretical", marks=_ITEM12)])
+def test_c3e_seq_bern_bound_exact(profile):
+    # the same bound read off the exact law of a draw: P(|1/T_aa^2 - mu| >
+    # seq_rel_err*mu) <= 1/8 at each mean of clause 3d
+    level = default_profile(profile).seq_rel_err
+    miss = {}
+    for mu in MU_GRID3D:
+        _, aa, mass = seq_aamp_law(mu)
+        miss[mu] = float(mass[np.abs(1.0 / aa**2 - mu) > level * mu].sum())
+    bad = {mu: q for mu, q in miss.items() if q > 1 / 8}
+    worst = max(miss, key=miss.get)
+    report("3e", not bad, f"{profile}: {len(bad)} of {len(miss)} means miss with probability "
+                          f"above 1/8 ({', '.join(f'{mu:g}' for mu in bad)}), worst "
+                          f"{miss[worst]:.3f} at mu={worst:g}")
+    assert not bad
 
 
 # -- criterion 4: quantile coverage and exact budget accounting -------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qmeansim
-from qmeansim import harness
+from qmeansim import calibrate_constants, harness
 from qmeansim.cli import main
 
 
@@ -284,14 +284,27 @@ def test_sweep_csv_does_not_depend_on_hash_seed(cfg, rows, tmp_path):
 
 
 def test_calibrate_writes_profile(tmp_path, capsys):
-    out_path = tmp_path / "prof.json"
-    code, _ = run_cli("calibrate", "--trials", "1000", "--seed", "5",
-                      "--grid", "0.5,0.05", "--out", str(out_path), capsys=capsys)
-    assert code == 0
+    # the profile is read off exact laws: two runs write the same bytes
+    written = []
+    for name in ("a.json", "b.json"):
+        out_path = tmp_path / name
+        code, _ = run_cli("calibrate", "--grid", "0.5,0.05", "--out", str(out_path),
+                          capsys=capsys)
+        assert code == 0
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]
     from qmeansim import ConstantProfile
 
-    prof = ConstantProfile.from_json(out_path.read_text())
+    prof = ConstantProfile.from_json(written[0].decode())
     assert prof.mode == "calibrated"
+    assert prof == calibrate_constants([0.5, 0.05])
+
+
+@pytest.mark.parametrize("option", ["--trials", "--seed"])
+def test_calibrate_has_no_sampling_options(option, tmp_path, capsys):
+    assert run_cli("calibrate", option, "1000", "--out", str(tmp_path / "p.json"),
+                   capsys=capsys)[0] == 1
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_bounds_command(capsys):
@@ -302,6 +315,12 @@ def test_bounds_command(capsys):
     assert float(lines["kl"]) == pytest.approx(0.275792, abs=1e-5)
     assert float(lines["helstrom_success"]) == pytest.approx(0.667777, abs=1e-5)
     assert lines["t_lower"] == "12"
+
+
+@pytest.mark.parametrize("instance", ["hard-subgaussian:10", "point:1"])
+def test_bounds_refuses_other_instances(instance, capsys):
+    code, out = run_cli("bounds", "--instance", instance, "--delta", "0.01", capsys=capsys)
+    assert (code, out.out, out.err) == (1, "", f"error: unknown instance {instance!r}\n")
 
 
 def test_bad_arguments_exit_code():

@@ -53,6 +53,14 @@ def test_make_dist_rejects_non_finite_probability(bad):
         make_dist([1, 2], [bad, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_finite_dist_rejects_non_finite_probability(bad):
+    # the constructor runs make_dist's checks: NaN no longer passes the sum
+    # check, which it compares false against
+    with pytest.raises(ValueError, match=f"non-finite probability: {bad}"):
+        FiniteDist(np.array([1.0, 2.0]), np.array([bad, 1.0]))
+
+
 def test_make_dist_rejects_negative_and_empty():
     with pytest.raises(ValueError):
         make_dist([0, 1], [1.5, -0.5])

@@ -863,21 +863,33 @@ def test_seq_relative_memory_stays_linear_in_support(profile):
 # -- calibration --------------------------------------------------------------------
 
 def test_calibrate_deterministic():
-    a = calibrate_constants([0.5, 0.05], 1000, RandomSource(42))
-    b = calibrate_constants([0.5, 0.05], 1000, RandomSource(42))
-    assert a == b
+    a = calibrate_constants([0.5, 0.05])
+    b = calibrate_constants([0.5, 0.05])
+    assert a.to_json() == b.to_json()
 
 
 def test_calibrate_orders_coefficients():
-    prof = calibrate_constants([0.5], 1000, RandomSource(7))
+    prof = calibrate_constants([0.5])
     assert prof.sampler_low_coeff < prof.sampler_mean_coeff
     assert prof.mode == "calibrated"
 
 
-def test_calibrate_rejects_bad_input():
-    with pytest.raises(ValueError):
-        calibrate_constants([], 1000, RandomSource(0))
-    with pytest.raises(ValueError):
-        calibrate_constants([0.5], 10, RandomSource(0))
-    with pytest.raises(ValueError):
-        calibrate_constants([0.0, 0.5], 1000, RandomSource(0))
+def test_calibrate_pins_default_grid():
+    # read off the exact law of a draw at p = 1e-4, 1e-3, 1e-2, 0.1 and 0.5;
+    # seq_rel_err is 1 - 2/18^2, the relative error of a third-round success
+    # at p = 0.5, where rounds 1..3 hold exactly 7/8 of the mass
+    prof = calibrate_constants([1e-4, 1e-3, 1e-2, 0.1, 0.5])
+    pinned = {"sampler_mean_coeff": 13.458738378783988, "sampler_low_coeff": 1.644384383287557,
+              "seq_rel_err": 0.9938271604938271, "seq_cost_sq_coeff": 111.57345711759544,
+              "seq_sqrt_coeff": 0.6391874969109569}
+    for name, value in pinned.items():
+        assert getattr(prof, name) == pytest.approx(value, rel=1e-9), name
+
+
+def test_calibrate_rejects_bad_input(monkeypatch):
+    # an empty grid, a point outside (0, 1] and one below 1e-9, whose law
+    # would cost about 1/p, are refused before any law is built
+    monkeypatch.setattr(estimators, "seq_aamp_law", None)
+    for grid in ([], [0.0, 0.5], [0.5, 1.5], [0.5, math.nan], [0.5, 9.9e-10]):
+        with pytest.raises(ValueError, match="grid"):
+            calibrate_constants(grid)

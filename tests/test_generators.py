@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qmeansim import make_dist, moments
+from qmeansim import hard_instance_statebased, hard_instance_subgaussian, make_dist, moments
 from qmeansim.generators import (
+    hard_pair,
     load_dist_file,
     named_dist,
     pareto_discretized,
@@ -45,6 +46,23 @@ def test_hard_instance_generators():
     assert len(d) == 2 and d.values[0] == 0.0
     s = named_dist("hard-statebased:10:1")
     assert len(s) == 2 and s.values[-1] == pytest.approx(10 / 3)
+
+
+def test_hard_pair_parses_both_members():
+    # the one parser of hard-instance specs: named_dist takes the first
+    # member, the bounds command the pair
+    for spec, make in (("hard-subgaussian:10:1", hard_instance_subgaussian),
+                       ("hard-statebased:7.5:2", hard_instance_statebased)):
+        pair, want = hard_pair(spec), make(*map(float, spec.split(":")[1:]))
+        assert len(pair) == 2
+        for got, exp in zip(pair, want):
+            assert got.values.tolist() == exp.values.tolist()
+            assert got.probs.tolist() == exp.probs.tolist()
+        assert named_dist(spec).values.tolist() == pair[0].values.tolist()
+    for spec in ("hard-subgaussian:10", "hard-statebased:10:1:2", "bernoulli:0.5", "hard-x:1:2"):
+        assert hard_pair(spec) is None
+    with pytest.raises(ValueError):
+        hard_pair("hard-subgaussian:1:1")  # m must exceed 1
 
 
 def test_unknown_spec_rejected():

@@ -15,6 +15,7 @@ from qmeansim import (
     aest_sample,
     grover_angle,
     seq_aamp,
+    seq_aamp_law,
     seq_aest,
 )
 from qmeansim.dist import FiniteDist
@@ -158,24 +159,54 @@ def _mean_success(p, ell):
     return float(np.mean([math.sin((2 * n + 1) * theta) ** 2 for n in _grid(ell)]))
 
 
-@pytest.mark.parametrize("p", [1e-3, 0.07, 0.5])
+# the calibration grid, 0.07, and the extremes of the exact envelopes over p
+@pytest.mark.parametrize("p", [1e-4, 1e-3, 1e-2, 0.07, 0.1, 0.5,
+                               0.0116, 0.0146, 0.868, 0.905, 0.92])
 def test_seq_aamp_round_law(p, chi_square_ok):
     # P(R = r) = prod_{l<r} (1 - s_l) * s_r, s_l the mean success probability
-    # over round l's grid; the last bin holds the remaining mass
+    # over round l's grid; the last bin holds the remaining mass. The exact
+    # law's round marginal matches it, and seq_aamp's draws follow the exact
+    # law's joint law of (rounds, aa): a success in round R at S = sum of n
+    # costs 4S + 3R oracle experiments and 3S + R steps, so R = (3o - 4aa)/5.
     law, alive = [], 1.0
     while alive > 1e-13:
         s = _mean_success(p, len(law) + 1)
         law.append(alive * s)
         alive *= 1.0 - s
     law.append(alive)
+    oracle, aa, mass = seq_aamp_law(p)
+    rounds = (3 * oracle - 4 * aa) // 5
+    assert (5 * rounds == 3 * oracle - 4 * aa).all() and rounds.min() >= 1
+    marginal = np.bincount(rounds, weights=mass)[1:]
+    np.testing.assert_allclose(marginal[:len(law) - 1], law[:-1], rtol=1e-9, atol=1e-15)
+    atom = {key: i for i, key in enumerate(zip(rounds.tolist(), aa.tolist()))}
+    assert len(atom) == len(mass)
     draws = 20_000
     rng = RandomSource(77)
     counts = np.zeros(len(law))
+    joint = np.zeros(len(mass))
     for _ in range(draws):
-        ok, rounds, _ = seq_aamp(p, rng, ExperimentCounter())
+        counter = ExperimentCounter()
+        ok, r, t = seq_aamp(p, rng, counter)
         assert ok
-        counts[min(rounds, len(law)) - 1] += 1
+        assert counter.oracle_experiments == 4 * (t - r) // 3 + 3 * r
+        counts[min(r, len(law)) - 1] += 1
+        joint[atom[r, t]] += 1
     assert chi_square_ok(counts, np.array(law))
+    assert chi_square_ok(joint, mass)
+
+
+@pytest.mark.parametrize("p", [1e-8, 1e-4, 0.0146, 0.25, 0.5, 0.92, 1.0])
+def test_seq_aamp_law_sums_to_one(p):
+    oracle, aa, mass = seq_aamp_law(p)
+    assert oracle.dtype == aa.dtype == np.int64
+    assert (mass >= 0).all() and abs(mass.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 9.9e-10, -0.5, 1.5, math.nan])
+def test_seq_aamp_law_refuses_amplitude(p):
+    with pytest.raises(ValueError, match=r"\[1e-9, 1\]"):
+        seq_aamp_law(p)
 
 
 def test_seq_aamp_round_law_under_budget(chi_square_ok):
