@@ -53,8 +53,8 @@ class Moments:
 class FiniteDist:
     """A distribution on a strictly increasing, finite real support.
 
-    ``values`` and ``probs`` are aligned; probabilities are non-negative and
-    sum to one (within 1e-12 after construction through :func:`make_dist`).
+    ``values`` and ``probs`` are aligned; probabilities are finite,
+    non-negative and sum to one within 1e-12, as the constructor checks.
     """
 
     values: np.ndarray

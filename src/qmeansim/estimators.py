@@ -1,6 +1,6 @@
 """Mean and quantile estimators built on the amplification kernels.
 
-Five estimation routines are provided:
+Six estimation routines are provided:
 
 * :func:`quantile_est` -- budget-interrupted chains of conditional samples
   whose last completed value brackets a target tail quantile;
@@ -12,6 +12,7 @@ Five estimation routines are provided:
   :func:`bern_est` is the one-window case;
 * :func:`relative_est` -- the sub-Gaussian estimator parametrized for a
   target relative error given a bound on the coefficient of variation;
+* :func:`seq_bern_est` -- the rough sequential mean of a [0, 1]-valued input;
 * :func:`seq_relative_est` -- the parameter-free sequential relative
   estimator for [0, 1]-valued inputs (rough sequential estimate, stopped
   variance probe, refined sub-Gaussian pass, outer median).
@@ -144,19 +145,24 @@ class ConstantProfile:
             if not f.init or f.name == "mode":
                 continue
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-                raise ValueError(f"{f.name} must be a positive number, got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 < value < math.inf):
+                raise ValueError(f"{f.name} must be a finite positive number, got {value!r}")
         if not self.sampler_low_coeff < self.sampler_mean_coeff:
             raise ValueError("sampler_low_coeff must be below sampler_mean_coeff")
         if not self.seq_rel_err < 1:
             raise ValueError(f"seq_rel_err must be below 1, got {self.seq_rel_err!r}")
         if self.mode not in ("theoretical", "calibrated"):
             raise ValueError(f"unknown profile mode {self.mode!r}")
-        err = self.seq_rel_err
-        c = self.sampler_low_coeff**2 / (self.sampler_mean_coeff**2 * math.sqrt(191))
+        err, low, mean = self.seq_rel_err, self.sampler_low_coeff, self.sampler_mean_coeff
+        # products overflow to inf and c underflows to 0, refused before 600/sqrt(c)
+        c = low * low / (mean * mean * math.sqrt(191) or math.inf)
         self.quantile_order_factor = c
-        self.quantile_budget_coeff = 190 * self.sampler_mean_coeff
+        self.quantile_budget_coeff = 190 * mean
         self.probe_budget_coeff = 16 * self.seq_cost_sq_coeff * math.sqrt(1 + err)
+        for name in ("quantile_order_factor", "quantile_budget_coeff", "probe_budget_coeff"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be finite and positive")
         if self.mode == "theoretical":
             self.layer_time_factor = 600 / math.sqrt(c)
             self.refine_time_coeff = 4 * (1 + err) / math.sqrt(1 - err)

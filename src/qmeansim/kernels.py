@@ -35,15 +35,14 @@ quantum primitives reduce to closed-form probability laws:
   :func:`ae_outcome_dist` materialises the law as the reference the
   sampler is tested against.
 
-Every routine but :func:`amplify_chain` and :func:`aest_median` charges an
-:class:`ExperimentCounter` under two parallel accountings: low-level oracle
-experiments (state preparations, comparison or rotation oracles, their
-inverses, and measurements) and amplification applications (state
-preparation, its inverse, and the ancilla reflection). Ancilla-only
-reflections cost nothing at the oracle level but one unit at the
-amplification level. An optional budget caps the oracle tally; the cap is
-checked at single-charge granularity, is never exceeded, and trips the
-counter's ``interrupted`` flag.
+Only :func:`seq_aamp`, :func:`seq_aest`, :func:`aest_sample` and
+:func:`aest_charge` charge an :class:`ExperimentCounter`, under two parallel
+accountings: oracle experiments (state preparations, comparison or rotation
+oracles, their inverses, and measurements) and amplification applications
+(state preparation, its inverse, and the ancilla reflection), where an
+ancilla-only reflection costs one unit and no oracle experiment. An optional
+budget caps the oracle tally; the cap is checked at single-charge
+granularity, is never exceeded, and trips the counter's ``interrupted`` flag.
 """
 
 from __future__ import annotations

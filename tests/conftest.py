@@ -33,28 +33,48 @@ def _chi_square_limit(dof: int) -> float:
     return dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
 
 
-def _two_sample_ok(a, b, bins=None) -> bool:
-    # Pearson's homogeneity test of two samples at a false-alarm rate of
-    # about 1e-6. Outcomes are any hashable values; with `bins`, numbers are
-    # first binned at the pooled sample's quantiles (bin edges depend on
-    # the pooled sample only, so the test stays valid). Outcomes seen fewer
-    # than 10 times in both samples together are pooled into one bin.
-    if bins is not None:
-        pooled = np.concatenate([a, b]).astype(float)
-        edges = np.unique(np.quantile(pooled, np.linspace(0, 1, bins + 1)[1:-1]))
-        a = np.searchsorted(edges, a, side="right").tolist()
-        b = np.searchsorted(edges, b, side="right").tolist()
-    counts = Counter(a), Counter(b)
-    keys = [key for key, count in (counts[0] + counts[1]).items() if count >= 10]
-    table = np.array([[c[key] for key in keys] for c in counts], dtype=float)
-    table = np.column_stack([table, [len(a), len(b)] - table.sum(axis=1)])
-    table = table[:, table.sum(axis=0) > 0]
-    dof = table.shape[1] - 1
-    if dof == 0:
-        return True
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    stat = float(((table - expected) ** 2 / expected).sum())
-    return stat <= _chi_square_limit(dof)
+def _draw_law(p, cap=None, probs=None, at=0):
+    # Exact joint law {(end, oracle, aa, rounds): mass} of the one draw of
+    # amplify_chain(None, [p], 0, [cap], gen, us, 1), or, with `probs`, of
+    # the one draw with readout from atom `at` of a law with atom
+    # probabilities `probs`, whose tail there is p. Round ell takes n
+    # uniformly from README's grid {ceil(1.1^(ell-1)), ..., ceil(1.1^ell) - 1},
+    # or its lower end when that is empty, costs 4n + 3 oracle experiments
+    # and 3n + 1 steps, and succeeds with probability sin^2((2n + 1) theta).
+    # A round the cap cuts after `spent` credits f + f // 2 steps,
+    # f = min((cap - spent) // 2, 2n + 1), and counts only if cap > spent.
+    # A success moves the end above atom `at`; with `probs`, one that leaves
+    # room for the readout measurement moves it to atom j + 1 with
+    # probability probs[j] / p. An uncapped law stops once at most 1e-15 of
+    # it survives.
+    theta = math.asin(math.sqrt(p))
+    limit = math.inf if cap is None else cap
+    law, alive, ell = Counter(), {0: 1.0}, 1  # alive[S], S the failed rounds' sum of n
+    while alive and (cap is not None or sum(alive.values()) > 1e-15):
+        lo = math.ceil(1.1 ** (ell - 1))
+        grid = range(lo, max(lo, math.ceil(1.1**ell) - 1) + 1)
+        rates = [(n, math.sin((2 * n + 1) * theta) ** 2, math.cos((2 * n + 1) * theta) ** 2)
+                 for n in grid]
+        nxt = Counter()
+        for s, mass in alive.items():
+            spent, aa, w = 4 * s + 3 * (ell - 1), 3 * s + ell - 1, mass / len(grid)
+            for n, hit, miss in rates:
+                if spent + 4 * n + 3 > limit:
+                    f = min((cap - spent) // 2, 2 * n + 1)
+                    law[at, cap, aa + f + f // 2, ell - 1 + (cap > spent)] += w
+                    continue
+                oracle, steps = spent + 4 * n + 3, aa + 3 * n + 1
+                if probs is None:
+                    law[at + 1, oracle, steps, ell] += w * hit
+                elif oracle < limit:
+                    for j in range(at, len(probs)):
+                        if probs[j] > 0.0:
+                            law[j + 1, oracle + 1, steps, ell] += w * hit * probs[j] / p
+                else:
+                    law[at, oracle, steps, ell] += w * hit
+                nxt[s + n] += w * miss
+        alive, ell = nxt, ell + 1
+    return law
 
 
 @pytest.fixture
@@ -64,6 +84,6 @@ def chi_square_ok():
 
 
 @pytest.fixture
-def two_sample_ok():
-    """Pearson homogeneity check of two samples of outcomes."""
-    return _two_sample_ok
+def draw_law():
+    """Exact law of one sequential-amplification draw of amplify_chain."""
+    return _draw_law

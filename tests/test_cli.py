@@ -153,9 +153,13 @@ _CALIBRATED = json.loads(qmeansim.default_profile().to_json())
     ({"layer_time_factor": 2.0}, "sampler_low_coeff"),
     ({**_CALIBRATED, "log_base": 2.718281828459045}, "log_base"),
     ({**_CALIBRATED, "seq_rel_err": "high"}, "seq_rel_err"),
-], ids=["one-key", "stale-key", "non-numeric"])
+    ({**_CALIBRATED, "seq_cost_sq_coeff": math.inf, "probe_budget_coeff": math.inf},
+     "seq_cost_sq_coeff"),
+], ids=["one-key", "stale-key", "non-numeric", "non-finite"])
 def test_sweep_reports_bad_profile(tmp_path, capsys, profile, named):
-    # a malformed profile file is a configuration error naming the field
+    # a malformed profile file is a configuration error naming the field; a
+    # constant of inf, as 1e999 and Infinity parse, is refused on loading,
+    # before a seq-relative sweep could take math.ceil of the probe's inf cap
     prof_path = tmp_path / "prof.json"
     prof_path.write_text(json.dumps(profile))
     cfg_path = tmp_path / "cfg.json"

@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -39,7 +39,7 @@ from qmeansim.estimators import (
     _StageTracker,
     _subgauss,
 )
-from qmeansim.kernels import GROWTH, ae_register, amplify_chain, lower_median
+from qmeansim.kernels import ae_register, amplify_chain, lower_median
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,24 @@ def test_theoretical_profile_rejects_broken_coupling():
     calibrated = json.loads(default_profile().to_json())
     with pytest.raises(ValueError, match="layer_time_factor"):
         ConstantProfile.from_json(json.dumps({**calibrated, "layer_time_factor": 4.0}))
+
+
+def test_profile_rejects_non_finite_constants():
+    # a base constant of inf (as 1e999 parses) or NaN is refused by name, and
+    # so is a derived one that overflows, or a coupling c that underflows to
+    # 0 with or without its denominator, before 600/sqrt(c) divides by it
+    base = {f.name: getattr(theoretical_profile(), f.name) for f in fields(ConstantProfile)
+            if f.init}
+    for name, value in (("seq_cost_sq_coeff", "1e999"), ("sampler_mean_coeff", "NaN")):
+        text = json.dumps({**base, name: 0}).replace(f'"{name}": 0', f'"{name}": {value}')
+        with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
+            ConstantProfile.from_json(text)
+    for changes, name in (({"sampler_low_coeff": 1e-200}, "quantile_order_factor = 0.0"),
+                          ({"sampler_low_coeff": 1e-200, "sampler_mean_coeff": 2e-200},
+                           "quantile_order_factor = 0.0"),
+                          ({"seq_cost_sq_coeff": 1e308}, "probe_budget_coeff = inf")):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            replace(theoretical_profile(), **changes)
 
 
 def test_profile_roundtrip(profile):
@@ -184,41 +202,12 @@ def test_quantile_coverage_middle_order(profile):
     assert hits / trials >= 0.85
 
 
-def _grid(ell):
-    # integer grid of sequential-amplification round ell
-    lo = math.ceil(GROWTH ** (ell - 1))
-    return range(lo, max(lo, math.ceil(GROWTH**ell) - 1) + 1)
-
-
-def _call_law(tail, rem):
-    # Exact law of one sequential amplification of amplitude `tail` with `rem`
-    # oracle experiments left: {cost: P(success at that cost)}, plus
-    # {None: P(the budget dies first)}. A round costs 2n+1 walk applications
-    # of 2 oracle experiments and a measurement.
-    theta = math.asin(math.sqrt(tail))
-    out, alive, ell = {None: 0.0}, {0: 1.0}, 1
-    while alive:
-        grid, nxt = _grid(ell), {}
-        for spent, mass in alive.items():
-            for n in grid:
-                w, cost = mass / len(grid), spent + (2 * n + 1) * 2 + 1
-                if cost > rem:
-                    out[None] += w
-                    continue
-                hit = math.sin((2 * n + 1) * theta) ** 2
-                out[cost] = out.get(cost, 0.0) + w * hit
-                if hit < 1.0:
-                    nxt[cost] = nxt.get(cost, 0.0) + w * (1.0 - hit)
-        alive, ell = nxt, ell + 1
-    return out
-
-
-def _chain_end_law(d, cap):
+def _chain_end_law(d, cap, draw_law):
     # Exact law of the atom count k a chain capped at `cap` ends above (its
     # estimate is atom k - 1, -inf for k = 0), by dynamic programming over
-    # (k, oracle spent). A success pays one readout measurement, which needs a
-    # live budget, and moves above atom j >= k with probability probs[j] / tail;
-    # an empty tail burns the rest of the cap.
+    # (k, oracle spent) of its draws with readout, each with the exact law
+    # of a draw from atom k with the rest of the cap; a draw that spends the
+    # rest ends the chain, and an empty tail burns it.
     probs, tails = d.probs.tolist(), d._tail.tolist() + [0.0]
     law = np.zeros(len(probs) + 1)
     states = [{} for _ in range(cap)]  # states[spent][k] = mass; spent only grows
@@ -229,17 +218,11 @@ def _chain_end_law(d, cap):
             if tail == 0.0:
                 law[k] += mass
                 continue
-            for cost, w in _call_law(tail, cap - spent).items():
-                if cost is None or spent + cost == cap or spent + cost + 1 > cap:
-                    law[k] += mass * w
-                    continue
-                after = spent + cost + 1
-                for j in range(k, len(probs)):
-                    step = mass * w * probs[j] / tail
-                    if after == cap:
-                        law[j + 1] += step
-                    elif step > 0.0:
-                        states[after][j + 1] = states[after].get(j + 1, 0.0) + step
+            for (end, oracle, _, _), w in draw_law(tail, cap - spent, probs, k).items():
+                if spent + oracle == cap:
+                    law[end] += mass * w
+                else:
+                    states[spent + oracle][end] = states[spent + oracle].get(end, 0.0) + mass * w
     return law
 
 
@@ -262,12 +245,12 @@ _SPLIT_BELOW = (shift_split(_PARENT, 3.0)[1],
     (*_on_integers([0.95, 0.04, 0.0, 0.009, 0.001]), 500),
     (*_SPLIT_BELOW, 60),
 ], ids=["2atoms-cap9", "4atoms-cap30", "6atoms-cap100", "5atoms-cap500", "split-below-cap60"])
-def test_quantile_chain_end_law(profile, d, ref, cap, chi_square_ok):
+def test_quantile_chain_end_law(profile, d, ref, cap, chi_square_ok, draw_law):
     # delta = 0.9 runs one repetition, and order p = 1/4 makes the profile's
     # coefficient cap / 2 a cap of exactly `cap`; the law is that of `ref`,
     # which has the atoms of `d`
     assert ref.values.tolist() == d.values.tolist()
-    law = _chain_end_law(ref, cap)
+    law = _chain_end_law(ref, cap, draw_law)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
     prof = replace(profile)
     prof.quantile_budget_coeff = cap / 2

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from qmeansim.kernels import (
     WALK_COST,
     _kernel_core,
     _phase_draws,
-    _whole,
     ae_register,
     aest_charge,
     amplify_chain,
@@ -296,148 +296,86 @@ def test_seq_aamp_budget_properties(p, budget, pre, seed):
         assert counter == before
 
 
-def _two_uniform_chain(cum, tails, k, caps, gen, us, draws):
-    # The loop amplify_chain ran before it drew one threshold uniform per
-    # draw, kept as the reference its law is checked against: each round
-    # pops one uniform for n off its grid (also on one-point grids, where it
-    # is spent on int(u * 1) = 0) and one for its success coin, and the
-    # spares are refilled in blocks of 64 whenever fewer than 3 are left.
-
-    los, sizes, burn_oracle, burn_aa, _ = _round_table()
-    walk, measure = WALK_COST, MEASURE_COST
-    sin, pop = math.sin, us.pop
-    ends: list[int] = []
-    oracle_sum = aa = rounds = 0
-    try:
-        for cap in caps:
-            limit = math.inf if cap is None else cap
-            at, spent, left = k, 0, draws
-            while left:
-                tail = tails[at]
-                if not tail > 0.0:
-                    if cap is None:
-                        raise ValueError("zero amplitude never succeeds; a budget is required")
-                    # only the burn-down is observable, so every round fails
-                    # and costs its grid's lower end: `full` rounds fit, and
-                    # the next one is cut
-                    full = bisect_right(burn_oracle, cap - spent)
-                    done = burn_oracle[full - 1] if full else 0
-                    rem = cap - spent - done
-                    # the cut round's paid walk applications, credited as below
-                    f = min(rem, burn_oracle[full] - done - measure) // walk
-                    aa += (burn_aa[full - 1] if full else 0) + f + f // 2
-                    rounds += full + (rem > 0)
-                    spent = cap
-                    break
-                theta = math.asin(math.sqrt(tail))
-                r = 0
-                while True:
-                    if len(us) < 3:  # room for this round and a readout
-                        us.extend(gen.random(64).tolist())
-                    n = los[r] + int(pop() * sizes[r])
-                    m = 2 * n + 1
-                    oracle = m * walk + measure
-                    r += 1
-                    if spent + oracle > limit:
-                        # credit the steps paid before the stop: U, then n times
-                        # (reflection, U^-1, U), reflections free at the oracle level
-                        f = min((cap - spent) // walk, m)
-                        aa += f + f // 2
-                        r -= cap == spent
-                        spent, left = cap, 0
-                        break
-                    spent += oracle
-                    aa += 3 * n + 1
-                    s = sin(m * theta)
-                    if pop() < s * s:
-                        break
-                rounds += r
-                if not left:
-                    break
-                left -= 1
-                if cum is None:
-                    at += 1
-                elif spent + measure > limit or spent == limit:
-                    break
-                else:
-                    spent += measure
-                    below = cum[at - 1] if at else 0.0
-                    at = bisect_right(cum, below + pop() * tail, at, len(cum) - 1) + 1
-                    if spent == limit:
-                        break
-            ends.append(at)
-            oracle_sum += spent
-    except IndexError:  # a round or a burn past the end of _round_table
-        raise ValueError("sequential amplification past 1e18 oracle experiments "
-                         "is not simulated") from None
-    return ends, oracle_sum, aa, rounds
+# Single draws of amplify_chain against their exact law, the conftest's
+# draw_law: (p, cap) draws without readout, and (law, start atom, cap) steps
+# with one readout measurement.
+_DRAWS = {
+    # uncapped, succeeding in the one-point rounds 1..26 and past them
+    "tail0.1": (0.1, None), "tail0.01": (0.01, None), "tail1e-3": (1e-3, None),
+    "tail1e-4": (1e-4, None),
+    # a cap inside the one-point rounds (566 oracle experiments), and caps
+    # that cut rounds of one and of several points beyond them
+    "cap-one-point-rounds": (1e-3, 300), "cap-past-round-26": (1e-4, 1500),
+    "cap-deep": (1e-5, 6000),
+    # round 1 costs 7: a cap of nothing, one that cuts it, one at its end
+    **{f"{p}-cap{cap}": (p, cap) for p in (0.3, 0.5) for cap in (0, 6, 7)},
+    # the end of the one-point rounds, and one past it
+    "1e-3-cap566": (1e-3, 566), "1e-3-cap567": (1e-3, 567),
+    # a certain success that the cap cuts, and a tail no round lifts
+    "tail1-cap3": (1.0, 3), "tail1e-12-cap2000": (1e-12, 2000),
+}
+_FIVE = FiniteDist(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
+_FINE = FiniteDist(np.arange(1.0, 101.0), np.full(100, 0.01))
+# A success in round 1 spends 7 oracle experiments: a cap of 7 leaves no
+# room for its readout, a cap of 8 reads out; from the massless atom 1 the
+# readout never lands on it
+_STEPS = {"five-0-cap7": (_FIVE, 0, 7), "five-0-cap8": (_FIVE, 0, 8),
+          "five-1-cap8": (_FIVE, 1, 8), "fine-90-cap7": (_FINE, 90, 7),
+          "fine-90-cap8": (_FINE, 90, 8), "fine-1-uncapped": (_FINE, 1, None)}
 
 
-def _chain_law_cases():
-    # (cum, tails, caps, draws) of one chain from atom 0 per call
-    d = FiniteDist(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
-    fine = FiniteDist(np.arange(1.0, 101.0), np.full(100, 0.01))
-    multi = [0.3, 0.05, 0.7, 0.0]
-    return {
-        # tail-1 first draw, readouts, a massless atom, and the zero-tail
-        # burn once a chain reaches the top atom
-        "tail1-readout-burn": (*d._chain, [300], math.inf),
-        "readout-fine": (*fine._chain, [2000], math.inf),
-        "tail0.1": (None, [0.1], [None], 1),
-        "tail0.01": (None, [0.01], [None], 1),
-        # tails whose draws run past round 26 onto grids of several points
-        "tail1e-3": (None, [1e-3], [None], 1),
-        "tail1e-4": (None, [1e-4], [None], 1),
-        # a cap inside the one-point rounds 1..26 (566 oracle experiments),
-        # and caps that cut rounds of one and of several points beyond them
-        "cap-one-point-rounds": (None, [1e-3], [300], 1),
-        "cap-past-round-26": (None, [1e-4], [1500], 1),
-        "cap-deep": (None, [1e-5], [6000], 1),
-        # multi-draw chains without readout, the last tail empty
-        "multi-draw-uncapped": (None, multi, [None], 3),
-        "multi-draw-capped": (None, multi, [500], math.inf),
-    }
+def _draw_counts(law, args, seed):
+    # 20,000 one-draw calls sharing one list of spares, their (end, oracle,
+    # aa, rounds) counted on the atoms of `law`, off which none may fall
+    gen, us, seen = RandomSource(seed).gen, [], Counter()
+    for _ in range(20_000):
+        (end,), oracle, aa, rounds = amplify_chain(*args, gen, us, 1)
+        seen[end, oracle, aa, rounds] += 1
+    assert seen.keys() <= law.keys()
+    return [seen[atom] for atom in law]
 
 
-def _chain_outcomes(kernel, case, draws, seed):
-    # (end, oracle, aa, rounds) of `draws` one-chain calls sharing one list
-    # of spares
-    cum, tails, caps, depth = case
-    gen, us = RandomSource(seed).gen, []
-    out = []
-    for _ in range(draws):
-        (end,), oracle, aa, rounds = kernel(cum, tails, 0, caps, gen, us, depth)
-        out.append((end, oracle, aa, rounds))
-    return out
+@pytest.mark.parametrize("name", list(_DRAWS))
+def test_chain_draw_matches_exact_law(name, draw_law, chi_square_ok):
+    p, cap = _DRAWS[name]
+    law = draw_law(p, cap)
+    assert chi_square_ok(_draw_counts(law, (None, [p], 0, [cap]), 161), list(law.values()))
 
 
-@pytest.mark.parametrize("name", list(_chain_law_cases()))
-def test_chain_law_matches_two_uniform_loop(name, two_sample_ok):
-    # amplify_chain draws the success round by inversion off one threshold
-    # uniform, the reference loop flips one coin per round: the joint law of
-    # (end atom, oracle, aa, rounds) must be the same. Each case runs
-    # 20,000 chains per side, and five Pearson homogeneity tests: the joint
-    # outcome and each coordinate, coordinates of many values binned at the
-    # pooled sample's quantiles. Each test false-alarms with probability
-    # about 1e-6, so the 55 tests together below 1e-4.
-    case = _chain_law_cases()[name]
-    new = _chain_outcomes(amplify_chain, case, 20_000, 161)
-    ref = _chain_outcomes(_two_uniform_chain, case, 20_000, 162)
-    assert two_sample_ok(new, ref)
-    for i in range(4):
-        assert two_sample_ok([o[i] for o in new], [o[i] for o in ref], bins=20)
+@pytest.mark.parametrize("name", list(_STEPS))
+def test_chain_readout_step_matches_exact_law(name, draw_law, chi_square_ok):
+    d, at, cap = _STEPS[name]
+    cum, tails = d._chain
+    law = draw_law(tails[at], cap, d.probs.tolist(), at)
+    assert chi_square_ok(_draw_counts(law, (cum, tails, at, [cap]), 162), list(law.values()))
 
 
-def test_chain_law_cases_reach_past_round_26():
-    # the cases draw n on grids of several points and cut rounds there
+def test_chain_draw_cases_reach_past_round_26(draw_law):
+    # the one-point rounds are 1..26; the cases draw n on grids of several
+    # points past them, and cut rounds there, each with mass enough that
+    # 20,000 draws see it about 100 times or more
     sizes = _round_table()[1]
     assert sizes[:26] == [1] * 26 and sizes[26] == 2
-    cases = _chain_law_cases()
     for name in ("tail1e-3", "tail1e-4", "cap-past-round-26", "cap-deep"):
-        rounds = [o[3] for o in _chain_outcomes(amplify_chain, cases[name], 200, 3)]
-        assert max(rounds) > 27, name
-    capped = _chain_outcomes(amplify_chain, cases["cap-deep"], 200, 3)
-    assert any(o[1] == 6000 and o[3] > 27 for o in capped)
+        law = draw_law(*_DRAWS[name])
+        assert sum(w for atom, w in law.items() if atom[3] > 27) > 5e-3, name
+    law = draw_law(*_DRAWS["cap-deep"])
+    assert sum(w for atom, w in law.items() if atom[1] == 6000 and atom[3] > 27) > 5e-3
+
+
+# the calibration grid and the extremes of the exact envelopes over p
+@pytest.mark.parametrize("p", [1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.0146, 0.868, 0.905])
+def test_draw_law_matches_seq_aamp_law(p, draw_law):
+    # two independent exact laws of an uncapped draw agree atom by atom,
+    # and every draw succeeds, in round R = (3*oracle - 4*aa)/5
+    oracle, aa, mass = seq_aamp_law(p)
+    ref = dict(zip(zip(oracle.tolist(), aa.tolist()), mass.tolist()))
+    law = Counter()
+    for (end, o, steps, rounds), w in draw_law(p).items():
+        assert end == 1 and 5 * rounds == 3 * o - 4 * steps
+        law[o, steps] += w
+    for atom in law.keys() | ref.keys():
+        assert abs(law[atom] - ref.get(atom, 0.0)) <= 1e-15, atom
 
 
 def _one_threshold_chain(cum, tails, k, caps, gen, us, draws):
@@ -794,7 +732,8 @@ def test_phase_draws_mixed_registers_match_law(chi_square_ok):
     m = 64
     lanes = [(0.0, 16, 20_000), (1.0, 37, 30_000), (1.0, 16, 10_000),
              (math.sin(math.pi * 3 / m) ** 2, m, 40_000), (0.3, 37, 60_000),
-             (0.3, 4096, 50_000), (1e-4, 3, 25_000), (0.5, 1, 5_000)]
+             (0.3, 4096, 50_000), (1e-4, 3, 25_000), (0.5, 1, 5_000),
+             (0.9, 1, 100_000), (0.7, 5, 100_000), (1e-4, 1001, 100_000)]
     ps, ms, copies = zip(*lanes)
     ys = _phase_draws(ps, ms, copies, RandomSource(21).gen)
     assert ys.shape == (len(lanes), max(copies))
@@ -804,80 +743,6 @@ def test_phase_draws_mixed_registers_match_law(chi_square_ok):
         counts = np.bincount(dist, minlength=m // 2 + 1).astype(float)
         assert len(counts) == m // 2 + 1
         assert chi_square_ok(counts, _distance_law(p, m)), (p, m)
-
-
-# The rejection sampler that _phase_draws replaced, kept verbatim as a
-# reference: every offset proposed off a 1/k^2 envelope, a third of the
-# proposals accepted.
-def _rejection_phase_draws(ps, ms, copies, gen):
-    # copies[i] exact draws of the index y in [0, M_i) from the Fejer kernel
-    # on the eigenphase +omega of amplitude ps[i] on an M_i = ms[i] point
-    # register, one lane per amplitude, as a (lanes, max(copies)) array
-    # whose entries past a lane's count are padding; O(1) time and memory
-    # per draw whatever M is. Their phase distances min(y, M - y) follow the
-    # two-kernel law, as the -omega kernel is the mirror image y -> M - y.
-    # Through aest_median, one call draws every live window of every ladder
-    # of a top-level estimate, so lanes differ in M and count; aest_sample
-    # draws one lane. Registers and counts are checked here, before any draw
-    # or charge: each an integer below MAX_REGISTER, M >= 1, counts >= 0
-    # (aest_median has checked its copy counts >= 1 before).
-    # With c = M*omega and f = c - floor(c), the kernel puts mass
-    #   K(j) = sin^2(pi f) / (M^2 sin^2(pi (j - f) / M)) <= min(1, 1/(4 (j - f)^2))
-    # on y = floor(c) + j, for the M offsets with -M/2 < j - f <= M/2
-    # (|sin(pi x)| >= 2|x| for |x| <= 1/2). Offsets are proposed as 0 or 1
-    # with probability 1/3 each, else as 1 + k or -k with probability
-    # 1/(6 k (k + 1)) each, k = floor(1/U) >= 1, and accepted with
-    # probability K(j) / (3 * proposal) <= 1: a third of the proposals are
-    # accepted. On the grid (f = 0: p = 0, and p = 1 with even M among
-    # them) only j = 0 passes.
-    ps = np.asarray(ps, dtype=float).reshape(-1)
-    ms = _whole(ms, 1, "register sizes")
-    want = _whole(copies, 0, "copy counts")
-    if not np.all((ps >= 0.0) & (ps <= 1.0)):
-        raise ValueError(f"amplitudes must be in [0, 1], got {ps}")
-    mf = ms.astype(float)
-    c = mf * np.arcsin(np.sqrt(ps)) / np.pi
-    base = np.floor(c)
-    f = c - base
-    s2 = np.sin(np.pi * np.minimum(f, 1.0 - f)) ** 2
-    ys = np.zeros((ps.size, want.max(initial=0)), dtype=np.int64)
-    filled = np.zeros(ps.size, dtype=np.int64)
-    while (need := want - filled).any():
-        # four proposals per missing draw and eight spare, so refills are
-        # rare, but about 2^16 at most a pass, so memory stays bounded
-        share = max((1 << 16) // np.count_nonzero(need), 1)
-        lane = np.repeat(np.arange(ps.size), np.minimum(4 * need + 8 * (need > 0), share))
-        choice, u, accept = gen.random((3, lane.size))
-        k = np.floor(1.0 / (1.0 - u))
-        far = choice >= 2.0 / 3.0
-        j = np.where(far, np.where(choice < 5.0 / 6.0, 1.0 + k, -k), choice >= 1.0 / 3.0)
-        weight = np.where(far, 2.0 * k * (k + 1.0), 1.0)
-        x = j - f[lane]
-        ml = mf[lane]
-        hit = ((-0.5 * ml < x) & (x <= 0.5 * ml)
-               & ((1.0 - accept) * (ml * np.sin(np.pi * x / ml)) ** 2 <= s2[lane] * weight))
-        lane, j = lane[hit], j[hit]
-        # each lane keeps its first `need` accepted offsets, in proposal order
-        slot = filled[lane] + np.arange(lane.size) - np.searchsorted(lane, lane)
-        keep = slot < want[lane]
-        lane = lane[keep]
-        ys[lane, slot[keep]] = np.mod(base[lane] + j[keep], mf[lane]).astype(np.int64)
-        filled += np.bincount(lane, minlength=ps.size)
-    return ys
-
-
-def test_phase_draws_match_rejection_sampler(two_sample_ok):
-    # the core and tail sampler against the rejection sampler it replaced,
-    # on the phase distances of lanes with no tail (M <= 2, f = 0), a tail of
-    # one offset (M = 3), small windows and wide ones
-    lanes = [(0.3, 1), (0.9, 1), (0.3, 2), (0.9999, 2), (1.0, 2), (0.3, 3), (0.5, 3),
-             (1.0, 3), (0.7, 5), (0.0, 37), (0.3, 37), (0.9999, 37), (0.5, 4096), (1e-4, 1001)]
-    ps, ms = zip(*lanes)
-    counts = [100_000] * len(lanes)
-    new = _phase_draws(ps, ms, counts, RandomSource(31).gen)
-    old = _rejection_phase_draws(ps, ms, counts, RandomSource(32).gen)
-    for (p, m), a, b in zip(lanes, new, old):
-        assert two_sample_ok(np.minimum(a, m - a).tolist(), np.minimum(b, m - b).tolist()), (p, m)
 
 
 def _window_tail(m, f):
