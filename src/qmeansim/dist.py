@@ -8,6 +8,7 @@ share across concurrent tasks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,15 +95,14 @@ class FiniteDist:
     def _chain(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         # The laws a quantile chain walks, as tuples since the cache is
         # shared: the cumulative law, and P[X >= values[k]] for k = 0..len,
-        # clipped at 1 against round-off and 0 past the top atom.
-        return tuple(self._cum.tolist()), tuple(np.minimum(self._tail, 1.0).tolist()) + (0.0,)
+        # 1 at k = 0, clipped at 1 against round-off and 0 past the top atom.
+        return tuple(self._cum.tolist()), (1.0, *np.minimum(self._tail[1:], 1.0).tolist(), 0.0)
 
     @cached_property
-    def _sums(self) -> tuple[np.ndarray, np.ndarray, int, float]:
-        # prefix sums of values*probs and of probs from 0, and the offset and
-        # shift at which a part of shift_split reads its parent's instead
+    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
+        # prefix sums of values*probs and of probs from 0
         vp = np.concatenate(([0.0], np.cumsum(self.values * self.probs)))
-        return vp, np.concatenate(([0.0], self._cum)), 0, 0.0
+        return vp, np.concatenate(([0.0], self._cum))
 
     @cached_property
     def _mirror(self) -> "FiniteDist":
@@ -143,6 +143,12 @@ def _check_law(v: np.ndarray, p: np.ndarray, tol: float) -> None:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 
+def _finite_number(value) -> bool:
+    # a number as config and distribution files give it: no bool or huge int
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def moments(d: FiniteDist) -> Moments:
     mean = float(np.dot(d.values, d.probs))
     m2 = float(np.dot(d.values * d.values, d.probs))
@@ -170,35 +176,16 @@ def truncated_mean(d: FiniteDist, a: float, b: float) -> float:
 def shift_split(d: FiniteDist, eta: float) -> tuple[FiniteDist, FiniteDist]:
     """Split X about eta into the non-negative parts above and below.
 
-    Returns the distributions of max(X - eta, 0) and max(eta - X, 0). The
-    identity mean(X) = eta + mean(up) - mean(down) holds exactly, and the
-    second moments of the parts add up to E[(X - eta)^2]. Each part is read
-    off X's laws, the part below off those of -X: an atom at 0 holding the
-    mass up to eta, then the atoms beyond eta with X's masses, not
-    renormalised, and chain laws sliced from X's. A part with a massless
-    atom, or with atoms the shift rounds onto one value, is built by
-    :func:`make_dist` instead, which drops or merges them.
+    Returns the laws of max(X - eta, 0) and max(eta - X, 0), built by
+    :func:`make_dist`; eta must be finite. mean(X) = eta + mean(up) -
+    mean(down), and the parts' second moments add up to E[(X - eta)^2]. The
+    estimators read the parts off X's laws at a shift instead (see
+    :func:`~qmeansim.estimators.quantile_est`); these are their reference.
     """
-    return _above(d, eta), _above(d._mirror, -eta)
-
-
-def _above(d: FiniteDist, eta: float) -> FiniteDist:
-    # max(X - eta, 0); the shift keeps the atoms above eta positive
-    i = int(np.searchsorted(d.values, eta, side="right"))
-    cum, tails = d._chain
-    values = np.empty(len(d) - i + 1)
-    values[0] = 0.0
-    np.subtract(d.values[i:], eta, out=values[1:])
-    probs = np.empty_like(values)
-    probs[0] = cum[i - 1] if i else 0.0
-    probs[1:] = d.probs[i:]
-    if not (probs > 0.0).all() or not (values[1:] > values[:-1]).all():
-        return make_dist(values, probs)
-    part = FiniteDist._trusted(values, probs)
-    object.__setattr__(part, "_chain", (cum[i - 1:], (1.0,) + tails[i:]))
-    vp, ps, start, shift = d._sums
-    object.__setattr__(part, "_sums", (vp, ps, start + i - 1, shift + eta))
-    return part
+    if not math.isfinite(eta):
+        raise ValueError(f"shift must be finite, got {eta}")
+    return (make_dist(np.maximum(d.values - eta, 0.0), d.probs),
+            make_dist(np.maximum(eta - d.values, 0.0), d.probs))
 
 
 def pair_square_diff(d: FiniteDist) -> FiniteDist:

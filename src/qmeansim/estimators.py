@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, asdict
 from importlib import resources
 
 import numpy as np
 
-from .dist import sample_idx, shift_split, truncated_mean
+from .dist import FiniteDist, _finite_number, sample_idx, truncated_mean
 from .kernels import (
     MEASURE_COST,
     SAMPLE_COST,
@@ -85,7 +86,8 @@ _MAX_REFINE_TIME = 65536.0
 # any failure probability down to about 6e-8, ceil(6 log(1/delta)) <= 100.
 _REPETITIONS = tuple(f"repetition_{i:02d}" for i in range(100))
 
-# The two parts of the sub-Gaussian split, above and below the shift: the
+# The two parts of the sub-Gaussian split about eta, max(X - eta, 0) and
+# max(eta - X, 0), read off the laws of X and -X at shifts eta and -eta: the
 # stage names of their quantile and ladder, and the sign of their ladder sum.
 _PARTS = (("quantile_pos", "layers_pos", 1.0), ("quantile_neg", "layers_neg", -1.0))
 
@@ -145,8 +147,7 @@ class ConstantProfile:
             if not f.init or f.name == "mode":
                 continue
             value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 < value < math.inf):
+            if not (_finite_number(value) and value > 0):
                 raise ValueError(f"{f.name} must be a finite positive number, got {value!r}")
         if not self.sampler_low_coeff < self.sampler_mean_coeff:
             raise ValueError("sampler_low_coeff must be below sampler_mean_coeff")
@@ -186,8 +187,7 @@ class ConstantProfile:
             raise ValueError(f"malformed profile: {exc}") from exc
         for name, value in stated.items():
             want = getattr(profile, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isclose(value, want, rel_tol=1e-9)):
+            if not (_finite_number(value) and math.isclose(value, want, rel_tol=1e-9)):
                 raise ValueError(f"{name} = {value!r} does not match the value "
                                  f"{want!r} derived from the profile's constants")
         return profile
@@ -279,7 +279,8 @@ def cond_sample_above(
 
 
 def quantile_est(
-    qvar: QVar, p: float, delta: float, profile: ConstantProfile, rng: RandomSource
+    qvar: QVar, p: float, delta: float, profile: ConstantProfile, rng: RandomSource,
+    shift: float | None = None,
 ) -> EstimateReport:
     """Estimate the order-p tail quantile within a constant order factor.
 
@@ -296,10 +297,12 @@ def quantile_est(
     of its stage ``repetition_ii``, and each end value is read off the
     support.
 
-    Under the calibrated profile the budget lets chains climb to the top atom
-    of fine-grained laws, above Q(c*p): on uniform:1..100000:100000 at
-    p = 0.01 and 0.1 (delta = 0.1) all 200 trials did. Where Q(c*p) is the top
-    atom, as on the coarse laws the acceptance tests use, this cannot show.
+    With ``shift``, it estimates the part max(X - shift, 0) off X's laws:
+    X's atoms up to the shift make its atom 0, read as exactly 0 when the
+    shift is one of them; the part below eta is that of -X at -eta.
+
+    Under the calibrated profile the chains of fine laws climb to the top
+    atom, above Q(c*p), as README's known limits of that profile record.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile order must be in (0, 1), got {p}")
@@ -316,17 +319,28 @@ def quantile_est(
                                                       per_rep_budget)
     caps = [per_rep_budget] * full + ([last] if last or not full else [])
     d = qvar.dist
-    ends, _, aa, _ = amplify_chain(*d._chain, 0, caps, rng.gen, [], math.inf)
+    floor = 0 if shift is None else int(np.searchsorted(d.values, shift, side="right")) - 1
+    ends, _, aa, _ = amplify_chain(*d._chain, 0, caps, rng.gen, [], math.inf, floor)
     counter.charge(sum(caps), aa)
     names = (_REPETITIONS if len(caps) <= len(_REPETITIONS)
              else [f"repetition_{i:02d}" for i in range(len(caps))])
-    # the median end k, above k atoms, reads atom k - 1, or -inf above none;
-    # the stage records as a _StageTracker would close them, built at once
+    # the median end k reads atom k - 1 less the shift, or -inf at k = 0; the
+    # stage records as a _StageTracker would close them, built at once
     return EstimateReport(
-        float(d.values[k - 1]) if (k := lower_median(ends)) else -math.inf,
+        float(d.values[k - 1] - (shift or 0.0)) if (k := lower_median(ends)) else -math.inf,
         ExperimentCounter(counter.oracle_experiments - base_oracle,
                           counter.aa_applications - base_aa, counter.budget, counter.interrupted),
         dict(zip(names, caps)), [names[len(caps) - 1]] if counter.interrupted else [])
+
+
+def _part_windows(d: FiniteDist, edges: np.ndarray, shift: float) -> tuple[list, np.ndarray]:
+    # Windows (edges[i], edges[i+1]] of the part max(X - shift, 0), X = d, for
+    # increasing edges >= 0: per edge the count of atoms v with fl(v - shift)
+    # <= edge, in O(log support), and per window the sum of (v - shift) P[v].
+    vp, ps = d._sums
+    idx = [bisect_right(d.values, e, key=lambda v: v - shift) for e in edges.tolist()]
+    v, q = vp[idx], ps[idx]
+    return idx, (v[1:] - v[:-1]) - shift * (q[1:] - q[:-1])
 
 
 class _Ladders:
@@ -344,16 +358,11 @@ class _Ladders:
         self._ladders: list[tuple[np.ndarray, int, int, np.ndarray, int]] = []
 
     def add(self, qvar: QVar, edges: np.ndarray, register: tuple[int, int], sign: float,
-            term: int) -> None:
-        # Windows (edges[i], edges[i+1]] for increasing edges >= 0: each
-        # window mean, read off the prefix sums shared with the split law, is
-        # exposed as the amplitude mean/b, estimated on the (M, copies)
-        # register and scaled back by sign*b into the sum of term `term`.
-        d = qvar.dist
-        vp, ps, start, shift = d._sums
-        idx = start + np.searchsorted(d.values, edges, side="right")
-        v, q = vp[idx], ps[idx]
-        means = (v[1:] - v[:-1]) - shift * (q[1:] - q[:-1])
+            term: int, shift: float) -> None:
+        # Each window mean of _part_windows is exposed as the amplitude mean/b,
+        # estimated on the (M, copies) register and scaled back by sign*b
+        # into the sum of term `term`.
+        _, means = _part_windows(qvar.dist, edges, shift)
         amplitudes = np.minimum(np.maximum(means / edges[1:], 0.0), 1.0)
         m, copies = register
         aest_charge(m, amplitudes.size * copies, qvar.counter)
@@ -403,7 +412,7 @@ def bern_est(
     register = ae_register(n, delta)
     tracker = _StageTracker(qvar.counter)
     ladders = _Ladders()
-    ladders.add(qvar, np.array([a, b], dtype=float), register, 1.0, 0)
+    ladders.add(qvar, np.array([a, b], dtype=float), register, 1.0, 0, 0.0)
     tracker.close("amplitude_estimation")
     return tracker.report(ladders.sums(1, rng)[0])
 
@@ -444,18 +453,20 @@ def _subgauss(qvar: QVar, n: float, delta: float, profile: ConstantProfile, rng:
     qvar.counter.charge(shots * SAMPLE_COST)
     # the lower median of the samples, read off that of their support indices
     mid = (shots - 1) // 2
-    eta = float(qvar.dist.values[np.partition(sample_idx(qvar.dist, rng, shots), mid)[mid]])
+    d = qvar.dist
+    eta = float(d.values[np.partition(sample_idx(d, rng, shots), mid)[mid]])
     tracker.close("classical_median")
 
-    for (quantile_stage, layers_stage, sign), part in zip(_PARTS, shift_split(qvar.dist, eta)):
-        part_var = QVar(part, qvar.counter)
-        qrep = quantile_est(part_var, quantile_order, delta / 8, profile, rng)
+    for (quantile_stage, layers_stage, sign), law, shift in zip(_PARTS, (d, d._mirror),
+                                                                 (eta, -eta)):
+        part_var = QVar(law, qvar.counter)
+        qrep = quantile_est(part_var, quantile_order, delta / 8, profile, rng, shift)
         # budget-starved repetitions report -inf; the support is non-negative
         q_top = max(qrep.estimate, 0.0)
         tracker.close(quantile_stage)
 
         if q_top > 0.0:
-            ladders.add(part_var, q_top * steps, register, sign, term)
+            ladders.add(part_var, q_top * steps, register, sign, term, shift)
         tracker.close(layers_stage)
         if qvar.counter.interrupted:
             break

@@ -12,7 +12,7 @@ Generator strings understood by the harness:
   member of the corresponding hard instance pair.
 
 A distribution file is a JSON array of ``{"value": number, "prob": number}``
-records; duplicates merge.
+records; duplicates merge. A boolean or a string is not a number there.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from .dist import (
     FiniteDist,
+    _finite_number,
     hard_instance_statebased,
     hard_instance_subgaussian,
     make_dist,
@@ -85,6 +86,9 @@ def load_dist_file(path: str) -> FiniteDist:
         probs = [r["prob"] for r in records]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"{path}: records need 'value' and 'prob' fields") from exc
+    # a non-finite float goes on to make_dist, which names it
+    if bad := [x for x in values + probs if not (isinstance(x, float) or _finite_number(x))]:
+        raise ValueError(f"{path}: values and probabilities must be numbers, got {bad[0]!r}")
     return make_dist(values, probs)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .baselines import classical_truncated_mean, empirical_mean, median_of_means
-from .dist import FiniteDist, moments, quantile, sample_n, truncated_mean
+from .dist import FiniteDist, _finite_number, moments, quantile, sample_n, truncated_mean
 from .estimators import (
     ConstantProfile,
     EstimateReport,
@@ -62,12 +62,6 @@ class ConfigError(ValueError):
 
 class EstimatorError(ValueError):
     """An estimator failed after the first trial of a grid point succeeded."""
-
-
-def _finite_number(value) -> bool:
-    # bools are not numbers here, nor ints too large for a float
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 @dataclass

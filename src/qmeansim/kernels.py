@@ -187,7 +187,8 @@ def _round_table() -> tuple[list[int], list[int], list[int], list[int],
 
 def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
                   caps: list[int | None], gen: np.random.Generator,
-                  us: list[float], draws: float) -> tuple[list[int], int, int, int]:
+                  us: list[float], draws: float,
+                  floor: int = 0) -> tuple[list[int], int, int, int]:
     """Sequential amplitude amplification along chains of conditional draws.
 
     Runs one chain per entry of ``caps``, each from atom ``k``. A draw
@@ -203,10 +204,12 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
     schedule's prefixes and checks its cap with one comparison (a cut among
     them is located as a burn's is); past round 26 it loops on round by
     round. A readout measurement then picks the next atom off the cumulative
-    law ``cum`` and moves k above it; with ``cum`` None a success just adds
-    one to k. A chain stops after ``draws`` draws or
-    once its oracle cap (None: no cap) is spent: inside a round, with
-    partial-round credit; at a success that leaves no budget for its
+    law ``cum`` (at or above atom ``floor`` when read from atom 0) and moves
+    k above it; with ``cum`` None a success just adds one to k. A part
+    max(X - shift, 0) runs on X's laws from atom 0, of tail 1, with floor
+    the last atom up to the shift, its atom 0. A chain stops after ``draws``
+    draws or once its oracle cap (None: no cap) is spent: inside a round,
+    with partial-round credit; at a success that leaves no budget for its
     readout; or at an empty tail, which burns the rest on the static
     schedule of :func:`_round_table` without drawing. A chain that would
     run past the table's last round raises ``ValueError``. Uniforms are
@@ -297,7 +300,7 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
                     below = cum[at - 1] if at else 0.0
                     if not us:
                         us.extend(gen.random(64).tolist())
-                    at = bisect_right(cum, below + pop() * tail, at, top) + 1
+                    at = bisect_right(cum, below + pop() * tail, at or floor, top) + 1
                     if spent == limit:
                         break
             ends.append(at)

@@ -140,6 +140,22 @@ def test_sweep_bad_budget_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
+def test_sweep_refuses_a_distribution_file_of_non_numbers(tmp_path, capsys):
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text(json.dumps([{"value": True, "prob": 0.5},
+                                     {"value": "2", "prob": "0.5"}]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"estimator": "subgauss", "distribution": str(dist_path),
+                                    "grid": {"n": [32], "delta": [0.1]}, "trials": 1,
+                                    "seed": 1}))
+    out_path = tmp_path / "x.csv"
+    code, out = run_cli("sweep", "--config", str(cfg_path), "--out", str(out_path),
+                        capsys=capsys)
+    assert code == 1
+    assert out.err.startswith("error:") and "must be numbers, got True" in out.err
+    assert not out_path.exists()
+
+
 def test_sweep_missing_file_is_config_error(tmp_path, capsys):
     code, out = run_cli("sweep", "--config", str(tmp_path / "none.json"),
                         "--out", str(tmp_path / "x.csv"), capsys=capsys)

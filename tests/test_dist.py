@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmeansim import (
@@ -20,6 +20,8 @@ from qmeansim import (
     shift_split,
     truncated_mean,
 )
+from qmeansim.estimators import _part_windows
+from qmeansim.kernels import amplify_chain
 
 
 def uniform(*values):
@@ -220,44 +222,74 @@ def test_shift_split_identities(values, weights, eta):
     )
 
 
+# Caps of part chains: none spent, a cut inside the one-point rounds 1..26
+# (566 oracle experiments), and a cut past them
+_PART_CAPS = st.one_of(st.just(0), st.integers(1, 566), st.integers(567, 10**5))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12, unique=True),
     st.lists(st.integers(1, 1000), min_size=12, max_size=12),
+    st.lists(_PART_CAPS, min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
 )
-def test_shift_split_part_chains_match_their_arrays(values, weights):
-    # each part's chain laws, sliced from the parent's, equal those
-    # recomputed from the part's own arrays; the tail law's first entry, the
-    # part's total mass clipped at 1, is set to 1
+def test_part_chains_on_their_law_match_the_sliced_chain(values, weights, caps, seed):
+    # the chains of the part max(X - eta, 0) run on X's laws from atom 0
+    # with floor i - 1, i the atoms up to eta, as they run on the part's own
+    # chain laws sliced from X's: the same ends once mapped, (oracle, aa,
+    # rounds), spares and next uniform, for X and -X at every atom, each
+    # call run twice on one stream
     w = np.array(weights[: len(values)], dtype=float)
     d = make_dist(values, w / w.sum())
-    for eta in d.values.tolist():
-        for part in shift_split(d, eta):
-            cum, tails = part._chain
-            assert list(cum) == np.cumsum(part.probs).tolist()
-            own = np.minimum(np.cumsum(part.probs[::-1])[::-1], 1.0).tolist() + [0.0]
-            assert list(tails[1:]) == own[1:]
-            assert abs(tails[0] - own[0]) <= 1e-15
+    for law in (d, d._mirror):
+        cum, tails = law._chain
+        for i in range(1, len(law) + 1):
+            sliced = (cum[i - 1:], (1.0,) + tails[i:])
+            part_gen, part_us = RandomSource(seed).gen, []
+            view_gen, view_us = RandomSource(seed).gen, []
+            for _ in range(2):
+                ends, *tally = amplify_chain(*sliced, 0, caps, part_gen, part_us, math.inf)
+                got, *got_tally = amplify_chain(cum, tails, 0, caps, view_gen, view_us,
+                                                math.inf, i - 1)
+                assert got == [k and k + i - 1 for k in ends]
+                assert got_tally == tally and view_us == part_us
+            assert view_gen.random() == part_gen.random()
 
 
 @settings(max_examples=100, deadline=None)
-@given(values=st.lists(st.integers(-50, 50), min_size=1, max_size=12, unique=True),
+@given(values=st.lists(st.floats(-50, 50), min_size=1, max_size=12, unique=True),
        weights=st.lists(st.floats(0.01, 1.0), min_size=12, max_size=12))
-def test_shift_split_part_window_sums_match_their_arrays(values, weights):
-    # every window sum of values*probs a part reads off its parent's prefix
-    # sums equals the sum over the part's own atoms, up to round-off: with
-    # at most 12 atoms within 101 of 0, float64 sums stay within 1e-12
+@example(values=[8.012744652063969, 13.834365012707647], weights=[1.0] * 12)
+def test_part_windows_on_their_law_match_the_built_part(values, weights):
+    # a part's window edges, read off X's support at the shift, count the
+    # atoms a search of the part's own values counts, exactly, at every
+    # edge that is a part value or next to one: at shift 8.012744652063969
+    # the atom 13.834365012707647 maps above 5.821620360643677, though it
+    # lies below that edge plus the shift. The window sums equal those of
+    # shift_split's part up to round-off: with at most 12 atoms within 50
+    # of 0, float64 sums stay within 1e-12
     w = np.array(weights[: len(values)], dtype=float)
     d = make_dist(values, w / w.sum())
     for eta in d.values.tolist() + [d.values[0] - 1.0, 0.5]:
-        for part in shift_split(d, eta):
-            vp, ps, start, shift = part._sums
-            for lo in range(1, len(part) + 1):
-                for hi in range(lo, len(part) + 1):
-                    a, b = start + lo, start + hi
-                    got = vp[b] - vp[a] - shift * (ps[b] - ps[a])
-                    want = float(np.dot(part.values[lo:hi], part.probs[lo:hi]))
-                    assert abs(got - want) <= 1e-12
+        for law, shift, part in zip((d, d._mirror), (eta, -eta), shift_split(d, eta)):
+            i = int(np.searchsorted(law.values, shift, side="right"))
+            # the part's values as the shift maps them, none merged
+            own = np.concatenate(([0.0], law.values[i:] - shift))
+            edges = np.unique(np.concatenate(
+                (own, np.nextafter(own, math.inf), np.nextafter(own, -math.inf))))
+            edges = edges[edges >= 0.0]
+            idx, sums = _part_windows(law, edges, shift)
+            assert idx == (i - 1 + np.searchsorted(own, edges, side="right")).tolist()
+            for got, lo, hi in zip(sums, edges[:-1], edges[1:]):
+                inside = (part.values > lo) & (part.values <= hi)
+                assert abs(got - float(np.dot(part.values[inside], part.probs[inside]))) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_shift_split_refuses_a_non_finite_shift(eta):
+    with pytest.raises(ValueError, match=f"shift must be finite, got {eta}"):
+        shift_split(make_dist([-1.0, 3.0], [0.5, 0.5]), eta)
 
 
 def test_shift_split_merges_atoms_the_shift_rounds_together():

@@ -109,6 +109,16 @@ def test_profile_rejects_non_finite_constants():
             replace(theoretical_profile(), **changes)
 
 
+def test_profile_refuses_ints_past_the_float_range():
+    # json reads 10^400 as an int that no float holds: refused by name as a
+    # base constant and as a stated derived one, before any product overflows
+    base = json.loads(theoretical_profile().to_json())
+    with pytest.raises(ValueError, match="sampler_mean_coeff must be a finite positive number"):
+        ConstantProfile.from_json(json.dumps({**base, "sampler_mean_coeff": 10**400}))
+    with pytest.raises(ValueError, match="layer_time_factor = 1000.* does not match"):
+        ConstantProfile.from_json(json.dumps({**base, "layer_time_factor": 10**400}))
+
+
 def test_profile_roundtrip(profile):
     clone = ConstantProfile.from_json(profile.to_json())
     assert clone == profile
@@ -228,39 +238,38 @@ def _chain_end_law(d, cap, draw_law):
 
 def _on_integers(probs):
     d = FiniteDist(np.arange(len(probs), dtype=float), np.array(probs))
-    return d, d
+    return d, None, d
 
 
-# The lower part of a split at a middle atom, read off the parent's laws, and
-# the same part built with make_dist
+# The lower part of a split at a middle atom: read off the laws of -X at the
+# shift, and built by shift_split
 _PARENT = make_dist(np.arange(7.0), [0.05, 0.1, 0.15, 0.3, 0.2, 0.12, 0.08])
-_SPLIT_BELOW = (shift_split(_PARENT, 3.0)[1],
-                make_dist(np.maximum(3.0 - _PARENT.values, 0.0), _PARENT.probs))
+_SPLIT_BELOW = (_PARENT._mirror, -3.0, shift_split(_PARENT, 3.0)[1])
 
 
-@pytest.mark.parametrize("d,ref,cap", [
+@pytest.mark.parametrize("d,shift,ref,cap", [
     (*_on_integers([0.5, 0.5]), 9),
     (*_on_integers([0.8, 0.15, 0.04, 0.01]), 30),
     (*_on_integers([0.6, 0.3, 0.0, 0.08, 0.015, 0.005]), 100),
     (*_on_integers([0.95, 0.04, 0.0, 0.009, 0.001]), 500),
     (*_SPLIT_BELOW, 60),
 ], ids=["2atoms-cap9", "4atoms-cap30", "6atoms-cap100", "5atoms-cap500", "split-below-cap60"])
-def test_quantile_chain_end_law(profile, d, ref, cap, chi_square_ok, draw_law):
+def test_quantile_chain_end_law(profile, d, shift, ref, cap, chi_square_ok, draw_law):
     # delta = 0.9 runs one repetition, and order p = 1/4 makes the profile's
     # coefficient cap / 2 a cap of exactly `cap`; the law is that of `ref`,
-    # which has the atoms of `d`
-    assert ref.values.tolist() == d.values.tolist()
+    # the law `d` read at the shift, whose estimates are atoms of `ref`
     law = _chain_end_law(ref, cap, draw_law)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
     prof = replace(profile)
     prof.quantile_budget_coeff = cap / 2
     rng = RandomSource(cap)
-    counts = np.zeros(len(d) + 1)
+    counts = np.zeros(len(ref) + 1)
     for _ in range(20_000):
-        rep = quantile_est(qvar(d), 0.25, 0.9, prof, rng)
+        rep = quantile_est(qvar(d), 0.25, 0.9, prof, rng, shift)
         assert rep.stage_costs == {"repetition_00": cap}
+        assert rep.estimate == -math.inf or rep.estimate in ref.values
         counts[0 if rep.estimate == -math.inf
-               else int(np.searchsorted(d.values, rep.estimate)) + 1] += 1
+               else int(np.searchsorted(ref.values, rep.estimate)) + 1] += 1
     assert chi_square_ok(counts, law)
 
 
@@ -841,6 +850,20 @@ def test_seq_relative_memory_stays_linear_in_support(profile):
         tracemalloc.stop()
     assert qv.counter.interrupted
     assert peak < 4 * 2**20
+
+
+def test_subgauss_trial_memory_does_not_grow_with_support(profile):
+    # each part is its law read at a shift: once the per-law caches are warm,
+    # a trial on 10^6 atoms copies nothing of the support
+    d = named_dist("uniform:1..1000000:1000000")
+    subgauss_est(qvar(d), 256, 0.1, profile, RandomSource(8))
+    tracemalloc.start()
+    try:
+        subgauss_est(qvar(d), 256, 0.1, profile, RandomSource(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- calibration --------------------------------------------------------------------

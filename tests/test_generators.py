@@ -106,6 +106,21 @@ def test_load_dist_file_refuses_nan_prob(tmp_path):
         load_dist_file(str(path))
 
 
+@pytest.mark.parametrize("records,named", [
+    ([{"value": True, "prob": 0.5}, {"value": 2.0, "prob": 0.5}], "True"),
+    ([{"value": 1.0, "prob": 0.5}, {"value": "2", "prob": "0.5"}], "'2'"),
+    ([{"value": 1.0, "prob": 0.5}, {"value": 2.0, "prob": "0.5"}], "'0.5'"),
+    ([{"value": 10**400, "prob": 1.0}], "1000"),
+], ids=["bool-value", "string-value", "string-prob", "int-past-float"])
+def test_load_dist_file_refuses_non_numbers(tmp_path, records, named):
+    # json reads true and "2" as a bool and a string, which numpy would take
+    # as 1.0 and 2.0; they are refused as sweep configs refuse them
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(records))
+    with pytest.raises(ValueError, match=f"must be numbers, got {named}"):
+        load_dist_file(str(path))
+
+
 def test_resolve_falls_back_to_generator():
     d = resolve_distribution("bernoulli:0.5")
     assert make_dist([0, 1], [0.5, 0.5]).values.tolist() == d.values.tolist()
