@@ -424,6 +424,8 @@ def _subgauss(qvar: QVar, n: float, delta: float, profile: ConstantProfile, rng:
     # classical shift, to which the term's ladder sum adds
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
+    if math.isnan(n):
+        raise ValueError(f"time parameter must be a number, got {n}")
     log_term = math.log(1.0 / delta)
     if n < log_term:
         raise ValueError(f"time parameter {n} below log(1/delta) = {log_term:.3f}")
@@ -509,8 +511,8 @@ def relative_est(
     Delegates to the sub-Gaussian estimator with time parameter
     (ch/eps)*log(1/delta); the caller asserts ch >= |sigma/mu|.
     """
-    if ch <= 0:
-        raise ValueError(f"coefficient-of-variation bound must be positive, got {ch}")
+    if not 0.0 < ch < math.inf:
+        raise ValueError(f"coefficient-of-variation bound must be positive and finite, got {ch}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"relative error must be in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:

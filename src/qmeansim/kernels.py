@@ -8,9 +8,13 @@ quantum primitives reduce to closed-form probability laws:
 * the sequential (restartable) variant draws its round count from a
   geometrically growing grid and stops at the first success;
   :func:`amplify_chain` runs it along chains of conditional draws, all the
-  repetitions of a quantile estimate in one call, one threshold uniform
-  a draw and a uniform for n only on grids of more than one point. Rounds
-  1..26 have one-point grids, so a draw multiplies their failure
+  repetitions of a quantile estimate in one call. Only an event whose
+  outcome is open takes a uniform: a draw's threshold below a full tail, n
+  on grids of more than one point, and a readout of more than one atom; so
+  a chain that draws nothing runs once per distinct cap of a call. Taking
+  no uniform for a certain event leaves every law as it is, and changes
+  only which uniforms a run consumes.
+  Rounds 1..26 have one-point grids, so a draw multiplies their failure
   probabilities alone, and reads their costs and its cap check off the
   burn schedule's prefixes;
 * M-point amplitude estimation measures an index y whose exact law is a
@@ -198,29 +202,44 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
     3n+1 amplification steps, and succeeds with probability
     sin^2((2n+1)*asin(sqrt(tail))): a draw succeeds once the product of its
     rounds' failure probabilities falls below 1 - u, u one uniform per draw,
-    and n takes a uniform only on multi-point grids (round 27 on). Rounds
-    1..26 have one-point grids, so a draw runs the product through them
-    alone, in the round loop's order, then takes their costs off the burn
-    schedule's prefixes and checks its cap with one comparison (a cut among
-    them is located as a burn's is); past round 26 it loops on round by
-    round. A readout measurement then picks the next atom off the cumulative
-    law ``cum`` (at or above atom ``floor`` when read from atom 0) and moves
-    k above it; with ``cum`` None a success just adds one to k. A part
+    and n takes a uniform only on multi-point grids (round 27 on). At a tail
+    of exactly 1 round 1 fails with probability 3.4e-32, below every
+    threshold 1 - u >= 2^-53, so the draw succeeds there and takes no
+    uniform; one ulp below 1 that probability is 2.0e-15, and the draw keeps
+    its uniform. Rounds 1..26 have one-point grids, so a draw runs the
+    product through them alone, in the round loop's order, then takes their
+    costs off the burn schedule's prefixes and checks its cap with one
+    comparison (a cut among them is located as a burn's is); past round 26
+    it loops on round by round. A readout measurement then picks the next
+    atom off the cumulative law ``cum`` (at or above atom ``floor`` when
+    read from atom 0) and moves k above it, with a uniform unless that range
+    holds one atom; with ``cum`` None a success just adds one to k. A part
     max(X - shift, 0) runs on X's laws from atom 0, of tail 1, with floor
     the last atom up to the shift, its atom 0. A chain stops after ``draws``
     draws or once its oracle cap (None: no cap) is spent: inside a round,
     with partial-round credit; at a success that leaves no budget for its
     readout; or at an empty tail, which burns the rest on the static
-    schedule of :func:`_round_table` without drawing. A chain that would
-    run past the table's last round raises ``ValueError``. Uniforms are
-    popped off ``us``, refilled from ``gen`` in blocks of 64 whenever it is
-    empty, so chains and calls can share the spares. Returns the end atoms
-    and the summed ``(oracle, aa, rounds)``, and charges nothing.
+    schedule of :func:`_round_table` without drawing. A chain that starts at
+    an empty tail, or at a full tail whose readout holds one atom, draws
+    nothing, so when every chain of a call is such, each distinct cap runs
+    once and its result is repeated. A chain that would run past the table's
+    last round raises ``ValueError``. Uniforms are popped off ``us``,
+    refilled from ``gen`` in blocks of 64 whenever it is empty, so chains
+    and calls can share the spares. Returns the end atoms and the summed
+    ``(oracle, aa, rounds)``, and charges nothing.
     """
+    top = len(cum) - 1 if cum is not None else 0
+    if len(caps) > 1 and (not tails[k] or tails[k] == 1.0 and cum is not None
+                          and (k or floor) == top):
+        # every chain is certain, so its end and tallies depend on its cap
+        # alone: run each distinct cap once
+        runs = {cap: amplify_chain(cum, tails, k, [cap], gen, us, draws, floor)
+                for cap in dict.fromkeys(caps)}
+        return ([runs[cap][0][0] for cap in caps],
+                *(sum(runs[cap][j] for cap in caps) for j in (1, 2, 3)))
     los, sizes, burn_oracle, burn_aa, fixed = _round_table()
     walk, measure, inf = WALK_COST, MEASURE_COST, math.inf
     asin, sqrt, cos, pop = math.asin, math.sqrt, math.cos, us.pop
-    top = len(cum) - 1 if cum is not None else 0
     ends: list[int] = []
     oracle_sum = aa = rounds = 0
     try:
@@ -229,7 +248,12 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
             at, spent, left = k, 0, draws
             while left:
                 tail = tails[at]
-                if tail > 0.0:
+                if tail == 1.0:
+                    # cos^2(3*asin(1)) = 3.4e-32 lies below every threshold
+                    # 1 - u >= 2^-53: round 1 succeeds, and takes no uniform
+                    i, surv, threshold = 0, 0.0, 1.0
+                    cut = spent + burn_oracle[0] > limit
+                elif tail > 0.0:
                     theta = asin(sqrt(tail))
                     if not us:
                         us.extend(gen.random(64).tolist())
@@ -297,10 +321,13 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
                     break
                 else:
                     spent += measure
-                    below = cum[at - 1] if at else 0.0
-                    if not us:
-                        us.extend(gen.random(64).tolist())
-                    at = bisect_right(cum, below + pop() * tail, at or floor, top) + 1
+                    if (at or floor) == top:
+                        at = top + 1  # a one-atom readout lands there whatever u is
+                    else:
+                        below = cum[at - 1] if at else 0.0
+                        if not us:
+                            us.extend(gen.random(64).tolist())
+                        at = bisect_right(cum, below + pop() * tail, at or floor, top) + 1
                     if spent == limit:
                         break
             ends.append(at)
@@ -319,7 +346,8 @@ def seq_aamp(p: float, rng: RandomSource, counter: ExperimentCounter) -> tuple[b
     (2n+1)*WALK_COST + MEASURE_COST = 4n+3 oracle experiments, and stops at
     the first successful ancilla measurement: one draw of
     :func:`amplify_chain` without readout, whose one threshold uniform picks
-    the success round, with a uniform for n only on multi-point grids.
+    the success round, with a uniform for n only on multi-point grids. At
+    p = 1 round 1 succeeds for certain and the draw takes no uniform.
 
     Returns ``(succeeded, rounds, aa_charged)`` where ``aa_charged`` is the
     amplification work this call added to the counter. With p > 0 and no
@@ -551,6 +579,8 @@ def ae_register(n: float, delta: float) -> tuple[int, int]:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
+    if math.isnan(n):
+        raise ValueError(f"time parameter must be a number, got {n}")
     log_term = math.log(1.0 / delta)
     if n < log_term:
         raise ValueError(f"time parameter {n} below log(1/delta) = {log_term:.3f}")

@@ -765,6 +765,25 @@ def test_relative_validation(profile):
         relative_est(qv, 1.0, 1.5, 0.1, profile, RandomSource(0))
 
 
+
+@pytest.mark.parametrize("estimate, match", [
+    (lambda qv, prof: relative_est(qv, math.nan, 0.1, 0.1, prof, RandomSource(0)),
+     "coefficient-of-variation bound must be positive and finite, got nan"),
+    (lambda qv, prof: relative_est(qv, math.inf, 0.1, 0.1, prof, RandomSource(0)),
+     "coefficient-of-variation bound must be positive and finite, got inf"),
+    (lambda qv, prof: subgauss_est(qv, math.nan, 0.1, prof, RandomSource(0)),
+     "time parameter must be a number, got nan"),
+    (lambda qv, prof: bern_est(qv, math.nan, 0.0, 1.0, 0.1, RandomSource(0)),
+     "time parameter must be a number, got nan"),
+], ids=["relative-ch-nan", "relative-ch-inf", "subgauss-n-nan", "bern-n-nan"])
+def test_non_finite_scalars_refused_by_name(profile, estimate, match):
+    # refused by the parameter at fault, before any charge
+    qv = qvar(uniform(0, 1))
+    with pytest.raises(ValueError, match=match):
+        estimate(qv, profile)
+    assert qv.counter == ExperimentCounter()
+
+
 # -- sequential estimation ---------------------------------------------------------
 
 def test_seq_bern_certain_input(profile):

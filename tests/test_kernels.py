@@ -15,6 +15,7 @@ from qmeansim import (
     aest_median,
     aest_sample,
     grover_angle,
+    named_dist,
     seq_aamp,
     seq_aamp_law,
     seq_aest,
@@ -383,7 +384,8 @@ def _one_threshold_chain(cum, tails, k, caps, gen, us, draws):
     # the round loop, kept verbatim as the reference it must match bit for
     # bit: one threshold uniform a draw, and the running product of the
     # rounds' failure probabilities computed round by round, with each
-    # round's cost and cap check, the fixed rounds 1..26 too.
+    # round's cost and cap check, the fixed rounds 1..26 too. The two marked
+    # rule lines give a certain event a stand-in spare, so it draws no uniform.
     los, sizes, burn_oracle, burn_aa, _ = _round_table()
     walk, measure = WALK_COST, MEASURE_COST
     cos, pop = math.cos, us.pop
@@ -411,6 +413,7 @@ def _one_threshold_chain(cum, tails, k, caps, gen, us, draws):
                     spent = cap
                     break
                 theta = math.asin(math.sqrt(tail))
+                us += [0.0] * (tail == 1.0)  # full-tail rule
                 if not us:
                     us.extend(gen.random(64).tolist())
                 threshold, surv, r = 1.0 - pop(), 1.0, 0
@@ -448,6 +451,7 @@ def _one_threshold_chain(cum, tails, k, caps, gen, us, draws):
                 else:
                     spent += measure
                     below = cum[at - 1] if at else 0.0
+                    us += [0.0] * (at == len(cum) - 1)  # one-atom readout rule
                     if not us:
                         us.extend(gen.random(64).tolist())
                     at = bisect_right(cum, below + pop() * tail, at, len(cum) - 1) + 1
@@ -543,6 +547,51 @@ def test_chain_threshold_ties_match_one_threshold_loop():
     # at tail 1e-20 every fixed round's cos^2 rounds to 1, so u = 0 ties all 26
     new = amplify_chain(None, [1e-20], 0, [None], RandomSource(4).gen, [0.0], 1)
     assert new == _one_threshold_chain(None, [1e-20], 0, [None], RandomSource(4).gen, [0.0], 1)
+
+
+def test_certain_event_premises():
+    # the full-tail rule: round 1 at tail 1 fails with probability
+    # cos^2(3*asin(1)), below the least threshold 1 - u, 2^-53, as u < 1 - 2^-53
+    # holds for every uniform; one ulp below tail 1 it fails with probability
+    # above 2^-53, so that draw keeps its uniform
+    survival = [math.cos(3 * math.asin(math.sqrt(t))) ** 2
+                for t in (1.0, math.nextafter(1.0, 0.0))]
+    assert survival[0] < 2.0**-53 < survival[1]
+    # the one-atom readout rule: a search range of one atom returns it
+    # whatever the uniform reads
+    cum, _ = _FIVE._chain
+    top = len(cum) - 1
+    for x in (0.0, 0.5, 1.0):
+        assert bisect_right(cum, x, top, top) == top
+
+
+_MIRROR = named_dist("bernoulli:0.1")._mirror
+
+
+@pytest.mark.parametrize("law, k, floor", [
+    # point:5, whose one atom is the top; the part below eta = 0 on
+    # bernoulli:0.1, read off the mirror -X at shift -0.0, whose floor is its
+    # top; and a chain from past the top atom, at an empty tail
+    (named_dist("point:5"), 0, 0),
+    (_MIRROR, 0, int(np.searchsorted(_MIRROR.values, -0.0, side="right")) - 1),
+    (_FIVE, 5, 0),
+], ids=["point5", "bernoulli0.1-below-eta0", "empty-tail"])
+def test_certain_chains_draw_nothing(law, k, floor):
+    # 30 chains at one cap and one at a cap that ends in a success with no
+    # budget for its readout, or burns less: no uniform is drawn, and the
+    # call equals, bit for bit, 31 single-cap calls, of which the two caps'
+    # differ, so a result shared across caps fails
+    cum, tails = law._chain
+    assert (k or floor) == len(cum) - 1 or not tails[k]
+    caps = [1000] * 30 + [7]
+    gen, us = RandomSource(8).gen, [0.25, 0.5]
+    state = gen.bit_generator.state
+    got = amplify_chain(cum, tails, k, caps, gen, us, math.inf, floor)
+    assert us == [0.25, 0.5] and gen.bit_generator.state == state
+    singles = [amplify_chain(cum, tails, k, [cap], gen, us, math.inf, floor) for cap in caps]
+    assert got == ([end for (end,), *_ in singles],
+                   *(sum(run[j] for run in singles) for j in (1, 2, 3)))
+    assert singles[0] != singles[-1]
 
 
 # -- counters -----------------------------------------------------------------
@@ -1028,9 +1077,12 @@ def test_ae_register_rejects_small_n_and_huge_registers():
     # and so is one too large for a float
     edge = 2.0**62 * math.log(10) / (2 * math.pi)
     assert ae_register(edge * (1 - 1e-15), 0.1)[0] < 2**62
-    for n in (edge, 1e300, math.inf, math.nan):
+    for n in (edge, 1e300, math.inf):
         with pytest.raises(ValueError, match="past the 2\\^62"):
             ae_register(n, 0.1)
+    # NaN is refused as the time parameter it is, not as a register size
+    with pytest.raises(ValueError, match="time parameter must be a number, got nan"):
+        ae_register(math.nan, 0.1)
 
 
 @pytest.mark.parametrize("m, count", [

@@ -29,7 +29,7 @@ def test_chain_stream_multi_cap_with_zero_atom():
     # six chains share the spares; most climb to the top atom and burn the rest
     d = FiniteDist(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.1, 0.0, 0.4, 0.3, 0.2]))
     got = chain(*d._chain, [40, 40, 300, 25, 7, 0], math.inf, 11)
-    assert got == (([4, 5, 5, 1, 0, 0], 412, 262, 35), 44, 0.739246874033692)
+    assert got == (([5, 5, 5, 5, 0, 0], 412, 259, 36), 50, 0.739246874033692)
 
 
 def test_chain_stream_stopped_by_cap():
@@ -83,18 +83,18 @@ def test_quantile_sweep_stream():
     grid = {"p": [0.01, 0.1], "delta": [0.2]}
     rows = sweep("quantile", "uniform:1..100:100", grid, 3, 5)
     assert [(r.estimate, r.oracle_experiments, r.aa_applications) for r in rows] == [
-        (100.0, 255560, 190686), (100.0, 255560, 190647), (100.0, 255560, 190639),
-        (100.0, 80820, 59736), (100.0, 80820, 59759), (100.0, 80820, 59718)]
+        (100.0, 255560, 190668), (100.0, 255560, 190648), (100.0, 255560, 190678),
+        (100.0, 80820, 59769), (100.0, 80820, 59771), (100.0, 80820, 59751)]
     starved = sweep("quantile", "uniform:1..100:100", grid, 3, 5, budget=60)
     assert [(r.estimate, r.oracle_experiments, r.aa_applications) for r in starved] == [
-        (100.0, 60, 31), (96.0, 60, 32), (98.0, 60, 32),
-        (99.0, 60, 34), (100.0, 60, 34), (99.0, 60, 34)]
+        (100.0, 60, 32), (51.0, 60, 34), (99.0, 60, 32),
+        (93.0, 60, 34), (98.0, 60, 34), (100.0, 60, 31)]
 
 
 def test_seq_relative_sweep_stream():
     rows = sweep("seq-relative", "bernoulli:0.1", {"epsilon": [0.3], "delta": [0.3]}, 2, 6)
     assert [(r.oracle_experiments, r.aa_applications, r.interrupted) for r in rows] == [
-        (5276642626, 3957142467, False), (4305660433, 3228911008, False)]
+        (5757685687, 4317919321, False), (2992012058, 2243684032, False)]
 
 
 # The reference sweeps: (config, then the first 16 hex digits of the sha256
@@ -115,13 +115,13 @@ _REFERENCE_SWEEPS = {
                         "431c270a6004879e", "431c270a6004879e"),
     "quantile-budget": ({"estimator": "quantile", "distribution": _UNIFORM,
                          "grid": {"p": [0.01, 0.1], "delta": [0.1]}, "trials": 20, "seed": 21,
-                         "budget": 3000}, "389c435a90883f61", "389c435a90883f61"),
+                         "budget": 3000}, "1fdead515c2d20ab", "1fdead515c2d20ab"),
     "quantile": ({"estimator": "quantile", "distribution": _UNIFORM,
                   "grid": {"p": [0.01, 0.1], "delta": [0.1]}, "trials": 20, "seed": 15},
-                 "f6118120fb07e2e1", "8666595b76a5fa9c"),
+                 "2e4d23c97777d0aa", "10e4f15975959328"),
     "relative": ({"estimator": "relative", "distribution": "uniform:1..10:10",
                   "grid": {"epsilon": [0.2, 0.5], "delta": [0.1]}, "trials": 8, "seed": 12,
-                  "ch": 0.6}, "3b6a2030297fb823", "c7c500a115d1469a"),
+                  "ch": 0.6}, "81b029330a2122fd", "a2916b1f986f9191"),
     "seq-bern-point0-budget": ({"estimator": "seq-bern", "distribution": "point:0",
                                 "grid": {"delta": [0.1]}, "trials": 20, "seed": 24,
                                 "budget": 100}, "b5ab6e4dc0cf0557", "b5ab6e4dc0cf0557"),
@@ -131,19 +131,19 @@ _REFERENCE_SWEEPS = {
     "seq-relative-budget": ({"estimator": "seq-relative", "distribution": "bernoulli:0.1",
                              "grid": {"epsilon": [0.3], "delta": [0.2]}, "trials": 6,
                              "seed": 23, "budget": 200000},
-                            "8e81c68766b8c1a3", "8e81c68766b8c1a3"),
+                            "ca9ad29e5edd69cc", "ca9ad29e5edd69cc"),
     "seq-relative-point": ({"estimator": "seq-relative", "distribution": "point:1",
                             "grid": {"epsilon": [0.3], "delta": [0.2]}, "trials": 4, "seed": 19},
                            "52eb710570e6c2a1", "81e56a19cb47a20b"),
     "seq-relative": ({"estimator": "seq-relative", "distribution": "bernoulli:0.1",
                       "grid": {"epsilon": [0.3], "delta": [0.2]}, "trials": 6, "seed": 13},
-                     "c430263385cf7508", "338b47b710acea64"),
+                     "5ff1be54e79949b3", "67e38f2f55ae4f5c"),
     "subgauss-budget": ({"estimator": "subgauss", "distribution": _PARETO,
                          "grid": {"n": [16, 64, 256], "delta": [0.1]}, "trials": 8, "seed": 22,
-                         "budget": 20000}, "7aace80017244296", "7aace80017244296"),
+                         "budget": 20000}, "830a3ed44c38e058", "830a3ed44c38e058"),
     "subgauss": ({"estimator": "subgauss", "distribution": _PARETO,
                   "grid": {"n": [16, 64, 256], "delta": [0.1]}, "trials": 8, "seed": 11},
-                 "01f431558d345312", "7a850570d65df55d"),
+                 "84b2713deec7bd58", "95e2b6a3aa541d09"),
 }
 
 
@@ -164,4 +164,5 @@ def test_reference_sweep_tallies():
                            for r in rows)
             got[name, profile] = hashlib.sha256(text.encode()).hexdigest()[:16]
             want[name, profile] = digest
-    assert got == want
+    moved = [f"{key}: {got[key]!r}" for key in want if got[key] != want[key]]
+    assert not moved, "moved (name, profile): new digest\n" + "\n".join(moved)
