@@ -10,10 +10,11 @@ from the state fidelity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
+from ._record import Record
 from .dist import FiniteDist
 
 __all__ = [
@@ -53,10 +54,12 @@ def fidelity(p0: FiniteDist, p1: FiniteDist) -> float:
 def helstrom_success(p0: FiniteDist, p1: FiniteDist, t: int = 1) -> float:
     """Optimal success probability to tell T copies of the two states apart.
 
-    Equals (1 + sqrt(1 - F^(2T))) / 2 with F the fidelity.
+    Equals (1 + sqrt(1 - F^(2T))) / 2 with F the fidelity. The copy count
+    T must be an integer >= 1: a bool or a float, NaN or whole, is refused
+    before any work.
     """
-    if t < 1:
-        raise ValueError(f"need at least one copy, got T={t}")
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 1:
+        raise ValueError(f"need a whole number of copies >= 1, got T={t!r}")
     f = fidelity(p0, p1)
     return 0.5 * (1.0 + math.sqrt(max(1.0 - f ** (2 * t), 0.0)))
 
@@ -77,18 +80,22 @@ def distinguish_T_lower(p0: FiniteDist, p1: FiniteDist, delta: float) -> float:
     return max(math.ceil(math.log(1.0 / (4.0 * delta)) / kl), 1)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    kl: float
-    fidelity: float
-    helstrom_success: float
-    t_lower: float
+class BoundReport(Record):
+    __slots__ = ("kl", "fidelity", "helstrom_success", "t_lower")
+
+    def __init__(self, kl: float, fidelity: float, helstrom_success: float,
+                 t_lower: float) -> None:
+        self.kl = kl
+        self.fidelity = fidelity
+        self.helstrom_success = helstrom_success
+        self.t_lower = t_lower
 
 
 def bound_report(p0: FiniteDist, p1: FiniteDist, delta: float, t: int = 1) -> BoundReport:
+    success = helstrom_success(p0, p1, t)  # refuses a bad copy count first
     return BoundReport(
         kl=kl_divergence(p0, p1),
         fidelity=fidelity(p0, p1),
-        helstrom_success=helstrom_success(p0, p1, t),
+        helstrom_success=success,
         t_lower=distinguish_T_lower(p0, p1, delta),
     )

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -67,8 +67,11 @@ def _cmd_slope(args) -> int:
     with open(args.infile) as fh:
         rows = read_csv(fh)
     for name in (args.x, args.y):
-        if any(getattr(row, name) is None for row in rows):
+        cells = [getattr(row, name) for row in rows]
+        if any(cell is None for cell in cells):
             raise ConfigError(f"column {name!r} has empty cells")
+        if not all(map(math.isfinite, cells)):
+            raise ConfigError(f"column {name!r} has non-finite cells")
     points = [(np.mean([getattr(m, args.x) for m in members]),
                float(np.percentile([getattr(m, args.y) for m in members], args.percentile)))
               for members in group_rows(rows).values()]
@@ -124,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_summarize)
 
     p = sub.add_parser("slope", help="log-log slope of error against cost")
-    numeric = [f.name for f in fields(SweepRow) if f.type in ("int", "float", "float | None")]
+    numeric = [name for name, ref in SweepRow.__annotations__.items()
+               if ref.__forward_arg__ in ("int", "float", "float | None")]
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--x", default="oracle_experiments", choices=numeric)
     p.add_argument("--y", default="abs_error", choices=numeric)

@@ -1,19 +1,20 @@
 """Finite real-valued probability distributions.
 
 All operations are exact weighted sums over the support; nothing here is
-sampled or approximated. Distributions are immutable values and safe to
-share across concurrent tasks.
+sampled or approximated. A distribution refuses attribute assignment and
+caches only tables derived from its own support, so it is an immutable
+value, safe to share across concurrent tasks.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .rng import RandomSource
 
 __all__ = [
@@ -43,32 +44,41 @@ _TAIL_SLACK = 1e-12
 _MAX_PAIR_ATOMS = 20_000
 
 
-@dataclass(frozen=True, eq=False)
-class Moments:
-    mean: float
-    variance: float
-    second_moment: float
+class Moments(Record):
+    __slots__ = ("mean", "variance", "second_moment")
+
+    def __init__(self, mean: float, variance: float, second_moment: float) -> None:
+        self.mean = mean
+        self.variance = variance
+        self.second_moment = second_moment
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteDist:
     """A distribution on a strictly increasing, finite real support.
 
     ``values`` and ``probs`` are aligned; probabilities are finite,
     non-negative and sum to one within 1e-12, as the constructor checks.
+    A distribution refuses attribute assignment; its derived tables are
+    cached on first use.
     """
 
     values: np.ndarray
     probs: np.ndarray
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", p)
+    def __init__(self, values, probs) -> None:
+        v = np.asarray(values, dtype=float)
+        p = np.asarray(probs, dtype=float)
         _check_law(v, p, 1e-12)
         if np.any(np.diff(v) <= 0):
             raise ValueError("support values must be strictly increasing")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "probs", p)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a FiniteDist")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a FiniteDist")
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -30,11 +30,11 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields, asdict
 from importlib import resources
 
 import numpy as np
 
+from ._record import Record
 from .dist import FiniteDist, _finite_number, sample_idx, truncated_mean
 from .kernels import (
     MEASURE_COST,
@@ -92,14 +92,15 @@ _REPETITIONS = tuple(f"repetition_{i:02d}" for i in range(100))
 _PARTS = (("quantile_pos", "layers_pos", 1.0), ("quantile_neg", "layers_neg", -1.0))
 
 
-@dataclass
-class ConstantProfile:
+class ConstantProfile(Record):
     """Universal constants steering budgets and time parameters.
 
-    A profile is set by five base constants and its mode. The five
-    schedule constants are derived at construction from their couplings,
-    except that ``mode = "calibrated"`` profiles take fixed desk-scale
-    layer and refinement time factors.
+    A profile is set by five base constants and its mode, named in
+    ``BASE``. The five schedule constants named in ``DERIVED`` are derived
+    at construction from their couplings, except that ``mode =
+    "calibrated"`` profiles take fixed desk-scale layer and refinement time
+    factors. A profile compares by value. Its attributes may be reassigned
+    to pin one constant; no derived constant follows a reassigned base one.
 
     Base, as calibrate_constants reads them off the exact law of a draw:
       sampler_low_coeff / sampler_mean_coeff: lower/upper coefficients for
@@ -130,25 +131,25 @@ class ConstantProfile:
     Every log(1/delta) is natural; the dyadic ladder depth is base 2.
     """
 
-    sampler_low_coeff: float
-    sampler_mean_coeff: float
-    seq_rel_err: float
-    seq_cost_sq_coeff: float
-    seq_sqrt_coeff: float
-    mode: str = "calibrated"
-    quantile_order_factor: float = field(init=False)
-    quantile_budget_coeff: float = field(init=False)
-    layer_time_factor: float = field(init=False)
-    probe_budget_coeff: float = field(init=False)
-    refine_time_coeff: float = field(init=False)
+    BASE = ("sampler_low_coeff", "sampler_mean_coeff", "seq_rel_err", "seq_cost_sq_coeff",
+            "seq_sqrt_coeff", "mode")
+    DERIVED = ("quantile_order_factor", "quantile_budget_coeff", "layer_time_factor",
+               "probe_budget_coeff", "refine_time_coeff")
+    __slots__ = BASE + DERIVED
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not f.init or f.name == "mode":
-                continue
-            value = getattr(self, f.name)
+    def __init__(self, sampler_low_coeff: float, sampler_mean_coeff: float, seq_rel_err: float,
+                 seq_cost_sq_coeff: float, seq_sqrt_coeff: float,
+                 mode: str = "calibrated") -> None:
+        self.sampler_low_coeff = sampler_low_coeff
+        self.sampler_mean_coeff = sampler_mean_coeff
+        self.seq_rel_err = seq_rel_err
+        self.seq_cost_sq_coeff = seq_cost_sq_coeff
+        self.seq_sqrt_coeff = seq_sqrt_coeff
+        self.mode = mode
+        for name in self.BASE[:-1]:  # the base constants, not the mode
+            value = getattr(self, name)
             if not (_finite_number(value) and value > 0):
-                raise ValueError(f"{f.name} must be a finite positive number, got {value!r}")
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if not self.sampler_low_coeff < self.sampler_mean_coeff:
             raise ValueError("sampler_low_coeff must be below sampler_mean_coeff")
         if not self.seq_rel_err < 1:
@@ -172,7 +173,8 @@ class ConstantProfile:
             self.refine_time_coeff = _DESK_REFINE_TIME_FACTOR
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps({name: getattr(self, name) for name in self.__slots__},
+                          indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ConstantProfile":
@@ -180,7 +182,7 @@ class ConstantProfile:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"malformed profile: expected an object, got {data!r}")
-        stated = {f.name: data.pop(f.name) for f in fields(cls) if not f.init and f.name in data}
+        stated = {name: data.pop(name) for name in cls.DERIVED if name in data}
         try:
             profile = cls(**data)
         except TypeError as exc:  # a missing or unknown key
@@ -216,12 +218,19 @@ def default_profile(spec: str = "calibrated") -> ConstantProfile:
         return ConstantProfile.from_json(fh.read())
 
 
-@dataclass
-class EstimateReport:
-    estimate: float
-    counter_snapshot: ExperimentCounter
-    stage_costs: dict[str, int] = field(default_factory=dict)
-    interrupted_stages: list[str] = field(default_factory=list)
+class EstimateReport(Record):
+    """An estimate, the counter movement of its call, the oracle cost of
+    each of its stages and the stages a budget interrupted."""
+
+    __slots__ = ("estimate", "counter_snapshot", "stage_costs", "interrupted_stages")
+
+    def __init__(self, estimate: float, counter_snapshot: ExperimentCounter,
+                 stage_costs: dict[str, int] | None = None,
+                 interrupted_stages: list[str] | None = None) -> None:
+        self.estimate = estimate
+        self.counter_snapshot = counter_snapshot
+        self.stage_costs = {} if stage_costs is None else stage_costs
+        self.interrupted_stages = [] if interrupted_stages is None else interrupted_stages
 
 
 class _StageTracker:

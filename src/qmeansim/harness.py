@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .baselines import classical_truncated_mean, empirical_mean, median_of_means
 from .dist import FiniteDist, _finite_number, moments, quantile, sample_n, truncated_mean
 from .estimators import (
@@ -64,20 +64,24 @@ class EstimatorError(ValueError):
     """An estimator failed after the first trial of a grid point succeeded."""
 
 
-@dataclass
-class SweepConfig:
-    estimator: str
-    distribution: str
-    grid: dict[str, list[float]]
-    trials: int
-    seed: int
-    profile: str = "calibrated"
-    budget: int | None = None
-    ch: float | None = None
-    a: float | None = None
-    b: float | None = None
+class SweepConfig(Record):
+    __slots__ = ("estimator", "distribution", "grid", "trials", "seed", "profile", "budget",
+                 "ch", "a", "b")
 
-    def __post_init__(self) -> None:
+    def __init__(self, estimator: str, distribution: str, grid: dict[str, list[float]],
+                 trials: int, seed: int, profile: str = "calibrated", budget: int | None = None,
+                 ch: float | None = None, a: float | None = None,
+                 b: float | None = None) -> None:
+        self.estimator = estimator
+        self.distribution = distribution
+        self.grid = grid
+        self.trials = trials
+        self.seed = seed
+        self.profile = profile
+        self.budget = budget
+        self.ch = ch
+        self.a = a
+        self.b = b
         spec = ESTIMATORS.get(self.estimator) if isinstance(self.estimator, str) else None
         if spec is None:
             raise ConfigError(f"unknown estimator {self.estimator!r}; "
@@ -112,8 +116,7 @@ class SweepConfig:
     def from_dict(cls, raw: dict) -> "SweepConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"a config must be an object, got {raw!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__slots__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = {"estimator", "distribution", "grid", "trials", "seed"} - set(raw)
@@ -122,8 +125,12 @@ class SweepConfig:
         return cls(**raw)
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One trial of one grid point: a CSV row, its fields in column order.
+
+    Each annotation names, as text, the type that its column parses to.
+    """
+
     estimator: str
     distribution: str
     n: float | None
@@ -141,7 +148,7 @@ class SweepRow:
     seed: int
 
 
-CSV_FIELDS = [f.name for f in fields(SweepRow)]
+CSV_FIELDS = list(SweepRow._fields)
 
 
 def _fmt(value) -> str:
@@ -306,7 +313,8 @@ def write_csv(rows, out) -> None:
         writer.writerow([_fmt(getattr(row, name)) for name in CSV_FIELDS])
 
 
-# Parsers for the CSV text of each SweepRow field, by its declared type.
+# Parsers for the CSV text of each SweepRow field, by its declared type, which
+# typing keeps as a ForwardRef to the annotation's text.
 _PARSERS = {
     "str": str,
     "int": int,
@@ -314,7 +322,8 @@ _PARSERS = {
     "float | None": lambda text: float(text) if text else None,
     "bool": lambda text: text == "true",
 }
-_ROW_PARSERS = [(f.name, _PARSERS[f.type]) for f in fields(SweepRow)]
+_ROW_PARSERS = [(name, _PARSERS[ref.__forward_arg__])
+                for name, ref in SweepRow.__annotations__.items()]
 
 
 def read_csv(inp) -> list[SweepRow]:
@@ -378,6 +387,8 @@ def fit_loglog_slope(points) -> float:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
+    if bad := [pt for pt in pts if not all(map(math.isfinite, pt))]:
+        raise ValueError(f"coordinates must be finite for a log-log fit, got {bad[0]}")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("coordinates must be positive for a log-log fit")
     lx = np.log([x for x, _ in pts])

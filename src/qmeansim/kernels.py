@@ -53,12 +53,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
+from ._record import Record
 from .dist import FiniteDist
 from .rng import RandomSource
 
@@ -100,8 +100,7 @@ _BLOCK = 1 << 16
 _TAIL_TRIES = 16
 
 
-@dataclass
-class ExperimentCounter:
+class ExperimentCounter(Record):
     """Dual running tally of simulated quantum work.
 
     ``oracle_experiments`` counts unitary/oracle applications and
@@ -110,10 +109,14 @@ class ExperimentCounter:
     ``interrupted`` records that the cap was hit.
     """
 
-    oracle_experiments: int = 0
-    aa_applications: int = 0
-    budget: int | None = None
-    interrupted: bool = False
+    __slots__ = ("oracle_experiments", "aa_applications", "budget", "interrupted")
+
+    def __init__(self, oracle_experiments: int = 0, aa_applications: int = 0,
+                 budget: int | None = None, interrupted: bool = False) -> None:
+        self.oracle_experiments = oracle_experiments
+        self.aa_applications = aa_applications
+        self.budget = budget
+        self.interrupted = interrupted
 
     def remaining(self) -> int | None:
         if self.budget is None:
@@ -145,8 +148,7 @@ class ExperimentCounter:
         )
 
 
-@dataclass
-class QVar:
+class QVar(Record):
     """A finite distribution exposed through simulated quantum oracles.
 
     Every use of it is charged to ``counter`` at the fixed unit costs:
@@ -154,8 +156,11 @@ class QVar:
     and ``SAMPLE_COST`` per classical sample.
     """
 
-    dist: FiniteDist
-    counter: ExperimentCounter
+    __slots__ = ("dist", "counter")
+
+    def __init__(self, dist: FiniteDist, counter: ExperimentCounter) -> None:
+        self.dist = dist
+        self.counter = counter
 
 
 def grover_angle(p: float) -> float:

@@ -10,25 +10,18 @@ independent of scheduling order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = ["RandomSource"]
 
 
-@dataclass
 class RandomSource:
-    seed: int
-    stream: tuple[int, ...] = ()
-    _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("seed", "stream", "_gen")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.stream, int):
-            self.stream = (self.stream,)
-        else:
-            self.stream = tuple(int(s) for s in self.stream)
-        self.seed = int(self.seed)
+    def __init__(self, seed: int, stream: tuple[int, ...] | int = ()) -> None:
+        self.stream = (stream,) if isinstance(stream, int) else tuple(int(s) for s in stream)
+        self.seed = int(seed)
+        self._gen: np.random.Generator | None = None
 
     @property
     def gen(self) -> np.random.Generator:

@@ -191,6 +191,18 @@ def test_helstrom_extremes_and_monotonicity():
     assert values[-1] > 0.999
 
 
+@pytest.mark.parametrize("t", [math.nan, 1.5, True, 0, -1, 2.0])
+def test_helstrom_refuses_bad_copy_counts(t):
+    # a copy count is a whole number >= 1; unchecked, NaN would give NaN,
+    # 1.5 a probability and True one copy. bound_report refuses it first too
+    p0, p1, _ = hard_instance_statebased(10, 1)
+    with pytest.raises(ValueError, match=f"copies >= 1, got T={t!r}"):
+        helstrom_success(p0, p1, t)
+    with pytest.raises(ValueError, match=f"copies >= 1, got T={t!r}"):
+        bound_report(p0, p1, 2.0, t)  # a bad delta too, checked later
+    assert helstrom_success(p0, p1, np.int64(2)) == helstrom_success(p0, p1, 2)
+
+
 def test_distinguish_T_lower_cases():
     d = make_dist([0, 1], [0.4, 0.6])
     assert distinguish_T_lower(d, d, 0.01) == math.inf

@@ -106,6 +106,27 @@ def test_slope_bad_column_is_config_error(tmp_path, capsys, axis, column, messag
     assert code == 0 and math.isfinite(float(out.out))
 
 
+def test_slope_non_finite_axis_is_config_error(tmp_path, capsys):
+    # a budget of 5 interrupts every chain before its first draw: each
+    # estimate is -inf and each error inf, refused before any percentile
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"estimator": "quantile", "distribution": "uniform:1..100:100",
+                                    "budget": 5, "grid": {"p": [0.1, 0.01, 0.001],
+                                                          "delta": [0.1]},
+                                    "trials": 5, "seed": 3}))
+    out_path = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out_path),
+                   capsys=capsys)[0] == 0
+    code, out = run_cli("slope", "--in", str(out_path), "--x", "p", "--y", "abs_error",
+                        capsys=capsys)
+    assert code == 1
+    assert out.err == "error: column 'abs_error' has non-finite cells\n"
+    assert out.out == ""
+    code, out = run_cli("slope", "--in", str(out_path), "--x", "estimate", "--y", "p",
+                        capsys=capsys)
+    assert code == 1 and out.err == "error: column 'estimate' has non-finite cells\n"
+
+
 def test_sweep_reports_config_errors(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"estimator": "nope"}))
@@ -279,6 +300,17 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert "cases: 100" in proc.stdout
     assert "max total-variation" in proc.stdout
+
+
+def test_package_imports_without_dataclasses():
+    # the record types generate no code at import: a fresh interpreter that
+    # has numpy loaded, which does not load dataclasses, imports the harness
+    # without loading it either
+    code = ("import sys, numpy; assert 'dataclasses' not in sys.modules; "
+            "import qmeansim.harness; assert 'dataclasses' not in sys.modules, 'loaded'")
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("cfg,rows", [

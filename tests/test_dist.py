@@ -63,6 +63,19 @@ def test_finite_dist_rejects_non_finite_probability(bad):
         FiniteDist(np.array([1.0, 2.0]), np.array([bad, 1.0]))
 
 
+def test_finite_dist_refuses_assignment():
+    # a law is shared by every trial that draws from it; only its own
+    # derived tables are cached on it, on first use
+    d = make_dist([1.0, 2.0, 4.0], [0.5, 0.25, 0.25])
+    for name in ("values", "probs", "_tail", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(d, name, np.zeros(3))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(d, name)
+    assert d._tail.tolist() == [1.0, 0.5, 0.25]
+    assert d._tail is d._tail and d.values.tolist() == [1.0, 2.0, 4.0]
+
+
 def test_make_dist_rejects_negative_and_empty():
     with pytest.raises(ValueError):
         make_dist([0, 1], [1.5, -0.5])

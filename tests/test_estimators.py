@@ -1,7 +1,9 @@
+import copy
+import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -95,8 +97,7 @@ def test_profile_rejects_non_finite_constants():
     # a base constant of inf (as 1e999 parses) or NaN is refused by name, and
     # so is a derived one that overflows, or a coupling c that underflows to
     # 0 with or without its denominator, before 600/sqrt(c) divides by it
-    base = {f.name: getattr(theoretical_profile(), f.name) for f in fields(ConstantProfile)
-            if f.init}
+    base = {name: getattr(theoretical_profile(), name) for name in ConstantProfile.BASE}
     for name, value in (("seq_cost_sq_coeff", "1e999"), ("sampler_mean_coeff", "NaN")):
         text = json.dumps({**base, name: 0}).replace(f'"{name}": 0', f'"{name}": {value}')
         with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
@@ -106,7 +107,7 @@ def test_profile_rejects_non_finite_constants():
                            "quantile_order_factor = 0.0"),
                           ({"seq_cost_sq_coeff": 1e308}, "probe_budget_coeff = inf")):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-            replace(theoretical_profile(), **changes)
+            ConstantProfile(**{**base, **changes})
 
 
 def test_profile_refuses_ints_past_the_float_range():
@@ -122,6 +123,33 @@ def test_profile_refuses_ints_past_the_float_range():
 def test_profile_roundtrip(profile):
     clone = ConstantProfile.from_json(profile.to_json())
     assert clone == profile
+
+
+def test_packaged_profiles_give_pinned_json():
+    # to_json writes every base and derived constant, sorted by name: the
+    # calibrated profile reproduces its packaged file byte for byte
+    packaged = resources.files("qmeansim.data").joinpath("calibrated.json").read_text()
+    assert default_profile("calibrated").to_json() + "\n" == packaged
+    for name, digest in (
+            ("calibrated", "9b4ba3df0605a23d2fd25a473f77a7ed0d3380e217c4bf161576cc054be50997"),
+            ("theoretical", "f4f9b49f5289863664a8cbfdedaceb4712f27daed27fdbff089e1a811da4dcc9")):
+        text = default_profile(name).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+        assert list(json.loads(text)) == sorted(ConstantProfile.BASE + ConstantProfile.DERIVED)
+
+
+def test_reports_compare_by_value():
+    counter = ExperimentCounter(7, 4, 10, True)
+    report = EstimateReport(1.5, counter, {"stage": 7}, ["stage"])
+    assert report == EstimateReport(1.5, counter.snapshot(), {"stage": 7}, ["stage"])
+    assert report != EstimateReport(1.5, ExperimentCounter(7, 4, 10, False), {"stage": 7},
+                                    ["stage"])
+    assert report != EstimateReport(1.5, counter, {"stage": 8}, ["stage"])
+    assert report != (1.5, counter, {"stage": 7}, ["stage"])
+    assert EstimateReport(1.0, ExperimentCounter()) == EstimateReport(
+        1.0, ExperimentCounter(), {}, [])
+    assert repr(counter) == ("ExperimentCounter(oracle_experiments=7, aa_applications=4, "
+                             "budget=10, interrupted=True)")
 
 
 # -- conditional sampling -------------------------------------------------------
@@ -260,7 +288,7 @@ def test_quantile_chain_end_law(profile, d, shift, ref, cap, chi_square_ok, draw
     # the law `d` read at the shift, whose estimates are atoms of `ref`
     law = _chain_end_law(ref, cap, draw_law)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
-    prof = replace(profile)
+    prof = copy.copy(profile)
     prof.quantile_budget_coeff = cap / 2
     rng = RandomSource(cap)
     counts = np.zeros(len(ref) + 1)
@@ -556,7 +584,7 @@ def test_seq_relative_matches_nested_counter_loop(profile, probs, eps, delta, bu
     # support {0, 1/k, ..., 1}: a point mass at 0 has zero mean. A small probe
     # coefficient (None: the calibrated one) lets probes reach their stop budget.
     if probe_coeff is not None:
-        profile = replace(profile)
+        profile = copy.copy(profile)
         profile.probe_budget_coeff = probe_coeff
     k = max(len(probs) - 1, 1)
     args = (np.arange(len(probs)) / k, probs, budget, pre)

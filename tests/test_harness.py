@@ -1,13 +1,16 @@
 import io
-from dataclasses import fields
+import math
+import pickle
 
 import pytest
 
 import qmeansim.harness as harness
 from qmeansim import (
     ConfigError,
+    EstimateReport,
     SweepConfig,
     SweepRow,
+    default_profile,
     fit_loglog_slope,
     run_sweep,
     summarize,
@@ -291,6 +294,31 @@ def test_sweep_seq_bern_interrupted_flag():
         assert row.oracle_experiments == 100
 
 
+def test_records_survive_pickling():
+    # multiprocessing pools pass records between processes
+    rows = list(run_sweep(config(trials=2)))
+    counter = ExperimentCounter(7, 4, 10, True)
+    report = EstimateReport(1.5, counter, {"stage": 7}, ["stage"])
+    for record in (config(), rows[0], counter, report, default_profile("calibrated")):
+        assert pickle.loads(pickle.dumps(record)) == record
+    dist = resolve_distribution("pareto:2.5:1:16")
+    tail = dist._tail.tolist()  # a cached table travels with the law
+    back = pickle.loads(pickle.dumps(dist))
+    assert (back.values.tolist(), back.probs.tolist()) == (dist.values.tolist(),
+                                                           dist.probs.tolist())
+    assert "_tail" in vars(back) and back._tail.tolist() == tail
+    rng = pickle.loads(pickle.dumps(RandomSource(5, (1, 2))))
+    assert (rng.seed, rng.stream) == (5, (1, 2))
+    assert rng.gen.random() == RandomSource(5, (1, 2)).gen.random()
+
+
+def test_csv_header_is_frozen():
+    # the columns of every sweep CSV, in the order SweepRow declares them
+    assert ",".join(CSV_FIELDS) == (
+        "estimator,distribution,n,epsilon,delta,p,trial,estimate,true_mean,abs_error,"
+        "rel_error,oracle_experiments,aa_applications,interrupted,seed")
+
+
 def test_csv_roundtrip():
     text = csv_text(config(trials=2))
     assert text.splitlines()[0] == ",".join(CSV_FIELDS)
@@ -309,9 +337,9 @@ def test_csv_roundtrip():
         read = read_csv(io.StringIO(buf.getvalue()))
         assert read == written
         for row in read:
-            for f in fields(SweepRow):
-                value = getattr(row, f.name)
-                assert value is None or type(value).__name__ in f.type
+            for name, ref in SweepRow.__annotations__.items():
+                value = getattr(row, name)
+                assert value is None or type(value).__name__ in ref.__forward_arg__
     assert all(row.interrupted and row.rel_error is None for row in read)
 
 
@@ -340,7 +368,7 @@ def test_summarize_zero_errors():
 
 def test_summarize_counts_failures_against_bound():
     rows = list(run_sweep(config(trials=2)))
-    rows[0].abs_error = 10.0  # synthetic failure
+    rows[0] = rows[0]._replace(abs_error=10.0)  # synthetic failure
     recs = summarize(rows)
     assert recs[0]["failure_rate"] == 0.5
 
@@ -367,6 +395,14 @@ def test_fit_loglog_slope_validation():
         fit_loglog_slope([(1, 1), (2, 2)])
     with pytest.raises(ValueError):
         fit_loglog_slope([(1, 1), (2, 2), (0, 3)])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_fit_loglog_slope_refuses_non_finite_points(bad):
+    # ln(inf) would make the fit NaN, and NaN passes the positivity check
+    for pts in ([(1, 1), (2, bad), (3, 3)], [(1, 1), (bad, 2), (3, 3)]):
+        with pytest.raises(ValueError, match="coordinates must be finite for a log-log fit"):
+            fit_loglog_slope(pts)
 
 
 # -- kernel validation ----------------------------------------------------------------
