@@ -19,10 +19,10 @@ from .bounds import bound_report
 from .estimators import calibrate_constants, default_profile
 from .generators import hard_pair
 from .harness import (
+    NUMERIC_FIELDS,
     ConfigError,
     EstimatorError,
     SweepConfig,
-    SweepRow,
     fit_loglog_slope,
     group_rows,
     read_csv,
@@ -54,12 +54,9 @@ def _cmd_summarize(args) -> int:
         rows = read_csv(fh)
     profile = default_profile(args.profile) if args.profile else None
     records = summarize(rows, bound=args.bound, profile=profile)
-    cols = ["estimator", "distribution", "n", "epsilon", "delta", "p", "trials",
-            "mean_abs_error", "p90_abs_error", "failure_rate", "bound",
-            "mean_oracle", "mean_aa"]
-    print("\t".join(cols))
+    print("\t".join(records[0]))
     for rec in records:
-        print("\t".join("" if rec[c] is None else str(rec[c]) for c in cols))
+        print("\t".join("" if value is None else str(value) for value in rec.values()))
     return 0
 
 
@@ -127,11 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_summarize)
 
     p = sub.add_parser("slope", help="log-log slope of error against cost")
-    numeric = [name for name, ref in SweepRow.__annotations__.items()
-               if ref.__forward_arg__ in ("int", "float", "float | None")]
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--x", default="oracle_experiments", choices=numeric)
-    p.add_argument("--y", default="abs_error", choices=numeric)
+    p.add_argument("--x", default="oracle_experiments", choices=NUMERIC_FIELDS)
+    p.add_argument("--y", default="abs_error", choices=NUMERIC_FIELDS)
     p.add_argument("--percentile", type=float, default=90.0)
     p.set_defaults(func=_cmd_slope)
 
@@ -159,7 +154,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, EstimatorError) else 1
 

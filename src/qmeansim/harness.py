@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from collections import namedtuple
 from itertools import product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -125,30 +126,29 @@ class SweepConfig(Record):
         return cls(**raw)
 
 
-class SweepRow(NamedTuple):
-    """One trial of one grid point: a CSV row, its fields in column order.
-
-    Each annotation names, as text, the type that its column parses to.
-    """
-
-    estimator: str
-    distribution: str
-    n: float | None
-    epsilon: float | None
-    delta: float | None
-    p: float | None
-    trial: int
-    estimate: float
-    true_mean: float
-    abs_error: float
-    rel_error: float | None
-    oracle_experiments: int
-    aa_applications: int
-    interrupted: bool
-    seed: int
+def _float_or_none(text: str) -> float | None:
+    return float(text) if text else None
 
 
-CSV_FIELDS = list(SweepRow._fields)
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+# The one declaration of the sweep CSV: each column in order, with the parser
+# of its cell text, which raises ValueError on text it cannot read.
+CSV_COLUMNS = {
+    "estimator": str, "distribution": str, "n": _float_or_none, "epsilon": _float_or_none,
+    "delta": _float_or_none, "p": _float_or_none, "trial": int, "estimate": float,
+    "true_mean": float, "abs_error": float, "rel_error": _float_or_none,
+    "oracle_experiments": int, "aa_applications": int, "interrupted": _bool, "seed": int,
+}
+CSV_FIELDS = list(CSV_COLUMNS)
+NUMERIC_FIELDS = [name for name, parse in CSV_COLUMNS.items() if parse not in (str, _bool)]
+
+SweepRow = namedtuple("SweepRow", CSV_FIELDS)
+SweepRow.__doc__ = "One trial of one grid point: a CSV row, its fields in column order."
 
 
 def _fmt(value) -> str:
@@ -313,25 +313,21 @@ def write_csv(rows, out) -> None:
         writer.writerow([_fmt(getattr(row, name)) for name in CSV_FIELDS])
 
 
-# Parsers for the CSV text of each SweepRow field, by its declared type, which
-# typing keeps as a ForwardRef to the annotation's text.
-_PARSERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "float | None": lambda text: float(text) if text else None,
-    "bool": lambda text: text == "true",
-}
-_ROW_PARSERS = [(name, _PARSERS[ref.__forward_arg__])
-                for name, ref in SweepRow.__annotations__.items()]
-
-
 def read_csv(inp) -> list[SweepRow]:
+    """Parse a sweep CSV, refusing a cell its column cannot read by line and column."""
     reader = csv.DictReader(inp, restval="")  # a short row's missing cells are empty
     if missing := [name for name in CSV_FIELDS if name not in (reader.fieldnames or ())]:
         raise ValueError(f"not a sweep CSV: missing columns {', '.join(missing)}")
-    return [SweepRow(**{name: parse(rec[name]) for name, parse in _ROW_PARSERS})
-            for rec in reader]
+    rows = []
+    for rec in reader:
+        cells = []
+        for name, parse in CSV_COLUMNS.items():
+            try:
+                cells.append(parse(rec[name]))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}, column {name!r}: {exc}") from None
+        rows.append(SweepRow(*cells))
+    return rows
 
 
 _GROUP_FIELDS = ("estimator", "distribution", *_GRID_KEYS)
@@ -347,7 +343,9 @@ def group_rows(rows) -> dict[tuple, list[SweepRow]]:
 
 def summarize(rows: list[SweepRow], bound: str = "auto",
               profile: ConstantProfile | None = None) -> list[dict]:
-    """Aggregate rows per grid point: errors, costs and bound failure rate."""
+    """Aggregate rows per grid point: errors, costs and bound failure rate,
+    in records whose keys are the summary's columns, in order.
+    """
     if not rows:
         raise ValueError("no rows to summarize")
     if profile is None:
@@ -360,10 +358,10 @@ def summarize(rows: list[SweepRow], bound: str = "auto",
             "trials": len(members),
             "mean_abs_error": float(errs.mean()),
             "p90_abs_error": float(np.percentile(errs, 90)),
-            "mean_oracle": float(np.mean([m.oracle_experiments for m in members])),
-            "mean_aa": float(np.mean([m.aa_applications for m in members])),
             "failure_rate": None,
             "bound": None,
+            "mean_oracle": float(np.mean([m.oracle_experiments for m in members])),
+            "mean_aa": float(np.mean([m.aa_applications for m in members])),
         }
         error_bound = ESTIMATORS[key[0]].bound if key[0] in ESTIMATORS else None
         if bound == "auto" and error_bound is not None:

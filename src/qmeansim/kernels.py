@@ -175,18 +175,17 @@ def _round_table() -> tuple[list[int], list[int], list[int], list[int],
                             tuple[tuple[int, int], ...]]:
     # Lower ends and sizes of the integer grids {ceil(G^(ell-1)), ...,
     # ceil(G^ell) - 1} of rounds ell = 1..436, each collapsed to its lower end
-    # when empty. Round 436's grid starts past 1e18, beyond any budget. Then
+    # when empty, with ceil(G^ell) as math.ceil(GROWTH**ell) in double
+    # arithmetic. Round 436's grid starts past 1e18, beyond any budget. Then
     # the burn schedule of zero-amplitude runs (every round fails, so draws
     # are skipped and each round costs its grid's lower end): cumulative
     # oracle and amplification costs, up to a cumulative oracle cost of 1e18.
     # Last, the fixed rounds, the leading one-point grids (rounds 1..26):
     # their indices and multipliers 2n+1, whose n take no uniform, so their
     # costs are the burn's.
-    ells = np.arange(1, 437, dtype=float)
-    lo = np.ceil(GROWTH ** (ells - 1)).astype(np.int64)
-    hi = np.ceil(GROWTH**ells).astype(np.int64) - 1
-    los = lo.tolist()
-    sizes = (np.maximum(lo, hi) - lo + 1).tolist()
+    ceils = [math.ceil(GROWTH**ell) for ell in range(437)]
+    los = ceils[:-1]
+    sizes = [max(nxt - lo, 1) for lo, nxt in zip(los, ceils[1:])]
     burn_oracle = list(accumulate((2 * n + 1) * WALK_COST + MEASURE_COST for n in los))
     del burn_oracle[bisect_left(burn_oracle, 1e18) + 1:]
     burn_aa = list(accumulate(3 * n + 1 for n in los[:len(burn_oracle)]))
@@ -373,21 +372,23 @@ def seq_aamp_law(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``(oracle, aa)`` and their masses, which sum to 1 within 1e-12.
 
     Round ell takes n uniformly from {ceil(G^(ell-1)), ..., ceil(G^ell) - 1},
-    or its lower end when that is empty, and succeeds with probability
-    sin^2((2n+1)*theta). The survivors' law of S, the sum of their n, is
-    convolved round by round with the failure and success weights until at
-    most 1e-15 of it survives; a success in round R costs 4S + 3R oracle
-    experiments and 3S + R amplification steps. The support grows as
-    1/sqrt(p) atoms and the cost as 1/p, so p must lie in [1e-9, 1].
+    or its lower end when that is empty (the grids of :func:`_round_table`),
+    and succeeds with probability sin^2((2n+1)*theta). The survivors' law of
+    S, the sum of their n, is convolved round by round with the failure and
+    success weights until at most 1e-15 of it survives; a success in round R
+    costs 4S + 3R oracle experiments and 3S + R amplification steps. The
+    support grows as 1/sqrt(p) atoms and the cost as 1/p, so p must lie in
+    [1e-9, 1].
     """
     if not 1e-9 <= p <= 1.0:
         raise ValueError(f"amplitude must be in [1e-9, 1], got {p}")
     theta = grover_angle(p)
+    los, sizes = _round_table()[:2]
     surv, s0, ell = np.ones(1), 0, 1  # the survivors' law of S, from s0 on
     oracle, aa, mass = [], [], []
     while surv.sum() > 1e-15:
-        lo = math.ceil(GROWTH ** (ell - 1))
-        m = 2 * np.arange(lo, max(lo, math.ceil(GROWTH**ell) - 1) + 1) + 1
+        lo = los[ell - 1]
+        m = 2 * np.arange(lo, lo + sizes[ell - 1]) + 1
         s = s0 + lo + np.arange(surv.size + m.size - 1)
         oracle.append(2 * WALK_COST * s + (WALK_COST + MEASURE_COST) * ell)
         aa.append(3 * s + ell)

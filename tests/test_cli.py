@@ -9,7 +9,7 @@ import pytest
 
 import qmeansim
 from qmeansim import calibrate_constants, harness
-from qmeansim.cli import main
+from qmeansim.cli import build_parser, main
 
 
 def run_cli(*argv, capsys=None):
@@ -87,6 +87,42 @@ def test_malformed_csv_is_config_error(tmp_path, capsys, command):
     rows.write_text(rows.read_text()[:-40])
     code, out = run_cli(command, "--in", str(rows), capsys=capsys)
     assert code == 1 and out.err.startswith("error:") and out.out == ""
+
+
+@pytest.mark.parametrize("command", ["summarize", "slope"])
+def test_malformed_cell_is_config_error(tmp_path, capsys, command):
+    rows = _seq_relative_csv(tmp_path, capsys)
+    lines = rows.read_text().splitlines()
+    head, _, seed = lines[3].rsplit(",", 2)
+    lines[3] = f"{head},maybe,{seed}"
+    rows.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(command, "--in", str(rows), capsys=capsys)
+    assert code == 1
+    assert out.err == "error: line 4, column 'interrupted': expected true or false, got 'maybe'\n"
+    assert out.out == ""
+
+
+def test_summarize_header_is_frozen(tmp_path, capsys):
+    rows = _seq_relative_csv(tmp_path, capsys)
+    code, out = run_cli("summarize", "--in", str(rows), capsys=capsys)
+    assert code == 0
+    assert out.out.splitlines()[0].split("\t") == [
+        "estimator", "distribution", "n", "epsilon", "delta", "p", "trials", "mean_abs_error",
+        "p90_abs_error", "failure_rate", "bound", "mean_oracle", "mean_aa"]
+
+
+def test_slope_axes_are_frozen():
+    # the numeric columns of a sweep CSV, in column order
+    parser = build_parser()
+    axes = []
+    for name in harness.CSV_FIELDS:
+        try:
+            args = parser.parse_args(["slope", "--in", "rows.csv", "--x", name, "--y", name])
+        except SystemExit:
+            continue
+        axes.append(args.x)
+    assert axes == ["n", "epsilon", "delta", "p", "trial", "estimate", "true_mean", "abs_error",
+                    "rel_error", "oracle_experiments", "aa_applications", "seed"]
 
 
 @pytest.mark.parametrize("axis, column, message", [
@@ -308,6 +344,24 @@ def test_package_imports_without_dataclasses():
     # without loading it either
     code = ("import sys, numpy; assert 'dataclasses' not in sys.modules; "
             "import qmeansim.harness; assert 'dataclasses' not in sys.modules, 'loaded'")
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_harness_import_compiles_nothing_in_typing():
+    # no record type carries annotations for typing to turn into ForwardRefs,
+    # each of which compiles its text: a fresh interpreter that has numpy
+    # loaded imports the harness without a compile call from typing
+    code = ("import builtins, sys, numpy\n"
+            "real, calls = builtins.compile, []\n"
+            "def spy(*args, **kwargs):\n"
+            "    calls.append(sys._getframe(1).f_code.co_filename)\n"
+            "    return real(*args, **kwargs)\n"
+            "builtins.compile = spy\n"
+            "import qmeansim.harness\n"
+            "typed = [name for name in calls if name.endswith('typing.py')]\n"
+            "assert not typed, f'{len(typed)} compile calls from typing'\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -9,7 +9,6 @@ from qmeansim import (
     ConfigError,
     EstimateReport,
     SweepConfig,
-    SweepRow,
     default_profile,
     fit_loglog_slope,
     run_sweep,
@@ -313,7 +312,7 @@ def test_records_survive_pickling():
 
 
 def test_csv_header_is_frozen():
-    # the columns of every sweep CSV, in the order SweepRow declares them
+    # the columns of every sweep CSV, in the order CSV_COLUMNS declares them
     assert ",".join(CSV_FIELDS) == (
         "estimator,distribution,n,epsilon,delta,p,trial,estimate,true_mean,abs_error,"
         "rel_error,oracle_experiments,aa_applications,interrupted,seed")
@@ -327,7 +326,9 @@ def test_csv_roundtrip():
     assert rows[0].estimate == 5.0
     assert rows[0].n == 32.0
     assert rows[0].epsilon is None
-    # every field of every row, with interrupted rows and an empty rel_error
+    # every field of every row, with interrupted rows and an empty rel_error,
+    # and each cell of the type its column reads to
+    kinds = "str str float float float float int float float float float int int bool int".split()
     budgeted = config(estimator="seq-bern", distribution="point:0", grid={"delta": [0.1]},
                       budget=100, trials=2)
     for cfg in (config(distribution="pareto:2.5:1:16", trials=2), budgeted):
@@ -337,10 +338,29 @@ def test_csv_roundtrip():
         read = read_csv(io.StringIO(buf.getvalue()))
         assert read == written
         for row in read:
-            for name, ref in SweepRow.__annotations__.items():
-                value = getattr(row, name)
-                assert value is None or type(value).__name__ in ref.__forward_arg__
+            for kind, value in zip(kinds, row, strict=True):
+                assert value is None or type(value).__name__ == kind
     assert all(row.interrupted and row.rel_error is None for row in read)
+
+
+@pytest.mark.parametrize("column, text, message", [
+    ("interrupted", "True", "expected true or false, got 'True'"),
+    ("interrupted", "1", "expected true or false, got '1'"),
+    ("interrupted", "maybe", "expected true or false, got 'maybe'"),
+    ("interrupted", "", "expected true or false, got ''"),
+    ("trial", "1e2", "invalid literal for int() with base 10: '1e2'"),
+    ("estimate", "", "could not convert string to float: ''"),
+    ("n", "x", "could not convert string to float: 'x'"),
+])
+def test_read_csv_refuses_malformed_cells(column, text, message):
+    # a cell its column cannot read is refused by line and column
+    lines = csv_text(config(trials=2)).splitlines()
+    cells = lines[2].split(",")
+    cells[CSV_FIELDS.index(column)] = text
+    lines[2] = ",".join(cells)
+    with pytest.raises(ValueError) as info:
+        read_csv(io.StringIO("\n".join(lines) + "\n"))
+    assert str(info.value) == f"line 3, column {column!r}: {message}"
 
 
 def test_csv_17_digit_floats():

@@ -107,9 +107,8 @@ def test_seq_aamp_budget_never_exceeded():
 
 def test_burn_schedule_matches_cumsums():
     # a burn's rounds run on the live rounds' grid: a prefix of _round_table's
-    # lower ends, which a Python ceil(GROWTH ** ell) misses from round 358 on;
-    # a round costs 2n+1 walk applications of 2 oracle experiments and a
-    # measurement
+    # lower ends; a round costs 2n+1 walk applications of 2 oracle experiments
+    # and a measurement
     los, _, cum_oracle, cum_aa, _ = _round_table()
     narr = np.array(los[:len(cum_oracle)], dtype=np.int64)
     assert len(narr) > 358
@@ -153,6 +152,18 @@ def _grid(ell):
     # integer grid of round ell, as the sequential schedule defines it
     lo = math.ceil(GROWTH ** (ell - 1))
     return range(lo, max(lo, math.ceil(GROWTH**ell) - 1) + 1)
+
+
+def test_round_table_matches_readme_grids():
+    # every tabulated round's grid is {ceil(1.1^(ell-1)), ..., ceil(1.1^ell) - 1},
+    # or its lower end when that is empty; round 358 starts at ceil(1.1^357),
+    # where a vectorised numpy power (...531.0, not ...531.1) lands one below
+    los, sizes = _round_table()[:2]
+    assert len(los) == len(sizes) == 436
+    for ell in range(1, 437):
+        grid = _grid(ell)
+        assert (ell, los[ell - 1], sizes[ell - 1]) == (ell, grid.start, len(grid))
+    assert los[357] == 598671524280532
 
 
 def _mean_success(p, ell):
