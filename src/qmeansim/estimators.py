@@ -306,9 +306,12 @@ def quantile_est(
     of its stage ``repetition_ii``, and each end value is read off the
     support.
 
-    With ``shift``, it estimates the part max(X - shift, 0) off X's laws:
-    X's atoms up to the shift make its atom 0, read as exactly 0 when the
-    shift is one of them; the part below eta is that of -X at -eta.
+    With ``shift``, it estimates the part max(X - shift, 0) off X's laws,
+    and an end atom v reads max(v - shift, 0): X's atoms up to the shift
+    make the part's atom 0, read as exactly 0, and with the shift below the
+    support the part is X - shift, read from X's atom 0. The part below eta
+    is that of -X at -eta. A shift must be finite, and one that is not is
+    refused before any charge.
 
     Under the calibrated profile the chains of fine laws climb to the top
     atom, above Q(c*p), as README's known limits of that profile record.
@@ -317,6 +320,8 @@ def quantile_est(
         raise ValueError(f"quantile order must be in (0, 1), got {p}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
+    if shift is not None and not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
     reps = math.ceil(6 * math.log(1.0 / delta))
     per_rep_budget = math.ceil(profile.quantile_budget_coeff / math.sqrt(p))
     counter = qvar.counter
@@ -328,28 +333,56 @@ def quantile_est(
                                                       per_rep_budget)
     caps = [per_rep_budget] * full + ([last] if last or not full else [])
     d = qvar.dist
-    floor = 0 if shift is None else int(np.searchsorted(d.values, shift, side="right")) - 1
+    # the last atom up to the shift, or atom 0 below the support
+    floor = 0 if shift is None else max(bisect_right(d.values, shift) - 1, 0)
     ends, _, aa, _ = amplify_chain(*d._chain, 0, caps, rng.gen, [], math.inf, floor)
     counter.charge(sum(caps), aa)
     names = (_REPETITIONS if len(caps) <= len(_REPETITIONS)
              else [f"repetition_{i:02d}" for i in range(len(caps))])
-    # the median end k reads atom k - 1 less the shift, or -inf at k = 0; the
-    # stage records as a _StageTracker would close them, built at once
+    # the median end k reads atom k - 1, less the shift and at least 0 with
+    # one, or -inf at k = 0; the stage records as a _StageTracker would close
+    # them, built at once
+    if k := lower_median(ends):
+        estimate = float(d.values[k - 1])
+        if shift is not None:
+            estimate = max(estimate - shift, 0.0)
+    else:
+        estimate = -math.inf
     return EstimateReport(
-        float(d.values[k - 1] - (shift or 0.0)) if (k := lower_median(ends)) else -math.inf,
+        estimate,
         ExperimentCounter(counter.oracle_experiments - base_oracle,
                           counter.aa_applications - base_aa, counter.budget, counter.interrupted),
         dict(zip(names, caps)), [names[len(caps) - 1]] if counter.interrupted else [])
 
 
-def _part_windows(d: FiniteDist, edges: np.ndarray, shift: float) -> tuple[list, np.ndarray]:
-    # Windows (edges[i], edges[i+1]] of the part max(X - shift, 0), X = d, for
-    # increasing edges >= 0: per edge the count of atoms v with fl(v - shift)
-    # <= edge, in O(log support), and per window the sum of (v - shift) P[v].
+def _part_windows(d: FiniteDist, edges: list[np.ndarray],
+                  shifts: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    # The windows of ladders on the parts max(X - shift, 0) of one X = d, each
+    # ladder's increasing edges >= 0 with its own shift, in one search. Per
+    # edge, the count of atoms v with fl(v - shift) <= edge, a predicate that
+    # holds on a prefix of the support: one searchsorted of edge + shift,
+    # which rounds, then each count moved up or down until the predicate
+    # holds below it and fails at it. Per window (edges[i], edges[i+1]] of a
+    # ladder, in ladder order, the sum of (v - shift) P[v].
+    sizes = [e.size for e in edges]
+    edges = np.concatenate(edges)
+    shifts = np.repeat(shifts, sizes)
+    values, top = d.values, len(d)
+    idx = np.searchsorted(values, edges + shifts, side="right")
+    while np.count_nonzero(up := (idx < top)
+                           & (values.take(idx, mode="clip") - shifts <= edges)):
+        idx += up
+    while np.count_nonzero(down := (idx > 0)
+                           & (values.take(idx - 1, mode="clip") - shifts > edges)):
+        idx -= down
     vp, ps = d._sums
-    idx = [bisect_right(d.values, e, key=lambda v: v - shift) for e in edges.tolist()]
     v, q = vp[idx], ps[idx]
-    return idx, (v[1:] - v[:-1]) - shift * (q[1:] - q[:-1])
+    sums = (v[1:] - v[:-1]) - shifts[1:] * (q[1:] - q[:-1])
+    if len(sizes) > 1:  # the pairs that straddle two ladders are no windows
+        keep = np.ones(sums.size, dtype=bool)
+        keep[np.cumsum(sizes)[:-1] - 1] = False
+        sums = sums[keep]
+    return idx, sums
 
 
 class _Ladders:
@@ -358,39 +391,55 @@ class _Ladders:
     A ladder's charge depends only on its register, its copy count, its
     number of windows and the counter's remainder, and no later stage reads
     its draws, only the returned estimate does. So :meth:`add` charges a
-    ladder when the schedule reaches it and records it, and :meth:`sums`
-    draws every recorded window of nonzero amplitude at the end, from a
-    stream derived once per top-level estimate.
+    ladder when the schedule reaches it and records its law, edges and
+    shift, and :meth:`sums` searches the windows of every recorded ladder
+    once per law and draws every window of nonzero amplitude at the end,
+    from a stream derived once per top-level estimate.
     """
 
     def __init__(self) -> None:
-        self._ladders: list[tuple[np.ndarray, int, int, np.ndarray, int]] = []
+        self._ladders: list[tuple[FiniteDist, np.ndarray, float, int, int, float, int]] = []
 
     def add(self, qvar: QVar, edges: np.ndarray, register: tuple[int, int], sign: float,
             term: int, shift: float) -> None:
-        # Each window mean of _part_windows is exposed as the amplitude mean/b,
-        # estimated on the (M, copies) register and scaled back by sign*b
-        # into the sum of term `term`.
-        _, means = _part_windows(qvar.dist, edges, shift)
-        amplitudes = np.minimum(np.maximum(means / edges[1:], 0.0), 1.0)
+        # Each window (edges[i], edges[i+1]] of the part max(X - shift, 0) of
+        # X = qvar.dist is charged as `copies` estimations on an M-point
+        # register, drawn by sums.
         m, copies = register
-        aest_charge(m, amplitudes.size * copies, qvar.counter)
-        self._ladders.append((amplitudes, m, copies, sign * edges[1:], term))
+        aest_charge(m, (edges.size - 1) * copies, qvar.counter)
+        self._ladders.append((qvar.dist, edges, shift, m, copies, sign, term))
 
     def sums(self, terms: int, rng: RandomSource) -> np.ndarray:
-        """Per term 0..terms-1, the sum of its ladders' scaled estimates,
-        every window of nonzero amplitude drawn in one amplitude-estimation
-        call; an empty window reads exactly 0, so none is drawn."""
+        """Per term 0..terms-1, the sum of its ladders' scaled estimates.
+
+        Each window mean of :func:`_part_windows`, one search per law, is
+        exposed as the amplitude mean/b, b the window's upper edge, estimated
+        on its ladder's register and scaled back by sign*b into its term's
+        sum. Every window of nonzero amplitude is drawn in one
+        amplitude-estimation call, in the order the ladders were added; an
+        empty window reads exactly 0, so none is drawn."""
         if not self._ladders:
             return np.zeros(terms)
-        amplitudes, ms, copies, scales, owners = zip(*self._ladders)
-        ps = np.concatenate(amplitudes)
+        laws, edges, shifts, ms, copies, signs, owners = zip(*self._ladders)
+        windows = [e.size - 1 for e in edges]
+        # one search per law, whose windows keep their places in the order
+        # the ladders were added
+        label = {law: i for i, law in enumerate(dict.fromkeys(laws))}
+        of = np.repeat([label[law] for law in laws], windows)
+        means = np.empty(of.size)
+        for law, i in label.items():
+            mine = [j for j, other in enumerate(laws) if other is law]
+            means[of == i] = _part_windows(law, [edges[j] for j in mine],
+                                           [shifts[j] for j in mine])[1]
+        tops = np.concatenate([e[1:] for e in edges])
+        ps = np.minimum(np.maximum(means / tops, 0.0), 1.0)
         live = np.flatnonzero(ps)
         if not live.size:
             return np.zeros(terms)
-        ladder = np.repeat(np.arange(len(ms)), [a.size for a in amplitudes])[live]
+        ladder = np.repeat(np.arange(len(ms)), windows)[live]
         medians = aest_median(ps[live], np.take(ms, ladder), np.take(copies, ladder), rng.derive(1))
-        return np.bincount(np.take(owners, ladder), np.concatenate(scales)[live] * medians, terms)
+        scales = np.take(signs, ladder) * tops[live]
+        return np.bincount(np.take(owners, ladder), scales * medians, terms)
 
 
 def bern_est(

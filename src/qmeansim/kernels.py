@@ -226,7 +226,8 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
     schedule of :func:`_round_table` without drawing. A chain that starts at
     an empty tail, or at a full tail whose readout holds one atom, draws
     nothing, so when every chain of a call is such, each distinct cap runs
-    once and its result is repeated. A chain that would run past the table's
+    once: its end is returned once per chain of that cap, and its integer
+    tallies count that many times. A chain that would run past the table's
     last round raises ``ValueError``. Uniforms are popped off ``us``,
     refilled from ``gen`` in blocks of 64 whenever it is empty, so chains
     and calls can share the spares. Returns the end atoms and the summed
@@ -236,11 +237,14 @@ def amplify_chain(cum: list[float] | None, tails: list[float], k: int,
     if len(caps) > 1 and (not tails[k] or tails[k] == 1.0 and cum is not None
                           and (k or floor) == top):
         # every chain is certain, so its end and tallies depend on its cap
-        # alone: run each distinct cap once
-        runs = {cap: amplify_chain(cum, tails, k, [cap], gen, us, draws, floor)
-                for cap in dict.fromkeys(caps)}
-        return ([runs[cap][0][0] for cap in caps],
-                *(sum(runs[cap][j] for cap in caps) for j in (1, 2, 3)))
+        # alone: run each distinct cap once, and count its tallies once per
+        # chain of that cap
+        ends, tallies = {}, (0, 0, 0)
+        for cap in dict.fromkeys(caps):
+            (ends[cap],), *run = amplify_chain(cum, tails, k, [cap], gen, us, draws, floor)
+            times = caps.count(cap)
+            tallies = tuple(t + r * times for t, r in zip(tallies, run))
+        return list(map(ends.__getitem__, caps)), *tallies
     los, sizes, burn_oracle, burn_aa, fixed = _round_table()
     walk, measure, inf = WALK_COST, MEASURE_COST, math.inf
     asin, sqrt, cos, pop = math.asin, math.sqrt, math.cos, us.pop

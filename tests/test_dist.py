@@ -270,6 +270,17 @@ def test_part_chains_on_their_law_match_the_sliced_chain(values, weights, caps, 
             assert view_gen.random() == part_gen.random()
 
 
+def _part_edges(law, shift):
+    # the count i of atoms up to the shift, the part's values as the shift
+    # maps them, none merged, and as ladder edges those values and their
+    # float neighbours that are >= 0
+    i = int(np.searchsorted(law.values, shift, side="right"))
+    own = np.concatenate(([0.0], law.values[i:] - shift))
+    edges = np.unique(np.concatenate(
+        (own, np.nextafter(own, math.inf), np.nextafter(own, -math.inf))))
+    return i, own, edges[edges >= 0.0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(st.floats(-50, 50), min_size=1, max_size=12, unique=True),
        weights=st.lists(st.floats(0.01, 1.0), min_size=12, max_size=12))
@@ -286,17 +297,33 @@ def test_part_windows_on_their_law_match_the_built_part(values, weights):
     d = make_dist(values, w / w.sum())
     for eta in d.values.tolist() + [d.values[0] - 1.0, 0.5]:
         for law, shift, part in zip((d, d._mirror), (eta, -eta), shift_split(d, eta)):
-            i = int(np.searchsorted(law.values, shift, side="right"))
-            # the part's values as the shift maps them, none merged
-            own = np.concatenate(([0.0], law.values[i:] - shift))
-            edges = np.unique(np.concatenate(
-                (own, np.nextafter(own, math.inf), np.nextafter(own, -math.inf))))
-            edges = edges[edges >= 0.0]
-            idx, sums = _part_windows(law, edges, shift)
-            assert idx == (i - 1 + np.searchsorted(own, edges, side="right")).tolist()
+            i, own, edges = _part_edges(law, shift)
+            idx, sums = _part_windows(law, [edges], [shift])
+            assert idx.tolist() == (i - 1 + np.searchsorted(own, edges, side="right")).tolist()
             for got, lo, hi in zip(sums, edges[:-1], edges[1:]):
                 inside = (part.values > lo) & (part.values <= hi)
                 assert abs(got - float(np.dot(part.values[inside], part.probs[inside]))) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(-50, 50), min_size=1, max_size=12, unique=True),
+       weights=st.lists(st.floats(0.01, 1.0), min_size=12, max_size=12))
+@example(values=[8.012744652063969, 13.834365012707647], weights=[1.0] * 12)
+def test_part_windows_of_several_ladders_match_their_one_ladder_calls(values, weights):
+    # ladders at several shifts, interleaved on X and -X as the sub-Gaussian
+    # split adds them, searched in one call per law: counts and window sums
+    # equal those of one call per ladder, bit for bit
+    w = np.array(weights[: len(values)], dtype=float)
+    d = make_dist(values, w / w.sum())
+    ladders = [(law, _part_edges(law, shift)[2], shift)
+               for eta in d.values.tolist() + [d.values[0] - 1.0, 0.5]
+               for law, shift in ((d, eta), (d._mirror, -eta))]
+    for law in (d, d._mirror):
+        mine = [(edges, shift) for other, edges, shift in ladders if other is law]
+        idx, sums = _part_windows(law, *zip(*mine))
+        one = [_part_windows(law, [edges], [shift]) for edges, shift in mine]
+        assert idx.tolist() == np.concatenate([i for i, _ in one]).tolist()
+        assert sums.tolist() == np.concatenate([s for _, s in one]).tolist()
 
 
 @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])

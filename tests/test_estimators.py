@@ -38,10 +38,11 @@ from qmeansim import estimators
 from qmeansim.estimators import (
     _MAX_REFINE_TIME,
     _Ladders,
+    _part_windows,
     _StageTracker,
     _subgauss,
 )
-from qmeansim.kernels import ae_register, amplify_chain, lower_median
+from qmeansim.kernels import ae_register, aest_median, amplify_chain, lower_median
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +472,37 @@ def test_every_ladder_of_an_estimate_is_drawn_in_one_call(profile):
             assert len(calls) == 1
 
 
+def test_ladder_sums_draw_the_lanes_in_insertion_order():
+    # ladders interleaved on X and -X, as the refinements of a sequential
+    # estimate add them, of several sizes and registers: searched once per
+    # law, their live windows are drawn in the order the ladders were added,
+    # each window's amplitude as a one-ladder search gives it
+    d = named_dist("uniform:0..1:11")
+    added = []
+    for term, (at, k, register) in enumerate(((3, 2, (40, 5)), (6, 4, (90, 3)),
+                                              (8, 3, (25, 7)))):
+        eta = float(d.values[at])
+        steps = np.ldexp(1.0, np.arange(-k - 1, 1))
+        steps[0] = 0.0
+        added += [(d, (1.0 - eta) * steps, eta, register, 1.0, term),
+                  (d._mirror, eta * steps, -eta, register, -1.0, term)]
+    counter, ladders = ExperimentCounter(), _Ladders()
+    for law, edges, shift, register, sign, term in added:
+        ladders.add(QVar(law, counter), edges, register, sign, term, shift)
+    assert counter.oracle_experiments == sum((edges.size - 1) * c * (4 * m + 1)
+                                             for _, edges, _, (m, c), _, _ in added)
+    lanes = []
+    for law, edges, shift, (m, c), sign, term in added:
+        means = _part_windows(law, [edges], [shift])[1]
+        for p, top in zip(np.minimum(np.maximum(means / edges[1:], 0.0), 1.0), edges[1:]):
+            if p:
+                lanes.append((p, m, c, sign * top, term))
+    ps, ms, copies, scales, owners = map(np.array, zip(*lanes))
+    medians = aest_median(ps, ms, copies, RandomSource(5).derive(1))
+    want = np.bincount(owners, scales * medians, 3)
+    assert ladders.sums(3, RandomSource(5)).tolist() == want.tolist()
+
+
 def _quantile_per_repetition(qv, p, delta, profile, rng):
     # The loop quantile_est fuses: one single-cap chain call, one charge and
     # one stage close per repetition, the calls sharing one list of spares.
@@ -610,6 +642,32 @@ def test_quantile_rejects_bad_args(profile):
         quantile_est(qv, 0.0, 0.1, profile, RandomSource(0))
     with pytest.raises(ValueError):
         quantile_est(qv, 0.5, 1.0, profile, RandomSource(0))
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+def test_quantile_refuses_a_non_finite_shift_before_any_charge(profile, shift):
+    qv = qvar(named_dist("uniform:1..100:100"))
+    with pytest.raises(ValueError, match=f"shift must be finite, got {shift}"):
+        quantile_est(qv, 0.01, 0.1, profile, RandomSource(0), shift)
+    assert qv.counter == ExperimentCounter()
+
+
+@pytest.mark.parametrize("eta", [0.5, 50.0, 50.5, 100.0, 100.5])
+def test_quantile_shift_reads_the_part_shift_split_builds(profile, eta):
+    # below the support, at an atom, between two atoms, at and above the top
+    # atom: the part max(X - eta, 0) read off X's laws at eta, and max(eta -
+    # X, 0) off -X's at -eta, give the estimate and tallies of quantile_est
+    # on shift_split's part, on the same stream
+    d = named_dist("uniform:1..100:100")
+    for law, shift, part in zip((d, d._mirror), (eta, -eta), shift_split(d, eta)):
+        for p, seed in ((0.5, 1), (0.01, 2)):
+            got_rng, want_rng = RandomSource(seed), RandomSource(seed)
+            got = quantile_est(qvar(law), p, 0.1, profile, got_rng, shift)
+            want = quantile_est(qvar(part), p, 0.1, profile, want_rng)
+            assert got.estimate == want.estimate >= 0.0
+            assert got.counter_snapshot == want.counter_snapshot
+            assert got.stage_costs == want.stage_costs
+            assert got_rng.gen.random() == want_rng.gen.random()
 
 
 # -- windowed-mean estimation ------------------------------------------------------
